@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .analytic import gaussian_sequence_depth, rademacher_classify, stable_depth
-from .errors import DirectionRangeError
+from .errors import DirectionRangeError, LawUnavailableError
 from .models import (
     GAUSSIAN,
     RADEMACHER,
@@ -27,6 +26,7 @@ from .models import (
     Point,
     Sample,
     SequenceModel,
+    _derive_seed,
     apply_direction,
     project_sample,
     sample,
@@ -201,32 +201,27 @@ def reference_depth(a: Point, model: SequenceModel) -> Optional[float]:
     return None
 
 
-def _sample_seed(master_seed: int, i: int) -> int:
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(i)))
-    return int(ss.generate_state(1)[0])
-
-
 def _ratio_vanishes(a: Point, model: SequenceModel, K: int) -> bool:
     """Heuristic check of the normalization t_k(a)/sigma_k -> 0."""
-    try:
-        if a.tail is not None and not a.tail.is_zero:
-            if model.tail is None:
-                return False
-            # std is proportional to the scale tail for every family, so the
-            # ratio vanishes exactly when the exponents say so
-            return a.tail.exponent < model.tail.scale.exponent
-        # explicit point: the ratio is eventually zero by the zero tail
-        return True
-    except Exception:
-        return False
+    if a.tail is not None and not a.tail.is_zero:
+        if model.tail is None:
+            return False
+        # std is proportional to the scale tail for every family, so the
+        # ratio vanishes exactly when the exponents say so
+        return a.tail.exponent < model.tail.scale.exponent
+    # explicit point: the ratio is eventually zero by the zero tail
+    return True
 
 
 def _analytic_floor(a: Point, model: SequenceModel, n: int, K: int
                     ) -> Optional[float]:
-    """1 - (1 - dhat^n)^K with dhat = min_k P(t_k(X) < t_k(a))."""
+    """1 - (1 - dhat^n)^K with dhat = min_k P(t_k(X) < t_k(a)).
+
+    None when the model has no law for some coordinate up to K.
+    """
     try:
         probs = [model.law(k).prob_below(a.value_at(k)) for k in range(1, K + 1)]
-    except Exception:
+    except LawUnavailableError:
         return None
     dhat = min(probs)
     return 1.0 - (1.0 - dhat ** n) ** K
@@ -244,15 +239,14 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     positive while the empirical depth collapses.
     """
     family = DirectionFamily.coordinates(K)
-
-    def one(i: int) -> SeedRecord:
-        seed_i = _sample_seed(master_seed, i)
+    records = []
+    for i in range(seeds):
+        seed_i = _derive_seed(master_seed, i)
         s = sample(model, n, K, seed_i)
         value, argmin = empirical_half_space_depth(a, s, family)
-        return SeedRecord(seed=seed_i, n=n, K=K, empirical_depth=value,
-                          argmin=argmin, zero_hit=(value == 0.0))
-
-    records = tuple(ordered_map(one, range(seeds)))
+        records.append(SeedRecord(seed=seed_i, n=n, K=K,
+                                  empirical_depth=value, argmin=argmin,
+                                  zero_hit=(value == 0.0)))
     zeros = sum(r.zero_hit for r in records)
     frac = zeros / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
@@ -263,8 +257,9 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     if true_depth is not None:
         failure = bool(true_depth > 0.0 and frac >= 0.5)
     return ExperimentResult(
-        records=records, fraction_zero=frac, fraction_zero_stderr=stderr,
-        mean_depth=mean_depth, true_depth_reference=true_depth,
+        records=tuple(records), fraction_zero=frac,
+        fraction_zero_stderr=stderr, mean_depth=mean_depth,
+        true_depth_reference=true_depth,
         analytic_floor=_analytic_floor(a, model, n, K),
         consistency_failure=failure,
         ratio_vanishes=_ratio_vanishes(a, model, K),
@@ -292,13 +287,11 @@ def consistency_gap(a: Point, model: SequenceModel, family: DirectionFamily,
 
     rows = []
     for j, n in enumerate(n_grid):
-        def one(i: int, n=n, j=j) -> float:
-            seed_i = _sample_seed(master_seed, j * 100003 + i)
-            s = sample(model, n, K, seed_i)
+        values = []
+        for i in range(seeds):
+            s = sample(model, n, K, _derive_seed(master_seed, j, i))
             value, _ = empirical_half_space_depth(a, s, family, model=model)
-            return value
-
-        values = ordered_map(one, range(seeds))
+            values.append(value)
         mean_emp = float(np.mean(values))
         gap = None if true_depth is None else abs(mean_emp - true_depth)
         rows.append(GapRow(n=int(n), mean_empirical=mean_emp,

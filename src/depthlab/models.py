@@ -576,9 +576,103 @@ class Sample:
         return self.data.shape[1]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
+# the algorithm falls under numpy's stream-compatibility guarantee
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash(value, const: int, mult: int):
+    """One SeedSequence hash step on 32-bit words (ints or uint64 arrays);
+    returns the hashed value and the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ (value >> 16), const_next
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _column_keys(seed: int, ks) -> np.ndarray:
+    """Philox keys of columns ``ks`` under master ``seed``, shape (len(ks), 2).
+
+    Row i is the key numpy derives from
+    ``SeedSequence(entropy=seed, spawn_key=(ks[i],))``: the same pool
+    hashing and mixing, run once for the seed words and then vectorized
+    over the spawn word of every column.
+    """
+    seed = int(seed)
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
+        raise ValueError("column indices must lie in [0, 2**32)")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy.append(ks.astype(np.uint64))
+
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+
+    # generate_state(2, uint64): four 32-bit words, paired little-endian
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hash(word, const, _MULT_B)
+        state.append(word)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=1)
+
+
+def _fresh_philox_state(key: np.ndarray) -> dict:
+    """State of a newly seeded Philox with the given key: zero counter,
+    empty output buffer, no cached 32-bit half-word."""
+    zeros = np.zeros(4, dtype=np.uint64)
+    return {"bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _keyed_rng() -> tuple[np.random.Philox, np.random.Generator]:
+    # an explicit seed keeps construction off OS entropy; the key is
+    # replaced before any draw
+    bitgen = np.random.Philox(0)
+    return bitgen, np.random.Generator(bitgen)
+
+
 def _column_rng(seed: int, k: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(k),))
-    return np.random.Generator(np.random.Philox(ss))
+    """Generator for column k alone, the stream ``sample`` uses for it."""
+    bitgen, rng = _keyed_rng()
+    bitgen.state = _fresh_philox_state(_column_keys(seed, [k])[0])
+    return rng
+
+
+def _derive_seed(master_seed: int, *indices: int) -> int:
+    """A 32-bit sample seed derived from a master seed and an index path."""
+    ss = np.random.SeedSequence(
+        entropy=(int(master_seed), *(int(i) for i in indices)))
+    return int(ss.generate_state(1)[0])
 
 
 def _stable_standard(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -642,14 +736,18 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     """Draw an n x K sample from the model, reproducible bit-for-bit.
 
     Column k uses the Philox substream keyed by (seed, k), so the result
-    does not depend on evaluation order or parallelism degree.
+    does not depend on K or on evaluation order.  All keys are derived in
+    one batch and a single bit generator is re-keyed per column.
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
+    keys = _column_keys(seed, np.arange(1, K + 1))
+    bitgen, rng = _keyed_rng()
     data = np.empty((n, K))
     for k in range(1, K + 1):
         law = model.law(k)  # raises LawUnavailableError past the tail
-        data[:, k - 1] = _sample_column(law, n, _column_rng(seed, k))
+        bitgen.state = _fresh_philox_state(keys[k - 1])
+        data[:, k - 1] = _sample_column(law, n, rng)
     return Sample(data=data, seed=int(seed))
 
 

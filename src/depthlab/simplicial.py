@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import comb
 
-from ._parallel import ordered_map
 from .errors import BudgetExceededError
-from .models import CoordinateLaw, Point, Sample, SequenceModel, _column_rng, _sample_column
+from .models import (CoordinateLaw, Point, Sample, SequenceModel, _column_rng,
+                     _derive_seed, _sample_column, sample)
 
 DEFAULT_BUDGET = 10 ** 7
 _PIVOT_TOL = 1e-12
@@ -282,30 +282,21 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     target = BlockProjection(d=d, k=1).of_point(a)
     lam, lam_se = simplicial_depth_mc(
         target, iid_block_sampler(law, d), mc_draws,
-        seed=_mix_seed(master_seed, 0xA11A))
-
-    def one(i: int) -> BlockSeedRecord:
-        seed_i = _mix_seed(master_seed, i)
-        from .models import sample as draw
-        s = draw(model, n, width, seed_i)
+        seed=_derive_seed(master_seed, 0xA11A))
+    records = []
+    for i in range(seeds):
+        seed_i = _derive_seed(master_seed, i)
+        s = sample(model, n, width, seed_i)
         rec = empirical_block_depth(a, s, d, k_max, budget=budget)
-        return BlockSeedRecord(seed=seed_i, depth=rec.depth,
-                               zero_hit=(rec.depth == 0.0),
-                               min_block=int(np.argmin(rec.block_counts)) + 1,
-                               block_counts=rec.block_counts,
-                               n_subsets=rec.n_subsets)
-
-    records = tuple(ordered_map(one, range(seeds)))
+        records.append(BlockSeedRecord(
+            seed=seed_i, depth=rec.depth, zero_hit=(rec.depth == 0.0),
+            min_block=int(np.argmin(rec.block_counts)) + 1,
+            block_counts=rec.block_counts, n_subsets=rec.n_subsets))
     zeros = sum(r.zero_hit for r in records)
     frac = zeros / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
     gap = lam if zeros else float(
         np.mean([abs(r.depth - lam) for r in records]))
-    return BlockExperimentResult(records=records, fraction_zero=frac,
+    return BlockExperimentResult(records=tuple(records), fraction_zero=frac,
                        fraction_zero_stderr=stderr, lambda_hat=lam,
                        lambda_stderr=lam_se, gap=gap, n=n, d=d, k_max=k_max)
-
-
-def _mix_seed(master_seed: int, i: int) -> int:
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(i)))
-    return int(ss.generate_state(1)[0])

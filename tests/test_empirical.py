@@ -17,7 +17,9 @@ from depthlab import (
     zero_depth_experiment,
 )
 from depthlab.bounds import markov_zero_certificate
+from depthlab.empirical import _analytic_floor
 from depthlab.errors import DirectionRangeError
+from depthlab.models import Density, SequenceModel, density_law, gaussian_law
 
 ONES = Point((), tail=PowerTail(1.0, 0.0))
 
@@ -131,15 +133,27 @@ def test_zero_depth_experiment_single_coordinate():
     assert res.analytic_floor == pytest.approx(expected)
 
 
-def test_experiment_determinism_across_thread_counts(monkeypatch):
+def test_experiment_records_independent_of_seed_count():
     a = Point.inverse_k(1.0)
-    monkeypatch.setenv("DEPTHLAB_THREADS", "1")
-    res1 = zero_depth_experiment(gaussian_model(), a, n=2, K=50, seeds=20,
-                                 master_seed=5)
-    monkeypatch.setenv("DEPTHLAB_THREADS", "4")
-    res2 = zero_depth_experiment(gaussian_model(), a, n=2, K=50, seeds=20,
-                                 master_seed=5)
-    assert res1.records == res2.records
+    res20 = zero_depth_experiment(gaussian_model(), a, n=2, K=50, seeds=20,
+                                  master_seed=5)
+    res40 = zero_depth_experiment(gaussian_model(), a, n=2, K=50, seeds=40,
+                                  master_seed=5)
+    assert res20.records == res40.records[:20]
+
+
+def test_analytic_floor_none_past_model_width():
+    model = SequenceModel(laws=(gaussian_law(1.0),) * 3)
+    assert _analytic_floor(Point((0.5,)), model, n=2, K=5) is None
+
+
+def test_analytic_floor_propagates_density_errors():
+    def broken_pdf(x):
+        raise RuntimeError("pdf failed")
+
+    model = SequenceModel.iid(density_law(Density(pdf=broken_pdf)), 3)
+    with pytest.raises(RuntimeError):
+        _analytic_floor(Point((0.5,)), model, n=2, K=3)
 
 
 # -- consistency gap ------------------------------------------------------------

@@ -24,7 +24,12 @@ from depthlab import (
     uniform_model,
 )
 from depthlab.errors import DirectionRangeError, LawUnavailableError
-from depthlab.models import density_law
+from depthlab.models import (
+    _column_keys,
+    _column_rng,
+    _sample_column,
+    density_law,
+)
 
 
 def test_rademacher_support():
@@ -54,6 +59,51 @@ def test_column_substreams_are_schedule_independent():
     for K in (1, 3, 6):
         part = sample(m, 40, K, seed=9)
         assert np.array_equal(part.data, full.data[:, :K])
+
+
+def _oracle_rng(seed, k):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 130 + 987654321])
+def test_column_keys_match_seedsequence(seed):
+    ks = list(range(301)) + [0x51D, 0x5B5, 0xA11A]
+    expected = [_oracle_rng(seed, k).bit_generator.state["state"]["key"]
+                for k in ks]
+    keys = _column_keys(seed, ks)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        sample(gaussian_model(), 2, 3, seed=-1)
+    with pytest.raises(ValueError):
+        _column_rng(-1, 0)
+
+
+@pytest.mark.parametrize("model", [
+    gaussian_model(),
+    stable_model(1.5),
+    rademacher_model(),
+    uniform_model(-1.0, 3.0),
+    SequenceModel.iid(density_law(logistic_density())),
+], ids=["gaussian", "stable1.5", "rademacher", "uniform", "density"])
+def test_sample_columns_match_fresh_generators(model):
+    # re-keying one bit generator per column must leave no state behind
+    # (counter, 64-bit buffer, cached 32-bit half-word)
+    n, K, seed = 7, 12, 2024
+    full = sample(model, n, K, seed).data
+    for part in (1, 5):
+        assert np.array_equal(sample(model, n, part, seed).data,
+                              full[:, :part])
+    for k in range(1, K + 1):
+        column = _sample_column(model.law(k), n, _oracle_rng(seed, k))
+        assert np.array_equal(full[:, k - 1], column)
+    assert np.array_equal(_column_rng(seed, 3).random(4),
+                          _oracle_rng(seed, 3).random(4))
 
 
 def test_law_unavailable_past_explicit_width():
