@@ -187,8 +187,7 @@ class CoordinateLaw:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a positive finite real")
+        _check_scale(self.scale)
         if self.family == STABLE:
             if self.p is None or not 0.0 < self.p <= 2.0:
                 raise ValueError("stable law requires 0 < p <= 2")
@@ -288,6 +287,11 @@ class CoordinateLaw:
         return math.isinf(lo) and math.isinf(hi)
 
 
+def _check_scale(scale: float) -> None:
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be a positive finite real")
+
+
 @lru_cache(maxsize=64)
 def _density_moment(density: Density, order: int) -> float:
     lo, hi = density.support
@@ -338,6 +342,12 @@ class LawTail:
     def law(self, k: int) -> CoordinateLaw:
         return CoordinateLaw(self.family, scale=self.scale.value(k), p=self.p,
                              lo=self.lo, hi=self.hi, density=self.density)
+
+    def unit_law(self) -> CoordinateLaw:
+        """The tail's family at scale 1; column k is scale.value(k) times
+        its standard variable."""
+        return CoordinateLaw(self.family, p=self.p, lo=self.lo, hi=self.hi,
+                             density=self.density)
 
 
 @dataclass(frozen=True)
@@ -717,19 +727,24 @@ def _cached_density_table(density: Density):
     return _density_sampler_table(density)
 
 
+def _standard_column(law: CoordinateLaw, n: int, rng: np.random.Generator
+                     ) -> np.ndarray:
+    """n draws of the law's standard variable (``law.scale`` is ignored)."""
+    if law.family == GAUSSIAN:
+        return rng.standard_normal(n)
+    if law.family == RADEMACHER:
+        return 2.0 * rng.integers(0, 2, n) - 1.0
+    if law.family == UNIFORM:
+        return rng.uniform(law.lo, law.hi, n)
+    if law.family == STABLE:
+        return _stable_standard(law.p, rng, n)
+    xs, cdf = _cached_density_table(law.density)
+    return np.interp(rng.random(n), cdf, xs)
+
+
 def _sample_column(law: CoordinateLaw, n: int, rng: np.random.Generator
                    ) -> np.ndarray:
-    if law.family == GAUSSIAN:
-        return law.scale * rng.standard_normal(n)
-    if law.family == RADEMACHER:
-        return law.scale * (2.0 * rng.integers(0, 2, n) - 1.0)
-    if law.family == UNIFORM:
-        return law.scale * rng.uniform(law.lo, law.hi, n)
-    if law.family == STABLE:
-        return law.scale * _stable_standard(law.p, rng, n)
-    xs, cdf = _cached_density_table(law.density)
-    u = rng.random(n)
-    return law.scale * np.interp(u, cdf, xs)
+    return law.scale * _standard_column(law, n, rng)
 
 
 def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
@@ -737,17 +752,28 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
 
     Column k uses the Philox substream keyed by (seed, k), so the result
     does not depend on K or on evaluation order.  All keys are derived in
-    one batch and a single bit generator is re-keyed per column.
+    one batch and a single bit generator is re-keyed per column.  Tail
+    columns share the tail's unit-scale law and multiply its draws by the
+    scale at k, so no per-column law is built.
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
     keys = _column_keys(seed, np.arange(1, K + 1))
     bitgen, rng = _keyed_rng()
     data = np.empty((n, K))
+    width, tail = model.explicit_width, model.tail
+    unit = tail.unit_law() if tail is not None and K > width else None
     for k in range(1, K + 1):
-        law = model.law(k)  # raises LawUnavailableError past the tail
+        if k <= width:
+            law = model.laws[k - 1]
+            scale = law.scale
+        elif unit is not None:
+            law, scale = unit, tail.scale.value(k)
+            _check_scale(scale)
+        else:
+            raise LawUnavailableError(f"law unavailable for coordinate {k}")
         bitgen.state = _fresh_philox_state(keys[k - 1])
-        data[:, k - 1] = _sample_column(law, n, rng)
+        data[:, k - 1] = scale * _standard_column(law, n, rng)
     return Sample(data=data, seed=int(seed))
 
 

@@ -6,13 +6,21 @@ pivot-style singularity tolerance of 1e-12; degenerate vertex sets count
 as "outside" and are tallied in a diagnostic counter.  Strict positivity
 of the barycentric weights is tested with exact floating comparison,
 since boundary hits are measure-zero for absolutely continuous laws.
+
+The exact block counts of one sample go through one batched test: the
+(d+1)-subsets are enumerated once for all blocks and the vertex sets of
+every block are stacked into one batch of systems.  Each system keeps its
+own block's target as right-hand side (vertices are not translated), so
+every determinant and solve is bitwise the one-subset computation.  Every
+hull-test batch, and the subset enumeration feeding it, holds at most
+``HULL_CHUNK`` systems, so memory stays bounded at any subset budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +31,7 @@ from .models import (CoordinateLaw, Point, Sample, SequenceModel, _column_rng,
                      _derive_seed, _sample_column, sample)
 
 DEFAULT_BUDGET = 10 ** 7
+HULL_CHUNK = 200_000    # barycentric systems per hull-test batch
 _PIVOT_TOL = 1e-12
 
 
@@ -67,7 +76,9 @@ def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
     """(inside, degenerate) masks for batched vertex sets.
 
     ``vertex_sets`` has shape (N, d+1, d); vertices become columns of the
-    (d+1)x(d+1) barycentric system with an affine ones-row.
+    (d+1)x(d+1) barycentric system with an affine ones-row.  The target
+    ``x`` is one point of shape (d,) shared by every system, or one point
+    per system, shape (N, d).
     """
     n_batch, dp1, d = vertex_sets.shape
     mats = np.empty((n_batch, dp1, dp1))
@@ -77,9 +88,12 @@ def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
     hadamard = np.prod(np.maximum(col_norms, 1e-300), axis=1)
     dets = np.linalg.det(mats)
     degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
-    rhs = np.concatenate([np.asarray(x, dtype=float), [1.0]])
     safe = np.where(degenerate[:, None, None], np.eye(dp1)[None], mats)
-    rhs_stack = np.broadcast_to(rhs[:, None], (n_batch, dp1, 1))
+    x = np.asarray(x, dtype=float)
+    rhs = np.ones(x.shape[:-1] + (dp1,))
+    rhs[..., :d] = x
+    # a shared target stays one broadcast vector, not an (N, d+1) copy
+    rhs_stack = np.broadcast_to(rhs[..., None], (n_batch, dp1, 1))
     weights = np.linalg.solve(safe, rhs_stack)[..., 0]
     inside = np.all(weights > 0.0, axis=1) & ~degenerate
     return inside, degenerate
@@ -112,10 +126,9 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
     d = x.size
     rng = _column_rng(seed, 0x51D)
     hits = 0
-    chunk = 200_000
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(HULL_CHUNK, draws - done)
         pts = sampler(rng, m * (d + 1)).reshape(m, d + 1, d)
         inside, _ = _open_hull_mask(x, pts)
         hits += int(np.count_nonzero(inside))
@@ -151,6 +164,36 @@ def n_subsets(n: int, d: int) -> int:
     return int(comb(n, d + 1, exact=True))
 
 
+def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Open-hull hit and degenerate counts over all (d+1)-subsets of rows,
+    per block.
+
+    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  Subsets
+    are enumerated in chunks and every block is tested against each chunk
+    in one batch of at most ``HULL_CHUNK`` systems (a single block per
+    batch when B alone exceeds it).
+    """
+    n_blocks, n, d = blocks.shape
+    counts = np.zeros(n_blocks, dtype=np.int64)
+    degens = np.zeros(n_blocks, dtype=np.int64)
+    per_chunk = max(1, HULL_CHUNK // n_blocks)
+    block_step = max(1, HULL_CHUNK // per_chunk)
+    subsets = combinations(range(n), d + 1)
+    while True:
+        combos = np.fromiter(chain.from_iterable(islice(subsets, per_chunk)),
+                             dtype=np.intp).reshape(-1, d + 1)
+        if not len(combos):
+            return counts, degens
+        for lo in range(0, n_blocks, block_step):
+            hi = min(lo + block_step, n_blocks)
+            verts = blocks[lo:hi, combos].reshape(-1, d + 1, d)
+            rhs = np.repeat(targets[lo:hi], len(combos), axis=0)
+            inside, degen = _open_hull_mask(rhs, verts)
+            counts[lo:hi] += inside.reshape(hi - lo, -1).sum(axis=1)
+            degens[lo:hi] += degen.reshape(hi - lo, -1).sum(axis=1)
+
+
 def u_statistic_depth(a: Point, s: Sample, d: int, k: int,
                       budget: int = DEFAULT_BUDGET) -> UStatResult:
     """Exact enumeration of open-hull hits over all (d+1)-subsets of rows."""
@@ -162,13 +205,11 @@ def u_statistic_depth(a: Point, s: Sample, d: int, k: int,
             f"{total} subsets exceed the budget {budget}; "
             "use u_statistic_depth_mc for subset subsampling")
     proj = BlockProjection(d=d, k=k)
-    block = proj.of_rows(s.data)
-    target = proj.of_point(a)
-    combos = np.array(list(itertools.combinations(range(s.n), d + 1)))
-    inside, degen = _open_hull_mask(target, block[combos])
-    count = int(np.count_nonzero(inside))
+    counts, degens = _block_hull_counts(proj.of_rows(s.data)[None],
+                                        proj.of_point(a)[None])
+    count = int(counts[0])
     return UStatResult(count=count, n_subsets=total, ratio=count / total,
-                       degenerate=int(np.count_nonzero(degen)))
+                       degenerate=int(degens[0]))
 
 
 def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
@@ -183,8 +224,11 @@ def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
     picks = np.empty((subsets, d + 1), dtype=int)
     for i in range(subsets):
         picks[i] = rng.choice(s.n, size=d + 1, replace=False)
-    inside, _ = _open_hull_mask(target, block[picks])
-    est = float(np.mean(inside))
+    hits = 0
+    for lo in range(0, subsets, HULL_CHUNK):
+        inside, _ = _open_hull_mask(target, block[picks[lo:lo + HULL_CHUNK]])
+        hits += int(np.count_nonzero(inside))
+    est = hits / subsets
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / subsets)
     return est, stderr
 
@@ -209,6 +253,10 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                                budget: int = DEFAULT_BUDGET
                                ) -> SimplicialRecord:
     """min over blocks k <= k_max of the per-block U-statistic ratio."""
+    if d < 1 or k_max < 1:
+        raise ValueError("block dimension and k_max must be >= 1")
+    if s.n < d + 1:
+        raise ValueError(f"need at least d+1={d + 1} rows, sample has {s.n}")
     if s.K < k_max * d:
         raise ValueError(
             f"sample width {s.K} is insufficient for k_max={k_max} blocks "
@@ -217,15 +265,17 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
     if total * k_max > budget:
         raise BudgetExceededError(
             f"{total * k_max} membership tests exceed the budget {budget}")
-    counts, degens = [], []
-    for k in range(1, k_max + 1):
-        res = u_statistic_depth(a, s, d, k, budget=budget)
-        counts.append(res.count)
-        degens.append(res.degenerate)
-    depth = min(counts) / total
+    # scalar value_at, as in BlockProjection.of_point: the numpy power in
+    # Point.values need not round power tails the same way
+    targets = np.array([a.value_at(i) for i in range(1, k_max * d + 1)]
+                       ).reshape(k_max, d)
+    blocks = s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(1, 0, 2)
+    counts, degens = _block_hull_counts(blocks, targets)
+    depth = int(counts.min()) / total
     return SimplicialRecord(n=s.n, d=d, n_subsets=total,
-                            block_counts=tuple(counts),
-                            degenerate_counts=tuple(degens), depth=depth)
+                            block_counts=tuple(counts.tolist()),
+                            degenerate_counts=tuple(degens.tolist()),
+                            depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +289,7 @@ class BlockSeedRecord:
     zero_hit: bool
     min_block: int
     block_counts: tuple[int, ...]
+    degenerate_counts: tuple[int, ...]
     n_subsets: int
 
 
@@ -291,7 +342,8 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
         records.append(BlockSeedRecord(
             seed=seed_i, depth=rec.depth, zero_hit=(rec.depth == 0.0),
             min_block=int(np.argmin(rec.block_counts)) + 1,
-            block_counts=rec.block_counts, n_subsets=rec.n_subsets))
+            block_counts=rec.block_counts,
+            degenerate_counts=rec.degenerate_counts, n_subsets=rec.n_subsets))
     zeros = sum(r.zero_hit for r in records)
     frac = zeros / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)

@@ -25,6 +25,8 @@ from depthlab import (
 )
 from depthlab.errors import DirectionRangeError, LawUnavailableError
 from depthlab.models import (
+    UNIFORM,
+    LawTail,
     _column_keys,
     _column_rng,
     _sample_column,
@@ -90,7 +92,12 @@ def test_negative_seed_rejected():
     rademacher_model(),
     uniform_model(-1.0, 3.0),
     SequenceModel.iid(density_law(logistic_density())),
-], ids=["gaussian", "stable1.5", "rademacher", "uniform", "density"])
+    gaussian_model([2.0, 0.5], tail=PowerTail(0.7, -1.3)),
+    stable_model(1.5, tail=PowerTail(2.0, -0.5)),
+    SequenceModel(laws=(uniform_law(0.0, 1.0),),
+                  tail=LawTail(UNIFORM, PowerTail(3.0, 0.3), lo=-2.0, hi=5.0)),
+], ids=["gaussian", "stable1.5", "rademacher", "uniform", "density",
+        "gaussian-power-tail", "stable-power-tail", "uniform-power-tail"])
 def test_sample_columns_match_fresh_generators(model):
     # re-keying one bit generator per column must leave no state behind
     # (counter, 64-bit buffer, cached 32-bit half-word)
@@ -111,6 +118,19 @@ def test_law_unavailable_past_explicit_width():
     sample(m, 5, 2, seed=0)
     with pytest.raises(LawUnavailableError):
         sample(m, 5, 3, seed=0)
+
+
+@pytest.mark.parametrize("tail", [PowerTail(-1.0, 0.0), PowerTail(0.0, 1.0),
+                                  PowerTail(1e300, 200.0)],
+                         ids=["negative", "zero", "overflow"])
+def test_sample_rejects_nonpositive_tail_scale(tail):
+    # the scale of a tail column is checked as a CoordinateLaw checks it
+    m = gaussian_model([1.0, 1.0], tail=tail)
+    sample(m, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="positive finite"):
+        sample(m, 3, 12, seed=0)
+    with pytest.raises(ValueError, match="positive finite"):
+        m.law(12)
 
 
 def test_law_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,17 +9,21 @@ from depthlab import (
     Point,
     Sample,
     empirical_block_depth,
+    gaussian_model,
     point_in_open_simplex,
     block_depth_experiment,
     sample,
     simplicial_depth_mc,
     u_statistic_depth,
     u_statistic_depth_mc,
+    rademacher_model,
     uniform_model,
 )
+from depthlab import simplicial
 from depthlab.errors import BudgetExceededError
 from depthlab.models import _column_rng
-from depthlab.simplicial import BlockProjection, iid_block_sampler, n_subsets
+from depthlab.simplicial import (BlockProjection, _open_hull_mask,
+                                 iid_block_sampler, n_subsets)
 from depthlab.models import uniform_law
 
 
@@ -170,6 +175,79 @@ def test_block_counts_iid_across_blocks():
     assert stat.pvalue > 1e-3
 
 
+def _oracle_counts(a, s, d, k_max):
+    """Per-block hit and degenerate counts, one subset at a time."""
+    counts, degens = [], []
+    for k in range(1, k_max + 1):
+        proj = BlockProjection(d=d, k=k)
+        block, target = proj.of_rows(s.data), proj.of_point(a)
+        hits = degenerate = 0
+        for combo in itertools.combinations(range(s.n), d + 1):
+            verts = block[list(combo)]
+            hits += point_in_open_simplex(target, verts)
+            degenerate += int(_open_hull_mask(target, verts[None])[1][0])
+        counts.append(hits)
+        degens.append(degenerate)
+    return tuple(counts), tuple(degens)
+
+
+K_MAX = 3
+# a periodic point (one target for every block), a tail point (a target
+# per block) and a Rademacher sample (degenerate vertex sets)
+ORACLE_CASES = {
+    "periodic": (uniform_model(0.0, 1.0),
+                 Point.periodic([0.5, 0.4, 0.6], repeats=K_MAX)),
+    "inverse-k": (gaussian_model(), Point.inverse_k(0.5)),
+    "rademacher": (rademacher_model(), Point.inverse_k(0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", ["d+1", 6, 9])
+def test_block_counts_match_subset_oracle(case, d, n):
+    n = d + 1 if n == "d+1" else n
+    model, a = ORACLE_CASES[case]
+    s = sample(model, n, K_MAX * d, seed=100 * d + n)
+    counts, degens = _oracle_counts(a, s, d, K_MAX)
+    rec = empirical_block_depth(a, s, d=d, k_max=K_MAX)
+    assert rec.block_counts == counts
+    assert rec.degenerate_counts == degens
+    for k in range(1, K_MAX + 1):
+        res = u_statistic_depth(a, s, d=d, k=k)
+        assert (res.count, res.degenerate) == (counts[k - 1], degens[k - 1])
+    if case == "rademacher" and n == 9:
+        assert sum(degens) > 0
+
+
+@pytest.mark.parametrize("d, n, k_max", [(1, 9, 7), (2, 9, 1), (2, 6, 4),
+                                         (3, 7, 2)])
+def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
+    a = Point.inverse_k(0.5)
+    cases = [(m, sample(m, n, k_max * d, seed=31 + d))
+             for m in (gaussian_model(), rademacher_model())]
+    default = [empirical_block_depth(a, s, d, k_max) for _, s in cases]
+    mc = u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10, seed=5)
+    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
+    for (_, s), rec in zip(cases, default):
+        small = empirical_block_depth(a, s, d, k_max)
+        assert small.block_counts == rec.block_counts
+        assert small.degenerate_counts == rec.degenerate_counts
+    assert sum(sum(rec.degenerate_counts) for rec in default) > 0
+    assert u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10,
+                                seed=5) == mc
+
+
+def test_block_depth_argument_errors():
+    s = sample(uniform_model(0.0, 1.0), 2, 4, seed=19)
+    with pytest.raises(ValueError):
+        empirical_block_depth(Point.zero(), s, d=2, k_max=1)  # n < d + 1
+    with pytest.raises(ValueError):
+        empirical_block_depth(Point.zero(), s, d=1, k_max=0)
+    with pytest.raises(ValueError):
+        empirical_block_depth(Point.zero(), s, d=0, k_max=1)
+
+
 # -- the consistency-failure experiment ----------------------------------------------
 
 def test_block_depth_experiment_small():
@@ -192,6 +270,21 @@ def test_block_experiment_point_outside_support():
     assert res.lambda_hat == 0.0
     assert res.fraction_zero == 1.0
     assert res.gap == 0.0
+
+
+def test_block_experiment_records_degenerate_counts():
+    # near 10^6 the pivot tolerance marks close pairs degenerate, so the
+    # records carry nonzero counts
+    model = uniform_model(1e6, 1e6 + 2.0)
+    a = Point.periodic([1e6 + 1.0], repeats=4)
+    res = block_depth_experiment(model, a, n=5, d=1, k_max=4, seeds=3,
+                                 master_seed=20, mc_draws=2_000)
+    for r in res.records:
+        rec = empirical_block_depth(a, sample(model, 5, 4, r.seed), d=1,
+                                    k_max=4)
+        assert r.degenerate_counts == rec.degenerate_counts
+        assert r.block_counts == rec.block_counts
+    assert sum(sum(r.degenerate_counts) for r in res.records) > 0
 
 
 def test_block_experiment_requires_continuous_iid():
