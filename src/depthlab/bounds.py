@@ -81,10 +81,6 @@ class LowerBoundReport:
 # Markov zero certificates (witness directions alpha_k = t_k(a)/sigma_k^2)
 # ---------------------------------------------------------------------------
 
-def _partial_weighted_sum(a: Point, model: SequenceModel, m: int) -> float:
-    return sum((a.value_at(k) / model.sigma(k)) ** 2 for k in range(1, m + 1))
-
-
 def markov_bound_curve(a: Point, model: SequenceModel, m_max: int) -> np.ndarray:
     """B_m for m = 1..m_max (inf where no witness exists yet)."""
     ks = np.arange(1, m_max + 1)
@@ -101,7 +97,9 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
 
     Witness m has alpha_k = t_k(a)/sigma_k^2 for k <= m; depths whose
     leading coordinates are all zero are skipped.  A point with tau(a) = 0
-    admits no witness at all.
+    admits no witness at all.  One pass over k = 1..max(depths) reads each
+    t_k(a) and sigma_k once; the running sum of (t_k(a)/sigma_k)^2 adds
+    left to right, so B_m is the same at every depth as a fresh sum to m.
     """
     if a.is_zero:
         raise ValueError("no witness exists: tau(a) = 0")
@@ -109,16 +107,17 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
     if not depths or depths[0] < 1:
         raise ValueError("depths must be positive integers")
     kept, witnesses, bounds = [], [], []
+    s, k, support, coeffs = 0.0, 0, [], []
     for m in depths:
-        s = _partial_weighted_sum(a, model, m)
-        if s <= 0.0:
-            continue  # t_alpha(a) = 0: Markov route silent at this depth
-        support, coeffs = [], []
-        for k in range(1, m + 1):
-            tk = a.value_at(k)
+        while k < m:
+            k += 1
+            tk, sigma = a.value_at(k), model.sigma(k)
+            s += (tk / sigma) ** 2
             if tk != 0.0:
                 support.append(k)
-                coeffs.append(tk / model.sigma(k) ** 2)
+                coeffs.append(tk / sigma ** 2)
+        if s <= 0.0:
+            continue  # t_alpha(a) = 0: Markov route silent at this depth
         kept.append(m)
         witnesses.append(Direction(tuple(support), tuple(coeffs)))
         bounds.append(1.0 / s)

@@ -6,6 +6,15 @@ explicit finite family; results name the family and never claim the true
 infimum.  Coordinate families alone already force empirical depth to zero
 in the regimes of interest, so finite families suffice for every
 demonstrated phenomenon.
+
+Evaluation is array-shaped.  The coordinate family is one column-chunked
+comparison of the sample against the point's coordinates, and no
+``Direction`` is built except the minimizer.  Any other family gathers the
+sample columns of each distinct support once and projects every direction
+on that support by its own matrix-vector product, which is bitwise the
+product ``project_sample`` computes for it.  Directions are never batched
+into one matrix-matrix product: that sums in another order and changes
+low bits of the projections.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .models import (
     SequenceModel,
     _derive_seed,
     apply_direction,
-    project_sample,
     sample,
 )
 
@@ -36,6 +44,10 @@ COORDINATES = "coordinates"
 RANDOM_SPARSE = "random_sparse"
 MARKOV_WITNESSES = "markov_witnesses"
 EXPLICIT = "explicit"
+
+# Most booleans one chunk of the coordinate family's comparison may hold
+# (1 MiB); a chunk is at least one column.
+COMPARE_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +92,7 @@ class DirectionFamily:
                     model: Optional[SequenceModel] = None) -> list[Direction]:
         """Concrete direction list, all within the given sample width."""
         if self.kind == COORDINATES:
-            if self.K > width:
-                raise DirectionRangeError(
-                    f"direction out of range: K={self.K} exceeds width {width}")
+            _check_coordinate_width(self.K, width)
             return [Direction.coordinate(k) for k in range(1, self.K + 1)]
         if self.kind == RANDOM_SPARSE:
             rng = np.random.Generator(np.random.Philox(
@@ -136,6 +146,12 @@ class DirectionFamily:
         return f"explicit({len(self.directions)} directions)"
 
 
+def _check_coordinate_width(K: int, width: int) -> None:
+    if K > width:
+        raise DirectionRangeError(
+            f"direction out of range: K={K} exceeds width {width}")
+
+
 # ---------------------------------------------------------------------------
 # Empirical half-space depth
 # ---------------------------------------------------------------------------
@@ -149,16 +165,50 @@ def empirical_half_space_depth(a: Point, s: Sample,
     Ties count toward the depth (the indicator is >=). Returns the first
     minimizer in family order.
     """
+    if family.kind == COORDINATES:
+        _check_coordinate_width(family.K, s.K)
+        return _coordinate_depth(s.data, _coordinate_thresholds(a, family.K))
     directions = family.materialize(s.K, point=a, model=model)
-    best_value, best_dir = math.inf, None
-    for d in directions:
-        threshold = apply_direction(d, a)
-        value = float(np.mean(project_sample(d, s) >= threshold))
-        if value < best_value:
-            best_value, best_dir = value, d
-            if value == 0.0:
-                break
-    return best_value, best_dir
+    by_support: dict[tuple[int, ...], list[int]] = {}
+    for i, d in enumerate(directions):
+        by_support.setdefault(d.support, []).append(i)
+    values = np.empty(len(directions))
+    for support, members in by_support.items():
+        cols = s.data[:, np.asarray(support) - 1]
+        for i in members:
+            d = directions[i]
+            proj = cols @ np.asarray(d.coeffs)
+            values[i] = np.count_nonzero(proj >= apply_direction(d, a)) / s.n
+    best = int(np.argmin(values))
+    return float(values[best]), directions[best]
+
+
+def _coordinate_thresholds(a: Point, K: int) -> np.ndarray:
+    # scalar value_at, as apply_direction reads the point: the numpy power
+    # in Point.values need not round power tails the same way
+    return np.array([a.value_at(k) for k in range(1, K + 1)])
+
+
+def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray
+                      ) -> tuple[float, Direction]:
+    """Depth over coordinates 1..K, K = len(thresholds), and its first
+    minimizer.
+
+    Compares column chunks of at most ``COMPARE_CHUNK`` entries and stops
+    after the first chunk with a zero count: no later column can beat it.
+    """
+    n, K = data.shape[0], thresholds.size
+    step = max(1, COMPARE_CHUNK // n)
+    chunks = []
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        chunks.append(np.count_nonzero(data[:, lo:hi] >= thresholds[lo:hi],
+                                       axis=0))
+        if not chunks[-1].all():
+            break
+    counts = np.concatenate(chunks)
+    k = int(np.argmin(counts))
+    return int(counts[k]) / n, Direction.coordinate(k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +289,12 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     positive while the empirical depth collapses.
     """
     family = DirectionFamily.coordinates(K)
+    thresholds = _coordinate_thresholds(a, K)
     records = []
     for i in range(seeds):
         seed_i = _derive_seed(master_seed, i)
         s = sample(model, n, K, seed_i)
-        value, argmin = empirical_half_space_depth(a, s, family)
+        value, argmin = _coordinate_depth(s.data, thresholds)
         records.append(SeedRecord(seed=seed_i, n=n, K=K,
                                   empirical_depth=value, argmin=argmin,
                                   zero_hit=(value == 0.0)))

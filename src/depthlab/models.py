@@ -9,7 +9,7 @@ power-law tail (the tail of a point defaults to identically zero).
 All types are immutable after construction.  Sampling is bit-reproducible
 from a master seed and independent of how the work is scheduled: column k
 of a sample is drawn from its own counter-based Philox substream keyed by
-(seed, k).
+(seed, k), and is stored contiguously (samples are column-major).
 """
 
 from __future__ import annotations
@@ -565,7 +565,13 @@ def apply_direction(direction: Direction, coords) -> float:
 
 @dataclass(frozen=True)
 class Sample:
-    """An n x K matrix of realized coordinates, row j = (t_1(X_j), ..., t_K(X_j))."""
+    """An n x K matrix of realized coordinates, row j = (t_1(X_j), ..., t_K(X_j)).
+
+    ``data`` is read-only and keeps the layout it is given; ``sample()``
+    returns it column-major (Fortran order), so a coordinate column is
+    contiguous.  Every computation reads values, never the layout, and
+    ``data.tobytes()`` is in row-major order whatever the layout.
+    """
 
     data: np.ndarray
     seed: int
@@ -754,13 +760,14 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     does not depend on K or on evaluation order.  All keys are derived in
     one batch and a single bit generator is re-keyed per column.  Tail
     columns share the tail's unit-scale law and multiply its draws by the
-    scale at k, so no per-column law is built.
+    scale at k, so no per-column law is built.  The matrix is allocated
+    column-major: each column is written, and later read, contiguously.
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
     keys = _column_keys(seed, np.arange(1, K + 1))
     bitgen, rng = _keyed_rng()
-    data = np.empty((n, K))
+    data = np.empty((n, K), order="F")
     width, tail = model.explicit_width, model.tail
     unit = tail.unit_law() if tail is not None and K > width else None
     for k in range(1, K + 1):
@@ -778,7 +785,13 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
 
 
 def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
-    """t_alpha(X_j) for every row j; errors if the support exceeds the width."""
+    """t_alpha(X_j) for every row j; errors if the support exceeds the width.
+
+    One gather of the support columns and one matrix-vector product; on a
+    column-major sample the gather copies contiguous columns.  Empirical
+    depth evaluates whole families without this helper, gathering each
+    distinct support once, with the same per-direction product.
+    """
     if direction.max_index > sample.K:
         raise DirectionRangeError(
             f"direction out of range: support reaches {direction.max_index}, "

@@ -80,6 +80,37 @@ def test_markov_bounds_reproducible_from_witness():
                                                      rel=1e-12)
 
 
+def _markov_per_depth(a, model, depths):
+    """Depth by depth, each sum restarted at k = 1 and added left to right."""
+    kept, witnesses, bounds = [], [], []
+    for m in sorted(set(depths)):
+        s = 0.0
+        for k in range(1, m + 1):
+            s += (a.value_at(k) / model.sigma(k)) ** 2
+        if s <= 0.0:
+            continue
+        support = [k for k in range(1, m + 1) if a.value_at(k) != 0.0]
+        coeffs = [a.value_at(k) / model.sigma(k) ** 2 for k in support]
+        kept.append(m)
+        witnesses.append(Direction(tuple(support), tuple(coeffs)))
+        bounds.append(1.0 / s)
+    return tuple(kept), tuple(witnesses), tuple(bounds)
+
+
+@pytest.mark.parametrize("a, model, depths", [
+    (Point.inverse_k(1.0), gaussian_model(), [300, 7, 7, 1, 64, 300, 2]),
+    (Point((0.0, 0.0, 0.7, 0.0, -1.3), tail=PowerTail(0.4, -0.6)),
+     gaussian_model(scales=[2.0, 0.5, 3.0], tail=PowerTail(1.1, -0.3)),
+     [9, 1, 2, 3, 50, 4, 4, 1000]),
+    (Point(tuple(0.1 * k for k in range(1, 40))), uniform_model(-1.0, 1.0),
+     [39, 5, 17, 5]),
+])
+def test_markov_certificate_matches_per_depth_sums(a, model, depths):
+    cert = markov_zero_certificate(a, model, depths)
+    assert (cert.depths, cert.witnesses, cert.bound_values) == \
+        _markov_per_depth(a, model, depths)
+
+
 def test_markov_bound_holds_in_monte_carlo():
     g = gaussian_model()
     n = 20_000

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import ndtr
 
@@ -8,18 +9,28 @@ from depthlab import (
     DirectionFamily,
     Point,
     PowerTail,
+    Sample,
+    apply_direction,
     consistency_gap,
     empirical_half_space_depth,
     gaussian_model,
     gaussian_sequence_depth,
+    project_sample,
     rademacher_model,
     sample,
     zero_depth_experiment,
 )
+from depthlab import empirical
 from depthlab.bounds import markov_zero_certificate
-from depthlab.empirical import _analytic_floor
+from depthlab.empirical import _analytic_floor, _coordinate_depth
 from depthlab.errors import DirectionRangeError
-from depthlab.models import Density, SequenceModel, density_law, gaussian_law
+from depthlab.models import (
+    Density,
+    SequenceModel,
+    _derive_seed,
+    density_law,
+    gaussian_law,
+)
 
 ONES = Point((), tail=PowerTail(1.0, 0.0))
 
@@ -190,3 +201,152 @@ def test_consistency_gap_single_direction_clt_rate():
                            true_depth=truth)
     for row in rows:
         assert row.gap <= 3.0 / math.sqrt(row.n)
+
+
+# -- array-shaped evaluation against the per-direction loop --------------------
+
+def _loop_depth(a, s, family, model=None):
+    """The direction-by-direction definition on a row-major copy of the
+    sample: project, compare, mean, in family order, stopping at the first
+    zero."""
+    s = Sample(np.ascontiguousarray(s.data), s.seed)
+    best_value, best_dir = math.inf, None
+    for d in family.materialize(s.K, point=a, model=model):
+        value = float(np.mean(project_sample(d, s) >= apply_direction(d, a)))
+        if value < best_value:
+            best_value, best_dir = value, d
+            if value == 0.0:
+                break
+    return best_value, best_dir
+
+
+WIDTH = 9
+FAR = Point((0.3, 9.0, -0.2, 9.0, 0.1))  # coordinates 2 and 4 are never reached
+DUPLICATED = DirectionFamily.explicit([
+    Direction.coordinate(1),
+    Direction.from_mapping({1: 1.0, 3: -0.5}),
+    Direction.from_mapping({2: 1.0, 5: 1e-3}),
+    Direction.coordinate(1),
+    Direction.from_mapping({1: 1.0, 3: -0.5}),
+    Direction.coordinate(4),
+    Direction(tuple(range(1, WIDTH + 1)), tuple(np.linspace(-2.0, 2.5, WIDTH))),
+    Direction.from_mapping({2: 1.0, 5: 1e-3}),
+])
+FAMILY_CASES = {
+    "coordinates": (DirectionFamily.coordinates(WIDTH), ONES),
+    "coordinates_far": (DirectionFamily.coordinates(WIDTH), FAR),
+    "sparse_pairs": (DirectionFamily.random_sparse(120, 2, seed=31), ONES),
+    "sparse_mixed": (DirectionFamily.random_sparse(60, 4, seed=32),
+                     Point.inverse_k(0.5)),
+    "sparse_full": (DirectionFamily.random_sparse(20, WIDTH, seed=33),
+                    Point((0.1, -0.4))),
+    "explicit_duplicates": (DUPLICATED, FAR),
+    "markov_witnesses": (DirectionFamily.markov_witnesses([5, 2, 9, 2, 7]),
+                         Point.inverse_k(1.0)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10 ** 4])
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+@pytest.mark.parametrize("model_name",
+                         ["gaussian", "rademacher", "rademacher_at_zero"])
+def test_depth_matches_per_direction_loop(model_name, case, n):
+    # Rademacher rows tie with ONES on every coordinate and on every sum of
+    # coefficients, so the >= indicator is exercised, not only its strict part
+    model = gaussian_model() if model_name == "gaussian" else rademacher_model()
+    family, a = FAMILY_CASES[case]
+    if model_name == "rademacher_at_zero" and family.kind != "markov_witnesses":
+        a = Point.zero()
+    s = sample(model, n, WIDTH, seed=_derive_seed(4040, n))
+    expected = _loop_depth(a, s, family, model)
+    for data in (s.data, np.ascontiguousarray(s.data)):
+        value, argmin = empirical_half_space_depth(a, Sample(data, s.seed),
+                                                   family, model=model)
+        assert type(value) is float
+        assert value == expected[0]
+        assert argmin == expected[1]
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("support_size", [2, 3, 5, WIDTH])
+def test_self_sample_ties_match_per_direction_loop(support_size, n):
+    # every row equals the point, so each direction's value is 1 or 0 as its
+    # projection rounds to or below t(a): any change in how the projections
+    # are summed shows up in the depth
+    for seed in range(3):
+        row = sample(gaussian_model(), 1, WIDTH, seed=seed).data[0]
+        a = Point(tuple(row))
+        s = Sample(np.asfortranarray(np.tile(row, (n, 1))), seed)
+        family = DirectionFamily.random_sparse(200, support_size, seed=seed)
+        expected = _loop_depth(a, s, family)
+        assert empirical_half_space_depth(a, s, family) == expected
+        assert empirical_half_space_depth(
+            a, Sample(np.ascontiguousarray(s.data), seed), family) == expected
+
+
+def test_coordinate_thresholds_read_the_point_as_the_definition():
+    # Point.values takes k**-0.5 through numpy's power, which may round
+    # differently from value_at; a row holding those values sits exactly at
+    # or one ulp off the point, where the two readings can disagree
+    a = Point.inverse_k(0.5)
+    s = Sample(a.values(40)[None, :], seed=0)
+    family = DirectionFamily.coordinates(40)
+    assert empirical_half_space_depth(a, s, family) == _loop_depth(a, s, family)
+
+
+def test_first_zero_after_positive_directions():
+    s = sample(gaussian_model(), 7, WIDTH, seed=12)
+    value, argmin = empirical_half_space_depth(FAR, s, DUPLICATED)
+    assert value == 0.0
+    assert argmin == Direction.from_mapping({2: 1.0, 5: 1e-3})
+    assert _loop_depth(FAR, s, DUPLICATED) == (value, argmin)
+    value, argmin = empirical_half_space_depth(
+        FAR, s, DirectionFamily.coordinates(WIDTH))
+    assert (value, argmin) == (0.0, Direction.coordinate(2))
+
+
+def test_zero_depth_experiment_records_match_loop():
+    a = Point.inverse_k(1.0)
+    res = zero_depth_experiment(gaussian_model(), a, n=3, K=40, seeds=30,
+                                master_seed=11)
+    family = DirectionFamily.coordinates(40)
+    for r in res.records:
+        expected = _loop_depth(a, sample(gaussian_model(), 3, 40, r.seed),
+                               family)
+        assert (r.empirical_depth, r.argmin) == expected
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_coordinate_compare_chunk_of_one(monkeypatch, n):
+    cases = []
+    for model, a in ((rademacher_model(), Point.zero()),
+                     (gaussian_model(), Point.zero()),
+                     (gaussian_model(), FAR),
+                     (gaussian_model(), Point((), tail=PowerTail(-3.0, 0.0)))):
+        s = sample(model, n, 60, seed=n)
+        cases.append((a, s, empirical_half_space_depth(
+            a, s, DirectionFamily.coordinates(60))))
+    monkeypatch.setattr(empirical, "COMPARE_CHUNK", 1)
+    for a, s, expected in cases:
+        assert empirical_half_space_depth(
+            a, s, DirectionFamily.coordinates(60)) == expected
+
+
+class _SliceLog(np.ndarray):
+    """An array that records every column range it is sliced with."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[1], slice):
+            _SliceLog.seen.append((key[1].start, key[1].stop))
+        return super().__getitem__(key)
+
+
+def test_coordinate_compare_stops_after_first_zero_chunk(monkeypatch):
+    data = np.zeros((4, 12))
+    data[:, 5] = -1.0  # column 6 is the first with no sample >= 0
+    data[:, 9] = -1.0
+    _SliceLog.seen = []
+    monkeypatch.setattr(empirical, "COMPARE_CHUNK", 8)  # two columns a chunk
+    value, argmin = _coordinate_depth(data.view(_SliceLog), np.zeros(12))
+    assert (value, argmin) == (0.0, Direction.coordinate(6))
+    assert _SliceLog.seen == [(0, 2), (2, 4), (4, 6)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -239,6 +240,22 @@ def test_project_sample_range_error():
         project_sample(Direction.coordinate(4), s)
     proj = project_sample(Direction.from_mapping({1: 1.0, 3: -2.0}), s)
     assert proj == pytest.approx(s.data[:, 0] - 2.0 * s.data[:, 2])
+
+
+def test_sample_is_column_major_and_read_only():
+    s = sample(gaussian_model(), 5, 3, seed=8)
+    assert s.data.flags.f_contiguous and not s.data.flags.c_contiguous
+    assert not s.data.flags.writeable
+    with pytest.raises(ValueError):
+        s.data[0, 0] = 1.0
+
+
+def test_sample_stream_pinned():
+    # the sampling stream at a fixed seed; a change here must be declared
+    # (README, Determinism)
+    s = sample(gaussian_model(), 4, 8, seed=20131001)
+    assert hashlib.sha256(s.data.tobytes()).hexdigest() == (
+        "91d38ef146504065b7fb45118e9290605d96da3e52f02f3f08747f4777e158bb")
 
 
 def test_point_tail_values():
