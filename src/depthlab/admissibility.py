@@ -24,6 +24,7 @@ from .analytic import (
     POSITIVE,
     UNDECIDED,
     ZERO,
+    _scaled_point,
     power_tail_sum,
     power_tail_sup,
     series_report,
@@ -34,7 +35,6 @@ from .models import (
     GAUSSIAN,
     Density,
     Point,
-    PowerTail,
     SequenceModel,
     normal_density,
 )
@@ -219,23 +219,10 @@ def _model_common_density(model: SequenceModel) -> Optional[Density]:
     if fams == {GAUSSIAN}:
         return normal_density()
     if fams == {DENSITY}:
-        dens = {law.density for law in model.laws}
-        if model.tail is not None:
-            dens.add(model.tail.density)
+        dens = {law.density for law in model.shape_laws()}
         if len(dens) == 1:
             return dens.pop()
     return None
-
-
-def _shifts_point(a: Point, model: SequenceModel) -> Point:
-    """t_k(a)/lambda_k as a Point with its own power tail."""
-    m = max(a.explicit_width, model.explicit_width, 1)
-    coords = tuple(a.value_at(k) / model.law(k).scale for k in range(1, m + 1))
-    tail = None
-    if a.tail is not None and not a.tail.is_zero:
-        mt = model.tail.scale
-        tail = PowerTail(a.tail.coef / mt.coef, a.tail.exponent - mt.exponent)
-    return Point(coords, tail=tail)
 
 
 def positivity_decision(a: Point, model: SequenceModel,
@@ -248,11 +235,8 @@ def positivity_decision(a: Point, model: SequenceModel,
     """
     if assumptions not in (AI_AII, AIII):
         raise ValueError(f"unknown assumption bundle {assumptions!r}")
-    for k in range(1, model.explicit_width + 1):
-        if not model.law(k).is_symmetric:
-            raise ValueError("symmetry required: asymmetric coordinate law")
-    if model.tail is not None and not model.tail.law(
-            model.explicit_width + 1).is_symmetric:
+    shapes = model.shape_laws()
+    if not all(law.is_symmetric for law in shapes):
         raise ValueError("symmetry required: asymmetric coordinate law")
 
     try:
@@ -269,10 +253,7 @@ def positivity_decision(a: Point, model: SequenceModel,
             c = kurtosis_bound(model)
         except MomentUnavailableError as exc:
             return PositivityDecision(UNDECIDED, f"fourth moment missing: {exc}")
-        laws = list(model.laws)
-        if model.tail is not None:
-            laws.append(model.tail.law(model.explicit_width + 1))
-        if not all(law.has_positive_density_on_r() for law in laws):
+        if not all(law.has_positive_density_on_r() for law in shapes):
             return PositivityDecision(
                 UNDECIDED,
                 "finite-dimensional positivity clause needs an everywhere "
@@ -298,7 +279,7 @@ def positivity_decision(a: Point, model: SequenceModel,
                 else _density_moment(phi, 2) - _density_moment(phi, 1) ** 2)
     if not math.isfinite(variance) or variance <= 0.0:
         return PositivityDecision(UNDECIDED, "shape density has no finite variance")
-    shifts = _shifts_point(a, model)
+    shifts = _scaled_point(a, model)
     try:
         kak = kakutani_product(phi, shifts)
     except UndecidedTailError as exc:

@@ -193,17 +193,22 @@ def dual_norm(y, p: float) -> float:
     return float(np.sum(np.abs(y) ** q) ** (1.0 / q))
 
 
+def _scaled_point(a: Point, model: SequenceModel) -> Point:
+    """tau(a)/c, i.e. t_k(a)/c_k with c_k the scale of law k, as a Point:
+    term by term over the explicit span, then the ratio of power tails."""
+    m = _explicit_span(a, model)
+    coords = tuple(a.value_at(k) / model.law(k).scale for k in range(1, m + 1))
+    return Point(coords, tail=_ratio_tail(a, model, m + 1, use_std=False))
+
+
 def _q_norm_with_tail(a: Point, model: SequenceModel, q: float) -> float:
     """||tau(a)/c||_q including tails; math.inf when divergent."""
-    m = _explicit_span(a, model)
-    ratios = np.array([a.value_at(k) / model.law(k).scale
-                       for k in range(1, m + 1)])
-    tail = _ratio_tail(a, model, m + 1, use_std=False)
+    r = _scaled_point(a, model)
+    ratios, start = np.asarray(r.coords), r.explicit_width + 1
     if q == math.inf:
-        head = float(np.max(np.abs(ratios))) if ratios.size else 0.0
-        return max(head, power_tail_sup(tail, m + 1))
+        return max(float(np.max(np.abs(ratios))), power_tail_sup(r.tail, start))
     head = float(np.sum(np.abs(ratios) ** q))
-    kind, tail_sum = power_tail_sum(tail, m + 1, q)
+    kind, tail_sum = power_tail_sum(r.tail, start, q)
     if kind == DIVERGENT:
         return math.inf
     return (head + tail_sum) ** (1.0 / q)
@@ -252,15 +257,10 @@ def stable_cdf(p: float, x: float) -> tuple[float, float]:
 
 def stable_depth(a: Point, model: SequenceModel) -> DepthReport:
     """Half-space depth 1 - P(S <= ||tau(a)/c||_q) for scaled p-stable models."""
-    ps = set()
-    for law in model.laws:
-        if law.family != STABLE:
-            raise HeterogeneousModelError("stable depth requires stable laws")
-        ps.add(law.p)
-    if model.tail is not None:
-        if model.tail.family != STABLE:
-            raise HeterogeneousModelError("stable depth requires stable laws")
-        ps.add(model.tail.p)
+    shapes = model.shape_laws()
+    if any(law.family != STABLE for law in shapes):
+        raise HeterogeneousModelError("stable depth requires stable laws")
+    ps = {law.p for law in shapes}
     if len(ps) != 1:
         raise HeterogeneousModelError(
             f"heterogeneous model: stability indices {sorted(ps)}")
@@ -281,11 +281,7 @@ def stable_depth(a: Point, model: SequenceModel) -> DepthReport:
 
 def gaussian_sequence_depth(a: Point, model: SequenceModel) -> DepthReport:
     """1 - Phi(||a||_mu) on a diagonal Gaussian model, 0 off its Cameron-Martin ball."""
-    for law in model.laws:
-        if law.family != GAUSSIAN:
-            raise HeterogeneousModelError(
-                "gaussian sequence depth requires Gaussian laws")
-    if model.tail is not None and model.tail.family != GAUSSIAN:
+    if model.families() != {GAUSSIAN}:
         raise HeterogeneousModelError(
             "gaussian sequence depth requires Gaussian laws")
     rep = series_report(a, model)

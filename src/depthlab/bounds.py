@@ -9,6 +9,7 @@ K-functional tail bound for Rademacher sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -81,12 +82,17 @@ class LowerBoundReport:
 # Markov zero certificates (witness directions alpha_k = t_k(a)/sigma_k^2)
 # ---------------------------------------------------------------------------
 
+def _markov_sums(a: Point, model: SequenceModel, m_max: int):
+    """t_k(a) and sigma_k for k = 1..m_max (scalar values, as lists), and
+    the left-to-right cumulative sums of (t_k(a)/sigma_k)^2."""
+    t = [a.value_at(k) for k in range(1, m_max + 1)]
+    sig = [model.sigma(k) for k in range(1, m_max + 1)]
+    return t, sig, np.cumsum((np.array(t) / np.array(sig)) ** 2)
+
+
 def markov_bound_curve(a: Point, model: SequenceModel, m_max: int) -> np.ndarray:
     """B_m for m = 1..m_max (inf where no witness exists yet)."""
-    ks = np.arange(1, m_max + 1)
-    t = a.values(m_max)
-    sig = np.array([model.sigma(int(k)) for k in ks])
-    csum = np.cumsum((t / sig) ** 2)
+    csum = _markov_sums(a, model, m_max)[2]
     with np.errstate(divide="ignore"):
         return np.where(csum > 0.0, 1.0 / csum, np.inf)
 
@@ -97,36 +103,30 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
 
     Witness m has alpha_k = t_k(a)/sigma_k^2 for k <= m; depths whose
     leading coordinates are all zero are skipped.  A point with tau(a) = 0
-    admits no witness at all.  One pass over k = 1..max(depths) reads each
-    t_k(a) and sigma_k once; the running sum of (t_k(a)/sigma_k)^2 adds
-    left to right, so B_m is the same at every depth as a fresh sum to m.
+    admits no witness at all.  B_m is read from the cumulative sums that
+    ``markov_bound_curve`` uses, so certificate and curve agree bit for
+    bit; the sums add left to right, as a fresh sum to each m would.
     """
     if a.is_zero:
         raise ValueError("no witness exists: tau(a) = 0")
     depths = sorted(set(int(m) for m in depths))
     if not depths or depths[0] < 1:
         raise ValueError("depths must be positive integers")
-    kept, witnesses, bounds = [], [], []
-    s, k, support, coeffs = 0.0, 0, [], []
-    for m in depths:
-        while k < m:
-            k += 1
-            tk, sigma = a.value_at(k), model.sigma(k)
-            s += (tk / sigma) ** 2
-            if tk != 0.0:
-                support.append(k)
-                coeffs.append(tk / sigma ** 2)
-        if s <= 0.0:
-            continue  # t_alpha(a) = 0: Markov route silent at this depth
-        kept.append(m)
-        witnesses.append(Direction(tuple(support), tuple(coeffs)))
-        bounds.append(1.0 / s)
+    t, sig, csum = _markov_sums(a, model, depths[-1])
+    kept = [m for m in depths if csum[m - 1] > 0.0]
     if not kept:
         raise ValueError("no witness exists: all requested depths see only zeros")
+    support = [k for k, tk in enumerate(t, start=1) if tk != 0.0]
+    coeffs = [t[k - 1] / sig[k - 1] ** 2 for k in support]
+    witnesses = []
+    for m in kept:
+        j = bisect_right(support, m)
+        witnesses.append(Direction(tuple(support[:j]), tuple(coeffs[:j])))
     rep = series_report(a, model)
     return ZeroCertificate(point=a, depths=tuple(kept),
                            witnesses=tuple(witnesses),
-                           bound_values=tuple(bounds),
+                           bound_values=tuple(float(1.0 / csum[m - 1])
+                                              for m in kept),
                            vanishing=not rep.finite, series=rep)
 
 

@@ -60,14 +60,25 @@ def load_model(spec: str) -> SequenceModel:
     try:
         doc = json.loads(path.read_text())
         return model_from_document(doc)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid model file {spec}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model file {spec}: {_reason(exc)}") from exc
 
 
 def model_from_document(doc: dict) -> SequenceModel:
     family = doc["family"]
-    rule = doc.get("scale_rule", {"kind": "constant", "value": 1.0})
     K = doc.get("K")
+    if K is not None:
+        K = _int_at_least("K", K, 1)
+    if family in ("rademacher", "uniform") and "scale_rule" in doc:
+        raise ConfigError(f"a {family} model takes no scale_rule")
+    if family == "rademacher":
+        return rademacher_model(K)
+    if family == "uniform":
+        return uniform_model(float(doc.get("lo", -1.0)),
+                             float(doc.get("hi", 1.0)), K)
+    rule = doc.get("scale_rule", {"kind": "constant", "value": 1.0})
+    if not isinstance(rule, dict):
+        raise ConfigError("scale_rule must be a JSON object")
     kind = rule.get("kind", "constant")
     if kind == "explicit":
         scales = [float(v) for v in rule["values"]]
@@ -82,20 +93,9 @@ def model_from_document(doc: dict) -> SequenceModel:
     else:
         raise ConfigError(f"unknown scale rule kind {kind!r}")
     if family == "gaussian":
-        if kind == "explicit":
-            return gaussian_model(scales=scales)
-        return gaussian_model(scales=None, tail=tail) if scales is None else \
-            gaussian_model(scales=scales, tail=tail)
+        return gaussian_model(scales, tail)
     if family == "stable":
-        p = float(doc["p"])
-        if kind == "explicit":
-            return stable_model(p, scales=scales)
-        return stable_model(p, scales=scales, tail=tail)
-    if family == "rademacher":
-        return rademacher_model(K)
-    if family == "uniform":
-        return uniform_model(float(doc.get("lo", -1.0)),
-                             float(doc.get("hi", 1.0)), K)
+        return stable_model(float(doc["p"]), scales, tail)
     raise ConfigError(f"unknown model family {family!r}")
 
 
@@ -110,22 +110,43 @@ def load_point(spec: str) -> Point:
     if not path.exists():
         raise ConfigError(f"point spec {spec!r} is neither a preset "
                           f"({', '.join(POINT_PRESETS)}) nor a file")
-    if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text())
-        tail = doc.get("tail")
-        return Point(tuple(float(c) for c in doc.get("coords", ())),
-                     tail=None if tail is None else
-                     PowerTail(float(tail["coef"]), float(tail["exponent"])))
+    try:
+        if path.suffix.lower() == ".json":
+            return _point_from_document(json.loads(path.read_text()))
+        return _point_from_csv(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid point file {spec}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _point_from_document(doc) -> Point:
+    if not isinstance(doc, dict):
+        raise ValueError("a point document must be a JSON object")
+    tail = doc.get("tail")
+    return Point(tuple(float(c) for c in doc.get("coords", ())),
+                 tail=None if tail is None else
+                 PowerTail(float(tail["coef"]), float(tail["exponent"])))
+
+
+def _point_from_csv(path: Path) -> Point:
     coords: dict[int, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["k", "value"]:
-            raise ConfigError(f"point CSV {spec} must have header k,value")
+            raise ConfigError(f"point CSV {path} must have header k,value")
         for row in reader:
             if not row:
                 continue
-            coords[int(row[0])] = float(row[1])
+            if len(row) < 2:
+                raise ValueError(f"row {row} needs a k and a value")
+            k = int(row[0])
+            if k < 1:
+                raise ValueError(f"coordinate index k={k} must be >= 1")
+            coords[k] = float(row[1])
     if not coords:
         return Point.zero()
     width = max(coords)
@@ -136,15 +157,34 @@ def load_point(spec: str) -> Point:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
+# least admissible value of every integer setting, checked once the config
+# file and the flags are merged
+_LEAST = {"n": 1, "K": 1, "seeds": 1, "d": 1, "kmax": 1, "mc_draws": 1,
+          "budget": 1, "curve_max": 1, "seed": 0}
+
+
+def _int_at_least(name: str, value, least: int) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    return number
+
+
 def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
     """File config overlaid by CLI flags; a master seed is mandatory for
     stochastic runs."""
     cfg: dict = {}
     if getattr(args, "config", None):
         try:
-            cfg.update(json.loads(Path(args.config).read_text()))
+            doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        cfg.update(doc)
     for key, value in vars(args).items():
         if key in ("config", "func") or value is None:
             continue
@@ -154,6 +194,9 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
         raise ConfigError("a master --seed is mandatory for stochastic runs")
     if "out" not in cfg:
         raise ConfigError("--out directory is required")
+    for key, least in _LEAST.items():
+        if cfg.get(key) is not None:
+            _int_at_least(key, cfg[key], least)
     return cfg
 
 
@@ -235,7 +278,8 @@ def cmd_bounds(args) -> int:
     _require(cfg, "model", "point")
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
-    depths = [int(m) for m in str(cfg.get("depths", "4,16,64")).split(",")]
+    depths = [_int_at_least("depths", m, 1)
+              for m in str(cfg.get("depths", "4,16,64")).split(",")]
     curve_max = int(cfg.get("curve_max", max(depths)))
     cfg["depths"] = ",".join(str(m) for m in depths)
     cfg["curve_max"] = curve_max
@@ -367,6 +411,8 @@ def cmd_plotdata(args) -> int:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
     rows: list[list] = []
     if "certificates" in doc:
         for cert in doc["certificates"]:

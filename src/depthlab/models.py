@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -216,18 +216,20 @@ class CoordinateLaw:
     @property
     def std(self) -> float:
         """Standard deviation of scale * base; raises if it does not exist."""
-        if self.family == GAUSSIAN:
-            return self.scale
-        if self.family == RADEMACHER:
-            return self.scale
+        return self.std_at(self.scale)
+
+    def std_at(self, scale: float) -> float:
+        """Standard deviation of ``scale`` * base, whatever ``self.scale`` is."""
+        if self.family in (GAUSSIAN, RADEMACHER):
+            return scale
         if self.family == STABLE:
             if self.p == 2.0:
-                return self.scale
+                return scale
             raise MomentUnavailableError(
                 f"moment unavailable: p-stable with p={self.p} has no variance")
         if self.family == UNIFORM:
-            return self.scale * (self.hi - self.lo) / math.sqrt(12.0)
-        return self.scale * math.sqrt(_density_moment(self.density, 2))
+            return scale * (self.hi - self.lo) / math.sqrt(12.0)
+        return scale * math.sqrt(_density_moment(self.density, 2))
 
     @property
     def fourth_moment(self) -> float:
@@ -326,28 +328,27 @@ def density_law(density: Density, scale: float = 1.0) -> CoordinateLaw:
 
 @dataclass(frozen=True)
 class LawTail:
-    """Pure rule k -> CoordinateLaw for indices past the explicit list.
+    """Rule k -> ``unit`` rescaled to ``scale.value(k)``, for indices past
+    the explicit list.
 
-    Scales follow a power law so that weighted series over the tail stay
-    analytically decidable.
+    ``unit`` holds the tail's shape (family and parameters) once, at scale
+    1, so a bad shape fails when the tail is built.  Scales follow a power
+    law so that weighted series over the tail stay analytically decidable;
+    a scale that is not a positive finite real at some k (a nonpositive
+    coefficient, or overflow far out) raises at that k.
     """
 
-    family: str
-    scale: PowerTail = field(default_factory=lambda: PowerTail(1.0, 0.0))
-    p: Optional[float] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    density: Optional[Density] = None
+    unit: CoordinateLaw
+    scale: PowerTail = PowerTail(1.0, 0.0)
+
+    def __post_init__(self):
+        if not isinstance(self.unit, CoordinateLaw):
+            raise TypeError("a tail's unit must be a CoordinateLaw")
+        if self.unit.scale != 1.0:
+            raise ValueError("a tail's unit law must have scale 1")
 
     def law(self, k: int) -> CoordinateLaw:
-        return CoordinateLaw(self.family, scale=self.scale.value(k), p=self.p,
-                             lo=self.lo, hi=self.hi, density=self.density)
-
-    def unit_law(self) -> CoordinateLaw:
-        """The tail's family at scale 1; column k is scale.value(k) times
-        its standard variable."""
-        return CoordinateLaw(self.family, p=self.p, lo=self.lo, hi=self.hi,
-                             density=self.density)
+        return replace(self.unit, scale=self.scale.value(k))
 
 
 @dataclass(frozen=True)
@@ -377,20 +378,27 @@ class SequenceModel:
         raise LawUnavailableError(f"law unavailable for coordinate {k}")
 
     def sigma(self, k: int) -> float:
-        return self.law(k).std
+        """Standard deviation of coordinate k; a tail index builds no law."""
+        if self.tail is None or k <= len(self.laws):
+            return self.law(k).std
+        scale = self.tail.scale.value(k)
+        _check_scale(scale)
+        return self.tail.unit.std_at(scale)
+
+    def shape_laws(self) -> tuple[CoordinateLaw, ...]:
+        """The explicit laws, then the tail's unit law: every shape the
+        model uses, for checks that do not depend on the scale."""
+        tail = () if self.tail is None else (self.tail.unit,)
+        return self.laws + tail
 
     def families(self) -> set[str]:
-        fams = {law.family for law in self.laws}
-        if self.tail is not None:
-            fams.add(self.tail.family)
-        return fams
+        return {law.family for law in self.shape_laws()}
 
     @staticmethod
     def iid(law: CoordinateLaw, K: Optional[int] = None) -> "SequenceModel":
         """K explicit copies of one law; unbounded (pure tail) when K is None."""
         if K is None:
-            tail = LawTail(law.family, PowerTail(law.scale, 0.0), p=law.p,
-                           lo=law.lo, hi=law.hi, density=law.density)
+            tail = LawTail(replace(law, scale=1.0), PowerTail(law.scale, 0.0))
             return SequenceModel(laws=(), tail=tail)
         return SequenceModel(laws=(law,) * K)
 
@@ -401,7 +409,7 @@ def gaussian_model(scales: Optional[Sequence[float]] = None,
     laws = tuple(gaussian_law(s) for s in (scales or ()))
     if tail is None and scales is None:
         tail = PowerTail(1.0, 0.0)
-    law_tail = LawTail(GAUSSIAN, tail) if tail is not None else None
+    law_tail = LawTail(gaussian_law(), tail) if tail is not None else None
     return SequenceModel(laws=laws, tail=law_tail)
 
 
@@ -414,7 +422,7 @@ def stable_model(p: float, scales: Optional[Sequence[float]] = None,
     laws = tuple(stable_law(p, s) for s in (scales or ()))
     if tail is None and scales is None:
         tail = PowerTail(1.0, 0.0)
-    law_tail = LawTail(STABLE, tail, p=p) if tail is not None else None
+    law_tail = LawTail(stable_law(p), tail) if tail is not None else None
     return SequenceModel(laws=laws, tail=law_tail)
 
 
@@ -769,13 +777,12 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     bitgen, rng = _keyed_rng()
     data = np.empty((n, K), order="F")
     width, tail = model.explicit_width, model.tail
-    unit = tail.unit_law() if tail is not None and K > width else None
     for k in range(1, K + 1):
         if k <= width:
             law = model.laws[k - 1]
             scale = law.scale
-        elif unit is not None:
-            law, scale = unit, tail.scale.value(k)
+        elif tail is not None:
+            law, scale = tail.unit, tail.scale.value(k)
             _check_scale(scale)
         else:
             raise LawUnavailableError(f"law unavailable for coordinate {k}")

@@ -26,6 +26,7 @@ from depthlab import (
     uniform_model,
     wlln_second_moment,
 )
+from depthlab import models
 from depthlab.bounds import (
     _tail_square_sum,
     exact_rademacher_probability,
@@ -127,6 +128,38 @@ def test_markov_bound_curve_matches_certificate():
     curve = markov_bound_curve(ONES, g, 100)
     assert curve[3] == pytest.approx(0.25, rel=1e-15)
     assert curve[99] == pytest.approx(0.01, rel=1e-15)
+
+
+@pytest.mark.parametrize("a, model", [
+    (Point((), tail=PowerTail(0.7, -0.3)), gaussian_model()),
+    (Point.inverse_k(0.5), gaussian_model(tail=PowerTail(1.0, -0.25))),
+], ids=["0.7k^-0.3-unit", "k^-0.5-scales-k^-0.25"])
+def test_markov_certificate_bounds_equal_curve_bitwise(a, model):
+    # windows where a curve read from Point.values (numpy's power) parts
+    # from the certificate in the last bit, for one model or the other
+    depths = [*range(1, 50), *range(2980, 3030), *range(4440, 4460)]
+    cert = markov_zero_certificate(a, model, depths)
+    curve = markov_bound_curve(a, model, depths[-1])
+    assert cert.depths == tuple(depths)
+    assert cert.bound_values == tuple(curve[m - 1] for m in depths)
+    # coefficients square sigma_k as a Python float; numpy's square rounds
+    # some sigma_k of a k^-0.25 scale tail differently
+    assert cert.witnesses[-1].coeffs == tuple(
+        a.value_at(k) / model.sigma(k) ** 2 for k in range(1, depths[-1] + 1))
+
+
+def test_markov_bound_curve_builds_no_law_per_index(monkeypatch):
+    model = gaussian_model([2.0, 0.5], tail=PowerTail(1.0, -0.25))
+    built = []
+    post_init = models.CoordinateLaw.__post_init__
+
+    def counting(self):
+        built.append(self.family)
+        post_init(self)
+
+    monkeypatch.setattr(models.CoordinateLaw, "__post_init__", counting)
+    curve = markov_bound_curve(Point.inverse_k(0.5), model, 10_000)
+    assert curve.shape == (10_000,) and built == []
 
 
 # -- fourth-moment ratios -------------------------------------------------------

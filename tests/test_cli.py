@@ -1,10 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from depthlab.cli import main
-from depthlab.models import gaussian_model, sample, sample_to_csv
+from depthlab.cli import main, model_from_document
+from depthlab.models import (
+    PowerTail,
+    gaussian_model,
+    sample,
+    sample_to_csv,
+    stable_model,
+)
 
 
 def run(args):
@@ -174,3 +184,103 @@ def test_admissible_subcommand(tmp_path):
                 "--point", "inverse-sqrt-k", "--out", out]) == 0
     doc = json.loads((out / "summary.json").read_text())
     assert doc["decision"] == "ZERO"
+
+
+EMPIRICAL = ["empirical", "--model", "rademacher", "--point", "zero"]
+SIMPLICIAL = ["simplicial", "--model", "uniform_unit", "--point", "zero",
+              "--n", 4, "--d", 2, "--kmax", 3]
+BOUNDS = ["bounds", "--model", "gaussian_unit", "--point", "inverse-k"]
+
+
+@pytest.mark.parametrize("args", [
+    EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 0, "--seed", 1],
+    SIMPLICIAL + ["--seeds", 0, "--seed", 1],
+    EMPIRICAL + ["--n", 0, "--K", 5, "--seeds", 2, "--seed", 1],
+    EMPIRICAL + ["--n", 3, "--K", 0, "--seeds", 2, "--seed", 1],
+    EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 2, "--seed", -1],
+    SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--mc-draws", 0],
+    SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--budget", 0],
+    BOUNDS + ["--curve-max", 0],
+    BOUNDS + ["--depths", "4,x"],
+    BOUNDS + ["--depths", "0,4"],
+], ids=["seeds-0", "simplicial-seeds-0", "n-0", "K-0", "seed-negative",
+        "mc-draws-0", "budget-0", "curve-max-0", "depth-not-int", "depth-0"])
+def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x").exists()
+
+
+def test_counts_from_config_file_are_checked(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "rademacher", "point": "zero",
+                               "n": 3, "K": 5, "seeds": 0, "seed": 1}))
+    assert run(["empirical", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert run(["empirical", "--config", cfg, "--seeds", 2,
+                "--out", tmp_path / "y"]) == 0
+    echo = json.loads((tmp_path / "y" / "config.json").read_text())
+    assert (echo["n"], echo["K"], echo["seeds"], echo["seed"]) == (3, 5, 2, 1)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad.json", '{"coords": [1, 2'),
+    ("no-exponent.json", '{"coords": [1], "tail": {"coef": 1}}'),
+    ("list.json", "[0.5, 0.25]"),
+    ("k-not-int.csv", "k,value\nx,1\n"),
+    ("k-zero.csv", "k,value\n0,1\n"),
+    ("one-column.csv", "k,value\n1\n"),
+])
+def test_malformed_point_file_is_config_error(tmp_path, capsys, name, text):
+    pt = tmp_path / name
+    pt.write_text(text)
+    assert run(["analytic", "--model", "gaussian_unit", "--point", pt,
+                "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid point")
+
+
+def test_config_file_holding_an_array_is_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["analytic", "--model", "gaussian_unit", "--point", "zero",
+                "--config", cfg, "--out", tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "rademacher",
+     "scale_rule": {"kind": "power", "coef": 2.0, "exponent": 0.0}},
+    {"family": "uniform", "scale_rule": {"kind": "constant", "value": 2.0}},
+    {"family": "gaussian", "K": -3},
+    ["gaussian"],
+], ids=["rademacher-rule", "uniform-rule", "negative-width", "array"])
+def test_model_file_rejections(tmp_path, doc):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run(["analytic", "--model", model, "--point", "zero",
+                "--out", tmp_path / "x"]) == 2
+
+
+def test_model_document_gaussian_and_stable_rules():
+    assert model_from_document({"family": "gaussian"}) == gaussian_model()
+    rule = {"kind": "power", "coef": 2.0, "exponent": -0.5}
+    doc = {"family": "stable", "p": 1.5, "K": 2, "scale_rule": rule}
+    assert model_from_document(doc) == stable_model(
+        1.5, [2.0, 2.0 * 2 ** -0.5], tail=PowerTail(2.0, -0.5))
+    explicit = {"family": "gaussian",
+                "scale_rule": {"kind": "explicit", "values": [1.0, 3.0]}}
+    assert model_from_document(explicit) == gaussian_model([1.0, 3.0])
+
+
+def test_module_entry_point_reports_config_error(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "depthlab.cli", "empirical", "--model",
+         "rademacher", "--point", "zero", "--n", "3", "--K", "5",
+         "--seeds", "0", "--seed", "1", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "Traceback" not in proc.stderr

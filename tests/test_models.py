@@ -24,14 +24,21 @@ from depthlab import (
     uniform_law,
     uniform_model,
 )
-from depthlab.errors import DirectionRangeError, LawUnavailableError
+from depthlab.errors import (
+    DirectionRangeError,
+    LawUnavailableError,
+    MomentUnavailableError,
+)
 from depthlab.models import (
+    STABLE,
     UNIFORM,
+    CoordinateLaw,
     LawTail,
     _column_keys,
     _column_rng,
     _sample_column,
     density_law,
+    rademacher_law,
 )
 
 
@@ -96,7 +103,7 @@ def test_negative_seed_rejected():
     gaussian_model([2.0, 0.5], tail=PowerTail(0.7, -1.3)),
     stable_model(1.5, tail=PowerTail(2.0, -0.5)),
     SequenceModel(laws=(uniform_law(0.0, 1.0),),
-                  tail=LawTail(UNIFORM, PowerTail(3.0, 0.3), lo=-2.0, hi=5.0)),
+                  tail=LawTail(uniform_law(-2.0, 5.0), PowerTail(3.0, 0.3))),
 ], ids=["gaussian", "stable1.5", "rademacher", "uniform", "density",
         "gaussian-power-tail", "stable-power-tail", "uniform-power-tail"])
 def test_sample_columns_match_fresh_generators(model):
@@ -143,6 +150,51 @@ def test_law_validation():
         uniform_law(1.0, 1.0)
     with pytest.raises(ValueError):
         gaussian_law(-1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LawTail("bogus"),
+    lambda: LawTail(CoordinateLaw("bogus")),
+    lambda: LawTail(CoordinateLaw(STABLE)),
+    lambda: LawTail(CoordinateLaw(UNIFORM, lo=1.0, hi=0.0)),
+    lambda: LawTail(gaussian_law(2.0), PowerTail(1.0, -0.5)),
+], ids=["not-a-law", "unknown-family", "stable-without-p",
+        "uniform-lo-above-hi", "unit-not-scale-1"])
+def test_law_tail_rejects_bad_shapes_at_construction(build):
+    with pytest.raises((TypeError, ValueError)):
+        build()
+
+
+def test_law_tail_rescales_its_unit_law():
+    tail = LawTail(uniform_law(-2.0, 5.0), PowerTail(3.0, 0.3))
+    assert tail.law(7) == uniform_law(-2.0, 5.0, scale=3.0 * 7.0 ** 0.3)
+    iid = SequenceModel.iid(gaussian_law(2.5)).tail
+    assert iid.unit == gaussian_law() and iid.law(9) == gaussian_law(2.5)
+
+
+SIGMA_TAIL = PowerTail(1.7, -0.25)
+
+
+@pytest.mark.parametrize("model", [
+    gaussian_model([2.0, 0.5], tail=SIGMA_TAIL),
+    stable_model(2.0, [3.0], tail=SIGMA_TAIL),
+    SequenceModel(tail=LawTail(rademacher_law(), SIGMA_TAIL)),
+    SequenceModel(laws=(uniform_law(0.0, 1.0),),
+                  tail=LawTail(uniform_law(-2.0, 5.0), SIGMA_TAIL)),
+    SequenceModel(tail=LawTail(density_law(logistic_density()), SIGMA_TAIL)),
+], ids=["gaussian", "stable2", "rademacher", "uniform", "density"])
+def test_sigma_equals_law_std_bitwise(model):
+    for k in range(1, 2000):
+        assert model.sigma(k) == model.law(k).std
+
+
+def test_sigma_on_tail_checks_the_scale():
+    m = gaussian_model([1.0], tail=PowerTail(1e300, 200.0))
+    assert m.sigma(1) == 1.0
+    with pytest.raises(ValueError, match="positive finite"):
+        m.sigma(2)
+    with pytest.raises(MomentUnavailableError):
+        stable_model(1.5).sigma(3)
 
 
 # -- marginal correctness ----------------------------------------------------
