@@ -22,6 +22,7 @@ from pathlib import Path
 from . import admissibility, analytic, bounds, empirical, simplicial
 from .errors import DepthLabError
 from .models import (
+    STREAM_VERSION,
     Point,
     PowerTail,
     SequenceModel,
@@ -197,6 +198,13 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
     for key, least in _LEAST.items():
         if cfg.get(key) is not None:
             _int_at_least(key, cfg[key], least)
+    if stochastic:
+        # an echoed config reproduces its run only on the stream it used
+        version = cfg.setdefault("stream_version", STREAM_VERSION)
+        if version != STREAM_VERSION:
+            raise ConfigError(f"config was drawn with sampling stream "
+                              f"{version!r}; this build draws stream "
+                              f"{STREAM_VERSION}")
     return cfg
 
 
@@ -374,6 +382,9 @@ def cmd_empirical(args) -> int:
 def cmd_simplicial(args) -> int:
     cfg = resolve_config(args, stochastic=True)
     _require(cfg, "model", "point", "n", "d", "kmax", "seeds")
+    if int(cfg["n"]) < int(cfg["d"]) + 1:
+        raise ConfigError(f"n must be >= d+1 = {int(cfg['d']) + 1}, "
+                          f"got {cfg['n']!r}")
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
     cfg["mc_draws"] = int(cfg.get("mc_draws", 10 ** 5))

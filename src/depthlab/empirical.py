@@ -28,16 +28,21 @@ import numpy as np
 from .analytic import gaussian_sequence_depth, rademacher_classify, stable_depth
 from .errors import DirectionRangeError, LawUnavailableError
 from .models import (
+    GAP_SEEDS,
     GAUSSIAN,
     RADEMACHER,
+    RECORD_SEEDS,
     STABLE,
     Direction,
     Point,
     Sample,
     SequenceModel,
+    _column_rng,
     _derive_seed,
+    _random_subsets,
     apply_direction,
     sample,
+    sample_chunks,
 )
 
 COORDINATES = "coordinates"
@@ -95,19 +100,14 @@ class DirectionFamily:
             _check_coordinate_width(self.K, width)
             return [Direction.coordinate(k) for k in range(1, self.K + 1)]
         if self.kind == RANDOM_SPARSE:
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=int(self.seed),
-                                       spawn_key=(0xD1CE,))))
-            support_size = min(self.support_size, width)
-            out = []
-            for _ in range(self.count):
-                support = np.sort(rng.choice(width, size=support_size,
-                                             replace=False)) + 1
-                coeffs = rng.standard_normal(support_size)
-                coeffs[coeffs == 0.0] = 1.0
-                out.append(Direction(tuple(int(k) for k in support),
-                                     tuple(coeffs)))
-            return out
+            rng = _column_rng(self.seed, 0xD1CE)
+            size = min(self.support_size, width)
+            supports = np.sort(_random_subsets(rng, width, size, self.count),
+                               axis=1) + 1
+            coeffs = rng.standard_normal((self.count, size))
+            coeffs[coeffs == 0.0] = 1.0
+            return [Direction(tuple(support), tuple(c)) for support, c
+                    in zip(supports.tolist(), coeffs.tolist())]
         if self.kind == MARKOV_WITNESSES:
             if point is None or model is None:
                 raise ValueError("markov witnesses need the point and model")
@@ -286,18 +286,25 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     Reports the fraction of seeds whose empirical depth is exactly zero,
     its binomial standard error, the analytic floor on the zero
     probability, and a consistency-failure flag when the true depth is
-    positive while the empirical depth collapses.
+    positive while the empirical depth collapses.  Record i holds seed
+    ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the depth of
+    ``sample(model, n, K, seed)``; the samples are drawn and compared a
+    seed chunk at a time.
     """
     family = DirectionFamily.coordinates(K)
     thresholds = _coordinate_thresholds(a, K)
-    records = []
-    for i in range(seeds):
-        seed_i = _derive_seed(master_seed, i)
-        s = sample(model, n, K, seed_i)
-        value, argmin = _coordinate_depth(s.data, thresholds)
-        records.append(SeedRecord(seed=seed_i, n=n, K=K,
-                                  empirical_depth=value, argmin=argmin,
-                                  zero_hit=(value == 0.0)))
+    seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
+    least = np.empty(seeds, dtype=np.int64)
+    first = np.empty(seeds, dtype=np.int64)
+    for lo, block in sample_chunks(model, n, K, seed_row):
+        counts = np.count_nonzero(block >= thresholds[:, None, None], axis=2)
+        least[lo:lo + counts.shape[1]] = counts.min(axis=0)
+        first[lo:lo + counts.shape[1]] = counts.argmin(axis=0)
+    records = [SeedRecord(seed=seed, n=n, K=K, empirical_depth=low / n,
+                          argmin=Direction.coordinate(k + 1),
+                          zero_hit=(low == 0))
+               for seed, low, k in zip(seed_row.tolist(), least.tolist(),
+                                       first.tolist())]
     zeros = sum(r.zero_hit for r in records)
     frac = zeros / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
@@ -340,7 +347,8 @@ def consistency_gap(a: Point, model: SequenceModel, family: DirectionFamily,
     for j, n in enumerate(n_grid):
         values = []
         for i in range(seeds):
-            s = sample(model, n, K, _derive_seed(master_seed, j, i))
+            s = sample(model, n, K,
+                       _derive_seed(master_seed, GAP_SEEDS, j, i))
             value, _ = empirical_half_space_depth(a, s, family, model=model)
             values.append(value)
         mean_emp = float(np.mean(values))

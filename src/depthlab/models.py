@@ -7,9 +7,10 @@ their coordinate values the same way: an explicit vector plus an optional
 power-law tail (the tail of a point defaults to identically zero).
 
 All types are immutable after construction.  Sampling is bit-reproducible
-from a master seed and independent of how the work is scheduled: column k
-of a sample is drawn from its own counter-based Philox substream keyed by
-(seed, k), and is stored contiguously (samples are column-major).
+from a master seed and independent of how the work is scheduled: value j
+of column k is a fixed transform of word j of the counter-based Philox
+stream keyed by (seed, k), and columns are stored contiguously (samples
+are column-major).
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DirectionRangeError,
@@ -332,10 +333,10 @@ class LawTail:
     the explicit list.
 
     ``unit`` holds the tail's shape (family and parameters) once, at scale
-    1, so a bad shape fails when the tail is built.  Scales follow a power
-    law so that weighted series over the tail stay analytically decidable;
-    a scale that is not a positive finite real at some k (a nonpositive
-    coefficient, or overflow far out) raises at that k.
+    1, so a bad shape, or a coefficient that is not positive, fails when
+    the tail is built.  Scales follow a power law so that weighted series
+    over the tail stay analytically decidable; a scale that overflows far
+    out raises at the first k where it is not finite.
     """
 
     unit: CoordinateLaw
@@ -346,6 +347,7 @@ class LawTail:
             raise TypeError("a tail's unit must be a CoordinateLaw")
         if self.unit.scale != 1.0:
             raise ValueError("a tail's unit law must have scale 1")
+        _check_scale(self.scale.coef)
 
     def law(self, k: int) -> CoordinateLaw:
         return replace(self.unit, scale=self.scale.value(k))
@@ -600,6 +602,21 @@ class Sample:
         return self.data.shape[1]
 
 
+# The sampling stream: how a (seed, column, row) maps to a value.  Any
+# change to it is a declared output change that bumps this number.
+STREAM_VERSION = 2
+
+# Columns of fewer words than this are enciphered by the array Philox,
+# vectorised over (column, block); longer ones by numpy's C Philox.
+VECTOR_WORDS = 64
+# Most words one drawing pass holds (128 KiB), which bounds the cipher's
+# temporaries; a pass holds one column at least
+_WORD_CHUNK = 1 << 14
+# Most values one seed chunk of an experiment draws at once (512 KiB); a
+# chunk holds one seed at least
+DRAW_CHUNK = 1 << 16
+
+
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
 # the algorithm falls under numpy's stream-compatibility guarantee
 _POOL_SIZE = 4
@@ -622,30 +639,17 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _column_keys(seed: int, ks) -> np.ndarray:
-    """Philox keys of columns ``ks`` under master ``seed``, shape (len(ks), 2).
+def _seed_sequence_state(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` for a
+    list of 32-bit entropy words, each an int or a uint64 array.
 
-    Row i is the key numpy derives from
-    ``SeedSequence(entropy=seed, spawn_key=(ks[i],))``: the same pool
-    hashing and mixing, run once for the seed words and then vectorized
-    over the spawn word of every column.
+    Arrays broadcast against each other, so one pass derives the state of
+    every combination of their entries; int words stay Python ints, so
+    the words every combination shares are hashed once.
     """
-    seed = int(seed)
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
-        raise ValueError("column indices must lie in [0, 2**32)")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy.append(ks.astype(np.uint64))
-
     const = _INIT_A
     pool = []
-    for word in entropy[:_POOL_SIZE]:
+    for word in (entropy + [0] * _POOL_SIZE)[:_POOL_SIZE]:
         word, const = _hash(word, const, _MULT_A)
         pool.append(word)
     for src in range(_POOL_SIZE):
@@ -657,15 +661,76 @@ def _column_keys(seed: int, ks) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             h, const = _hash(word, const, _MULT_A)
             pool[dst] = _mix(pool[dst], h)
-
-    # generate_state(2, uint64): four 32-bit words, paired little-endian
     const = _INIT_B
     state = []
-    for word in pool:
-        word, const = _hash(word, const, _MULT_B)
+    for i in range(n_words):
+        word, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
         state.append(word)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
-                    axis=1)
+    return state
+
+
+def _seed_words(seed) -> list:
+    """SeedSequence entropy words of one integer seed of any size (least
+    significant first, zero is one word), or of a uint64 array of seeds
+    (two words each: a zero high word reads as absent, as padding does)."""
+    if isinstance(seed, np.ndarray):
+        if seed.dtype != np.uint64:
+            raise TypeError("an array of seeds must have dtype uint64")
+        return [seed & _MASK32, seed >> 32]
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _column_keys(seed, ks) -> np.ndarray:
+    """Philox keys of columns ``ks`` under ``seed``, of shape
+    ``np.broadcast(seed, ks).shape + (2,)``.
+
+    The key of (s, k) is the one numpy derives from
+    ``SeedSequence(entropy=s, spawn_key=(k,))``.  ``seed`` is one integer
+    of any size or a uint64 array of seeds; one pass derives every key.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
+        raise ValueError("column indices must lie in [0, 2**32)")
+    entropy = _seed_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy.append(ks.astype(np.uint64))
+    s = _seed_sequence_state(entropy, 4)
+    return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=-1)
+
+
+# Domain words of derived seeds, so that experiment records, the lambda
+# estimate and the consistency-gap table never share a seed
+RECORD_SEEDS, LAMBDA_SEED, GAP_SEEDS = 0x5EED, 0xA11A, 0x6A9
+
+
+def _derive_seed(master_seed: int, *path):
+    """The 64-bit seed ``SeedSequence(entropy=(*path, master_seed))
+    .generate_state(1, np.uint64)[0]``.
+
+    ``path`` is a nonzero domain word followed by indices, each below
+    2**32 (one word).  The master seed goes last.  SeedSequence reads
+    trailing zero words as absent and a master seed takes one or more
+    words, so with the master first (m, x, 0) and (m, x) would be one seed
+    and a two-word master could meet a one-word master's longer path;
+    with the path first, and one path length per domain, distinct
+    (path, master) pairs give distinct entropy.  Returns an int, or a
+    uint64 array with one seed per entry when a path entry is an array.
+    """
+    entropy = []
+    for index in path:
+        index = np.asarray(index)
+        if index.size and (index.min() < 0 or index.max() > _MASK32):
+            raise ValueError("seed path entries must lie in [0, 2**32)")
+        entropy.append(index.astype(np.uint64) if index.ndim else int(index))
+    s = _seed_sequence_state(entropy + _seed_words(master_seed), 2)
+    return s[0] | s[1] << 32
 
 
 def _fresh_philox_state(key: np.ndarray) -> dict:
@@ -686,35 +751,127 @@ def _keyed_rng() -> tuple[np.random.Philox, np.random.Generator]:
 
 
 def _column_rng(seed: int, k: int) -> np.random.Generator:
-    """Generator for column k alone, the stream ``sample`` uses for it."""
+    """A Generator on the Philox stream of column k under ``seed``, for
+    the estimators that draw through numpy's Generator methods."""
     bitgen, rng = _keyed_rng()
     bitgen.state = _fresh_philox_state(_column_keys(seed, [k])[0])
     return rng
 
 
-def _derive_seed(master_seed: int, *indices: int) -> int:
-    """A 32-bit sample seed derived from a master seed and an index path."""
-    ss = np.random.SeedSequence(
-        entropy=(int(master_seed), *(int(i) for i in indices)))
-    return int(ss.generate_state(1)[0])
+def _random_subsets(rng: np.random.Generator, n: int, size: int, rows: int
+                    ) -> np.ndarray:
+    """``rows`` independent uniform ``size``-subsets of range(n), one per
+    row, in no particular order.
 
-
-def _stable_standard(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard symmetric p-stable draws via the CMS transform.
-
-    Specializes to Box-Muller at p = 2 (variance-one normalization) and to
-    the Cauchy inverse-CDF at p = 1.  Each draw consumes one uniform angle
-    and one exponential, in that order.
+    Floyd's algorithm, vectorised over rows: step i adds a uniform t in
+    [0, n - size + i], or n - size + i itself when the row already holds
+    t.  One ``integers`` call draws every t.
     """
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.standard_exponential(n)
+    tops = np.arange(n - size, n)
+    draws = rng.integers(0, tops + 1, size=(rows, size))
+    picks = np.empty((rows, size), dtype=np.intp)
+    for i, top in enumerate(tops):
+        t = draws[:, i]
+        held = (picks[:, :i] == t[:, None]).any(axis=1)
+        picks[:, i] = np.where(held, top, t)
+    return picks
+
+
+# Philox4x64-10 constants (Salmon et al., SC 2011, "Parallel random
+# numbers: as easy as 1, 2, 3"), as numpy's Philox uses them
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products a * m."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    m_lo, m_hi = m & _MASK32, m >> 32
+    t = a_hi * m_lo + (a_lo * m_lo >> 32)
+    u = (t & _MASK32) + a_lo * m_hi
+    return a_hi * m_hi + (t >> 32) + (u >> 32), a * m
+
+
+def _philox_blocks(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Blocks 0..n_blocks-1 of the Philox4x64-10 stream under every key,
+    shape (len(keys), n_blocks, 4), vectorised over (key, block).
+
+    Block b is the cipher of counter b + 1: numpy's Philox increments its
+    counter before each block, starting from 0.
+    """
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
+                         (len(keys), n_blocks))
+    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1)
+
+
+def _philox_words(keys: np.ndarray, words: np.ndarray) -> None:
+    """Write words 0..m-1 of the Philox4x64-10 stream under ``keys[i]``,
+    counter starting at 0, into row i of the (len(keys), m) uint64 array
+    ``words``: ``np.random.Philox(key=keys[i]).random_raw(m)``.
+
+    Rows shorter than ``VECTOR_WORDS`` come from the array cipher above;
+    longer rows from numpy's C Philox, re-keyed per row, which is faster
+    per word once a row fills many blocks.
+    """
+    m = words.shape[1]
+    if m < VECTOR_WORDS:
+        blocks = _philox_blocks(keys, -(-m // 4))
+        words[:] = blocks.reshape(len(keys), -1)[:, :m]
+        return
+    bitgen, _ = _keyed_rng()
+    for key, row in zip(keys, words):
+        bitgen.state = _fresh_philox_state(key)
+        row[:] = bitgen.random_raw(m)
+
+
+def _open_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((w >> 12) + 0.5) * 2**-52: 52 random bits placed strictly inside
+    (0, 1), so no transform sees 0 or 1.  ``out`` may be ``words``'s
+    memory viewed as float64; ``words`` is overwritten."""
+    np.right_shift(words, 12, out=words)
+    np.add(words, 0.5, out=out)
+    out *= 2.0 ** -52
+    return out
+
+
+def _closed_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(w >> 11) * 2**-53 in [0, 1), numpy's ``random()`` of one word;
+    aliasing as in ``_open_unit``."""
+    np.right_shift(words, 11, out=words)
+    return np.multiply(words, 2.0 ** -53, out=out)
+
+
+def _cms(p: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck: a standard symmetric p-stable value from a
+    uniform angle v in (-pi/2, pi/2) and a standard exponential w.
+
+    Box-Muller at p = 2 (variance-one normalization), the Cauchy
+    inverse-CDF at p = 1; elsewhere ``w`` is overwritten.
+    """
     if p == 2.0:
         return np.sqrt(2.0 * w) * np.sin(v)
     if p == 1.0:
         return np.tan(v)
-    w = np.maximum(w, 1e-300)
+    np.maximum(w, 1e-300, out=w)  # in place: a stable-CDF table is 10^6 draws
     return (np.sin(p * v) / np.cos(v) ** (1.0 / p)
             * (np.cos((1.0 - p) * v) / w) ** ((1.0 - p) / p))
+
+
+def _stable_standard(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n standard symmetric p-stable draws through the Generator: all
+    uniform angles, then all exponentials (the stable-CDF table's
+    stream)."""
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    w = rng.standard_exponential(n)
+    return _cms(p, v, w)
 
 
 def _density_sampler_table(density: Density, gridsize: int = 4097):
@@ -741,54 +898,146 @@ def _cached_density_table(density: Density):
     return _density_sampler_table(density)
 
 
-def _standard_column(law: CoordinateLaw, n: int, rng: np.random.Generator
-                     ) -> np.ndarray:
-    """n draws of the law's standard variable (``law.scale`` is ignored)."""
+def _words_per_draw(law: CoordinateLaw) -> int:
+    return 2 if law.family == STABLE else 1
+
+
+def _transform(law: CoordinateLaw, words: np.ndarray, out: np.ndarray
+               ) -> None:
+    """Map Philox words to draws of the law's standard variable in ``out``
+    (``law.scale`` is ignored).
+
+    Draw j reads word j, or words 2j and 2j+1 for a stable law, along the
+    last axis.  ``out`` may be ``words``'s memory viewed as float64 (one
+    word per draw); ``words`` is overwritten either way.
+    """
     if law.family == GAUSSIAN:
-        return rng.standard_normal(n)
-    if law.family == RADEMACHER:
-        return 2.0 * rng.integers(0, 2, n) - 1.0
-    if law.family == UNIFORM:
-        return rng.uniform(law.lo, law.hi, n)
-    if law.family == STABLE:
-        return _stable_standard(law.p, rng, n)
-    xs, cdf = _cached_density_table(law.density)
-    return np.interp(rng.random(n), cdf, xs)
+        ndtri(_open_unit(words, out), out=out)
+    elif law.family == RADEMACHER:
+        np.right_shift(words, 63, out=words)
+        np.multiply(words, 2.0, out=out)
+        out -= 1.0
+    elif law.family == UNIFORM:
+        # numpy's Generator.uniform: lo + (hi - lo) * random()
+        _closed_unit(words, out)
+        out *= law.hi - law.lo
+        out += law.lo
+    elif law.family == STABLE:
+        v = _open_unit(words[..., 0::2], np.empty(out.shape))
+        v -= 0.5
+        v *= math.pi
+        w = _open_unit(words[..., 1::2], out)
+        np.log(w, out=w)
+        np.negative(w, out=w)
+        out[...] = _cms(law.p, v, w)
+    else:
+        xs, cdf = _cached_density_table(law.density)
+        out[...] = np.interp(_closed_unit(words, out), cdf, xs)
 
 
 def _sample_column(law: CoordinateLaw, n: int, rng: np.random.Generator
                    ) -> np.ndarray:
-    return law.scale * _standard_column(law, n, rng)
+    """n draws of ``law`` from the next words of the Generator's bit
+    generator, mapped as ``sample`` maps a column's words."""
+    words = rng.bit_generator.random_raw(n * _words_per_draw(law))
+    out = np.empty(n) if law.family == STABLE else words.view(np.float64)
+    _transform(law, words, out)
+    out *= law.scale
+    return out
+
+
+def _law_shape(law: CoordinateLaw) -> tuple:
+    return (law.family, law.p, law.lo, law.hi, law.density)
+
+
+def _column_plan(model: SequenceModel, K: int
+                 ) -> tuple[list[list], np.ndarray]:
+    """Runs [lo, hi, law] of 0-based columns lo..hi-1 whose laws share one
+    shape (family and parameters), and the scale row of columns 1..K.
+
+    Tail scales are checked once, as a vector; explicit laws checked
+    theirs when built.
+    """
+    width, tail = model.explicit_width, model.tail
+    if K > width and tail is None:
+        raise LawUnavailableError(f"law unavailable for coordinate {width + 1}")
+    laws = model.laws[:K]
+    scales = np.empty(K)
+    scales[:len(laws)] = [law.scale for law in laws]
+    if K > width:
+        row = scales[width:]
+        row[:] = [tail.scale.value(k) for k in range(width + 1, K + 1)]
+        if not np.all((row > 0.0) & np.isfinite(row)):
+            raise ValueError("scale must be a positive finite real")
+        laws += (tail.unit,)  # one entry for every tail column
+    runs: list[list] = []
+    for lo, law in enumerate(laws):
+        hi = lo + 1 if lo < width else K
+        if runs and _law_shape(runs[-1][2]) == _law_shape(law):
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, law])
+    return runs, scales
+
+
+def _draw(model: SequenceModel, n: int, keys: np.ndarray) -> np.ndarray:
+    """Columns 1..K of the samples whose column keys are ``keys``, shape
+    (K, S, 2): entry [k - 1, i, j] of the (K, S, n) result is value j of
+    column k of sample i.
+
+    Each run of columns with one law shape is drawn in passes of at most
+    ``_WORD_CHUNK`` words: the words are written into the output (or, for
+    two words per draw, a pass-sized buffer) and transformed there; the
+    scale row multiplies the result once.
+    """
+    K, S = keys.shape[:2]
+    runs, scales = _column_plan(model, K)
+    out = np.empty((K, S, n))
+    flat, flat_keys = out.reshape(K * S, n), keys.reshape(K * S, 2)
+    for lo, hi, law in runs:
+        m = n * _words_per_draw(law)
+        step = max(1, _WORD_CHUNK // m)
+        for a in range(lo * S, hi * S, step):
+            b = min(a + step, hi * S)
+            dest = flat[a:b]
+            words = (dest.view(np.uint64) if m == n
+                     else np.empty((b - a, m), dtype=np.uint64))
+            _philox_words(flat_keys[a:b], words)
+            _transform(law, words, dest)
+    out *= scales[:, None, None]
+    return out
 
 
 def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     """Draw an n x K sample from the model, reproducible bit-for-bit.
 
-    Column k uses the Philox substream keyed by (seed, k), so the result
-    does not depend on K or on evaluation order.  All keys are derived in
-    one batch and a single bit generator is re-keyed per column.  Tail
-    columns share the tail's unit-scale law and multiply its draws by the
-    scale at k, so no per-column law is built.  The matrix is allocated
-    column-major: each column is written, and later read, contiguously.
+    Value j of column k is a fixed transform of word j (stable: words 2j
+    and 2j+1) of the Philox4x64-10 stream keyed by (seed, k), so it
+    depends on (seed, k, j) alone, not on n, K or evaluation order
+    (``STREAM_VERSION`` 2).  The matrix is column-major: each column is
+    written, and later read, contiguously.
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
     keys = _column_keys(seed, np.arange(1, K + 1))
-    bitgen, rng = _keyed_rng()
-    data = np.empty((n, K), order="F")
-    width, tail = model.explicit_width, model.tail
-    for k in range(1, K + 1):
-        if k <= width:
-            law = model.laws[k - 1]
-            scale = law.scale
-        elif tail is not None:
-            law, scale = tail.unit, tail.scale.value(k)
-            _check_scale(scale)
-        else:
-            raise LawUnavailableError(f"law unavailable for coordinate {k}")
-        bitgen.state = _fresh_philox_state(keys[k - 1])
-        data[:, k - 1] = scale * _standard_column(law, n, rng)
-    return Sample(data=data, seed=int(seed))
+    return Sample(data=_draw(model, n, keys[:, None])[:, 0].T, seed=int(seed))
+
+
+def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """The samples of every 64-bit seed in ``seeds`` (a uint64 array),
+    drawn in chunks of at most ``DRAW_CHUNK`` values, and at least one
+    seed, at a time.
+
+    Yields (lo, block): ``block[k - 1, i]`` is column k of
+    ``sample(model, n, K, seeds[lo + i]).data``, bit for bit.
+    """
+    if n < 1 or K < 1:
+        raise ValueError("n and K must be >= 1")
+    per = max(1, DRAW_CHUNK // (n * K))
+    ks = np.arange(1, K + 1)[:, None]
+    for lo in range(0, len(seeds), per):
+        yield lo, _draw(model, n, _column_keys(seeds[lo:lo + per], ks))
 
 
 def project_sample(direction: Direction, sample: Sample) -> np.ndarray:

@@ -7,11 +7,12 @@ as "outside" and are tallied in a diagnostic counter.  Strict positivity
 of the barycentric weights is tested with exact floating comparison,
 since boundary hits are measure-zero for absolutely continuous laws.
 
-The exact block counts of one sample go through one batched test: the
-(d+1)-subsets are enumerated once for all blocks and the vertex sets of
-every block are stacked into one batch of systems.  Each system keeps its
-own block's target as right-hand side (vertices are not translated), so
-every determinant and solve is bitwise the one-subset computation.  Every
+The exact block counts of one sample, or of every sample in a seed chunk
+of the experiment, go through one batched test: the (d+1)-subsets are
+enumerated once for all blocks and the vertex sets of every block are
+stacked into one batch of systems.  Each system keeps its own block's
+target as right-hand side (vertices are not translated), so every
+determinant and solve is bitwise the one-subset computation.  Every
 hull-test batch, and the subset enumeration feeding it, holds at most
 ``HULL_CHUNK`` systems, so memory stays bounded at any subset budget.
 """
@@ -27,8 +28,9 @@ import numpy as np
 from scipy.special import comb
 
 from .errors import BudgetExceededError
-from .models import (CoordinateLaw, Point, Sample, SequenceModel, _column_rng,
-                     _derive_seed, _sample_column, sample)
+from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
+                     SequenceModel, _column_rng, _derive_seed, _random_subsets,
+                     _sample_column, sample_chunks)
 
 DEFAULT_BUDGET = 10 ** 7
 HULL_CHUNK = 200_000    # barycentric systems per hull-test batch
@@ -221,12 +223,10 @@ def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
     block = proj.of_rows(s.data)
     target = proj.of_point(a)
     rng = _column_rng(seed, 0x5B5)
-    picks = np.empty((subsets, d + 1), dtype=int)
-    for i in range(subsets):
-        picks[i] = rng.choice(s.n, size=d + 1, replace=False)
     hits = 0
     for lo in range(0, subsets, HULL_CHUNK):
-        inside, _ = _open_hull_mask(target, block[picks[lo:lo + HULL_CHUNK]])
+        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
+        inside, _ = _open_hull_mask(target, block[picks])
         hits += int(np.count_nonzero(inside))
     est = hits / subsets
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / subsets)
@@ -249,28 +249,39 @@ class SimplicialRecord:
     lambda_stderr: Optional[float] = None
 
 
+def _check_block_shape(n: int, K: int, d: int, k_max: int, budget: int
+                       ) -> int:
+    """N_{n,d} for k_max blocks of dimension d in an n x K sample, after
+    checking the shape and the membership-test budget."""
+    if d < 1 or k_max < 1:
+        raise ValueError("block dimension and k_max must be >= 1")
+    if n < d + 1:
+        raise ValueError(f"need at least d+1={d + 1} rows, sample has {n}")
+    if K < k_max * d:
+        raise ValueError(
+            f"sample width {K} is insufficient for k_max={k_max} blocks "
+            f"of dimension {d}")
+    total = n_subsets(n, d)
+    if total * k_max > budget:
+        raise BudgetExceededError(
+            f"{total * k_max} membership tests exceed the budget {budget}")
+    return total
+
+
+def _block_targets(a: Point, d: int, k_max: int) -> np.ndarray:
+    # scalar value_at, as in BlockProjection.of_point: the numpy power in
+    # Point.values need not round power tails the same way
+    return np.array([a.value_at(i) for i in range(1, k_max * d + 1)]
+                    ).reshape(k_max, d)
+
+
 def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                                budget: int = DEFAULT_BUDGET
                                ) -> SimplicialRecord:
     """min over blocks k <= k_max of the per-block U-statistic ratio."""
-    if d < 1 or k_max < 1:
-        raise ValueError("block dimension and k_max must be >= 1")
-    if s.n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} rows, sample has {s.n}")
-    if s.K < k_max * d:
-        raise ValueError(
-            f"sample width {s.K} is insufficient for k_max={k_max} blocks "
-            f"of dimension {d}")
-    total = n_subsets(s.n, d)
-    if total * k_max > budget:
-        raise BudgetExceededError(
-            f"{total * k_max} membership tests exceed the budget {budget}")
-    # scalar value_at, as in BlockProjection.of_point: the numpy power in
-    # Point.values need not round power tails the same way
-    targets = np.array([a.value_at(i) for i in range(1, k_max * d + 1)]
-                       ).reshape(k_max, d)
+    total = _check_block_shape(s.n, s.K, d, k_max, budget)
     blocks = s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(1, 0, 2)
-    counts, degens = _block_hull_counts(blocks, targets)
+    counts, degens = _block_hull_counts(blocks, _block_targets(a, d, k_max))
     depth = int(counts.min()) / total
     return SimplicialRecord(n=s.n, d=d, n_subsets=total,
                             block_counts=tuple(counts.tolist()),
@@ -330,20 +341,28 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     """
     law = _require_iid_continuous(model)
     width = k_max * d
-    target = BlockProjection(d=d, k=1).of_point(a)
+    total = _check_block_shape(n, width, d, k_max, budget)
+    targets = _block_targets(a, d, k_max)
     lam, lam_se = simplicial_depth_mc(
-        target, iid_block_sampler(law, d), mc_draws,
-        seed=_derive_seed(master_seed, 0xA11A))
-    records = []
-    for i in range(seeds):
-        seed_i = _derive_seed(master_seed, i)
-        s = sample(model, n, width, seed_i)
-        rec = empirical_block_depth(a, s, d, k_max, budget=budget)
-        records.append(BlockSeedRecord(
-            seed=seed_i, depth=rec.depth, zero_hit=(rec.depth == 0.0),
-            min_block=int(np.argmin(rec.block_counts)) + 1,
-            block_counts=rec.block_counts,
-            degenerate_counts=rec.degenerate_counts, n_subsets=rec.n_subsets))
+        targets[0], iid_block_sampler(law, d), mc_draws,
+        seed=_derive_seed(master_seed, LAMBDA_SEED))
+    seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
+    counts = np.empty((seeds, k_max), dtype=np.int64)
+    degens = np.empty((seeds, k_max), dtype=np.int64)
+    for lo, block in sample_chunks(model, n, width, seed_row):
+        # (width, S, n) -> one (n, d) block per (seed, k), seed-major
+        S = block.shape[1]
+        blocks = block.reshape(k_max, d, S, n).transpose(2, 0, 3, 1)
+        hit, degen = _block_hull_counts(blocks.reshape(S * k_max, n, d),
+                                        np.tile(targets, (S, 1)))
+        counts[lo:lo + S] = hit.reshape(S, k_max)
+        degens[lo:lo + S] = degen.reshape(S, k_max)
+    records = [BlockSeedRecord(
+        seed=seed, depth=min(row) / total, zero_hit=(min(row) == 0),
+        min_block=row.index(min(row)) + 1, block_counts=tuple(row),
+        degenerate_counts=tuple(degen), n_subsets=total)
+        for seed, row, degen in zip(seed_row.tolist(), counts.tolist(),
+                                    degens.tolist())]
     zeros = sum(r.zero_hit for r in records)
     frac = zeros / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)

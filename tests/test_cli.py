@@ -9,6 +9,7 @@ import pytest
 
 from depthlab.cli import main, model_from_document
 from depthlab.models import (
+    STREAM_VERSION,
     PowerTail,
     gaussian_model,
     sample,
@@ -284,3 +285,30 @@ def test_module_entry_point_reports_config_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_simplicial_n_below_d_plus_one_is_config_error(tmp_path, capsys):
+    code = run(["simplicial", "--model", "uniform_unit", "--point", "zero",
+                "--n", 2, "--d", 2, "--kmax", 3, "--seeds", 2, "--seed", 1,
+                "--out", tmp_path / "x"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "d+1" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", [
+    EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 2, "--seed", 1],
+    SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--mc-draws", 100],
+], ids=["empirical", "simplicial"])
+def test_stochastic_config_records_stream_version(tmp_path, args):
+    assert run(args + ["--out", tmp_path / "a"]) == 0
+    echo = json.loads((tmp_path / "a" / "config.json").read_text())
+    assert echo["stream_version"] == STREAM_VERSION == 2
+    echo["stream_version"] = 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(echo))
+    assert run([args[0], "--config", old, "--out", tmp_path / "b"]) == 2
+    assert run([args[0], "--config", tmp_path / "a" / "config.json",
+                "--out", tmp_path / "c"]) == 0

@@ -20,11 +20,12 @@ from depthlab import (
     sample,
     zero_depth_experiment,
 )
-from depthlab import empirical
+from depthlab import empirical, models
 from depthlab.bounds import markov_zero_certificate
 from depthlab.empirical import _analytic_floor, _coordinate_depth
 from depthlab.errors import DirectionRangeError
 from depthlab.models import (
+    RECORD_SEEDS,
     Density,
     SequenceModel,
     _derive_seed,
@@ -350,3 +351,54 @@ def test_coordinate_compare_stops_after_first_zero_chunk(monkeypatch):
     value, argmin = _coordinate_depth(data.view(_SliceLog), np.zeros(12))
     assert (value, argmin) == (0.0, Direction.coordinate(6))
     assert _SliceLog.seen == [(0, 2), (2, 4), (4, 6)]
+
+
+# -- batched experiment draws --------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [None, 1, 3 * 40 * 7],
+                         ids=["default", "one-seed", "seven-seeds"])
+def test_zero_depth_records_match_per_seed_recompute(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
+    a = Point((0.3, -0.2), tail=PowerTail(0.5, -1.0))
+    for model in (gaussian_model(), rademacher_model()):
+        res = zero_depth_experiment(model, a, n=3, K=40, seeds=30,
+                                    master_seed=2 ** 33 + 11)
+        seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, np.arange(30))
+        assert [r.seed for r in res.records] == seeds.tolist()
+        for r in res.records:
+            s = sample(model, 3, 40, r.seed)
+            value, argmin = empirical_half_space_depth(
+                a, s, DirectionFamily.coordinates(40))
+            assert (r.empirical_depth, r.argmin) == (value, argmin)
+            assert type(r.empirical_depth) is float
+            assert r.zero_hit is (value == 0.0)
+
+
+def test_random_sparse_draws_sorted_distinct_supports():
+    fam = DirectionFamily.random_sparse(count=400, support_size=3, seed=21)
+    dirs = fam.materialize(6)
+    assert len(dirs) == 400
+    for d in dirs:
+        assert len(d.support) == 3 and 1 <= d.support[0]
+        assert d.support[-1] <= 6  # Direction checks strictly increasing
+    # every 3-subset of 6 appears, about 20 times each
+    assert len({d.support for d in dirs}) == 20
+    assert all(len(d.support) == 2
+               for d in DirectionFamily.random_sparse(5, 4, seed=3
+                                                      ).materialize(2))
+
+
+def test_random_sparse_zero_coefficient_becomes_one(monkeypatch):
+    class ZeroNormals:
+        def __init__(self, rng):
+            self.integers = rng.integers
+
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    real = empirical._column_rng
+    monkeypatch.setattr(empirical, "_column_rng",
+                        lambda seed, k: ZeroNormals(real(seed, k)))
+    dirs = DirectionFamily.random_sparse(4, 2, seed=8).materialize(5)
+    assert all(d.coeffs == (1.0, 1.0) for d in dirs)

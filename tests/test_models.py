@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 from depthlab import (
     Direction,
@@ -29,16 +30,28 @@ from depthlab.errors import (
     LawUnavailableError,
     MomentUnavailableError,
 )
+from depthlab import models
 from depthlab.models import (
+    DENSITY,
+    GAP_SEEDS,
+    LAMBDA_SEED,
+    RECORD_SEEDS,
+    GAUSSIAN,
+    RADEMACHER,
     STABLE,
     UNIFORM,
     CoordinateLaw,
     LawTail,
+    _cached_density_table,
     _column_keys,
     _column_rng,
-    _sample_column,
+    _derive_seed,
+    _philox_words,
+    _random_subsets,
+    _transform,
     density_law,
     rademacher_law,
+    sample_chunks,
 )
 
 
@@ -76,6 +89,32 @@ def _oracle_rng(seed, k):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _oracle_column(law, n, seed, k):
+    """Column k of sample(., n, ., seed) as stream version 2 defines it:
+    numpy's Philox4x64-10 words under the SeedSequence key of (seed, k),
+    each family's fixed transform, times the scale."""
+    key = _oracle_rng(seed, k).bit_generator.state["state"]["key"]
+    w = np.random.Philox(key=key).random_raw(2 * n if law.family == STABLE
+                                             else n)
+    if law.family == GAUSSIAN:
+        x = ndtri(((w >> 12) + 0.5) * 2.0 ** -52)
+    elif law.family == RADEMACHER:
+        x = np.where(w >> 63 == 1, 1.0, -1.0)
+    elif law.family == UNIFORM:
+        x = law.lo + (law.hi - law.lo) * ((w >> 11) * 2.0 ** -53)
+    elif law.family == DENSITY:
+        xs, cdf = _cached_density_table(law.density)
+        x = np.interp((w >> 11) * 2.0 ** -53, cdf, xs)
+    else:
+        p = law.p
+        v = (((w[0::2] >> 12) + 0.5) * 2.0 ** -52 - 0.5) * math.pi
+        e = -np.log(((w[1::2] >> 12) + 0.5) * 2.0 ** -52)
+        x = (np.sin(p * v) / np.cos(v) ** (1.0 / p)
+             * (np.cos((1.0 - p) * v) / np.maximum(e, 1e-300))
+             ** ((1.0 - p) / p))
+    return law.scale * x
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
                                   2 ** 130 + 987654321])
 def test_column_keys_match_seedsequence(seed):
@@ -107,15 +146,14 @@ def test_negative_seed_rejected():
 ], ids=["gaussian", "stable1.5", "rademacher", "uniform", "density",
         "gaussian-power-tail", "stable-power-tail", "uniform-power-tail"])
 def test_sample_columns_match_fresh_generators(model):
-    # re-keying one bit generator per column must leave no state behind
-    # (counter, 64-bit buffer, cached 32-bit half-word)
+    # every column equals its definition from a fresh numpy Philox
     n, K, seed = 7, 12, 2024
     full = sample(model, n, K, seed).data
     for part in (1, 5):
         assert np.array_equal(sample(model, n, part, seed).data,
                               full[:, :part])
     for k in range(1, K + 1):
-        column = _sample_column(model.law(k), n, _oracle_rng(seed, k))
+        column = _oracle_column(model.law(k), n, seed, k)
         assert np.array_equal(full[:, k - 1], column)
     assert np.array_equal(_column_rng(seed, 3).random(4),
                           _oracle_rng(seed, 3).random(4))
@@ -132,7 +170,13 @@ def test_law_unavailable_past_explicit_width():
                                   PowerTail(1e300, 200.0)],
                          ids=["negative", "zero", "overflow"])
 def test_sample_rejects_nonpositive_tail_scale(tail):
-    # the scale of a tail column is checked as a CoordinateLaw checks it
+    # the scale of a tail column is checked as a CoordinateLaw checks it: a
+    # coefficient that is not positive when the tail is built, a scale that
+    # overflows in the scale row of the sample
+    if tail.coef <= 0.0:
+        with pytest.raises(ValueError, match="positive finite"):
+            gaussian_model([1.0, 1.0], tail=tail)
+        return
     m = gaussian_model([1.0, 1.0], tail=tail)
     sample(m, 3, 2, seed=0)
     with pytest.raises(ValueError, match="positive finite"):
@@ -307,7 +351,7 @@ def test_sample_stream_pinned():
     # (README, Determinism)
     s = sample(gaussian_model(), 4, 8, seed=20131001)
     assert hashlib.sha256(s.data.tobytes()).hexdigest() == (
-        "91d38ef146504065b7fb45118e9290605d96da3e52f02f3f08747f4777e158bb")
+        "62fef03bf634a233b72dadcbf643ffda962f5cda15b4af75b41bf09aa817cab6")
 
 
 def test_point_tail_values():
@@ -316,3 +360,145 @@ def test_point_tail_values():
     assert a.value_at(4) == pytest.approx(1.0 / 16.0)
     assert a.values(4) == pytest.approx([2.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
     assert Point((1.0, 0.0)).value_at(3) == 0.0
+
+
+# -- sampling stream version 2 -------------------------------------------------
+
+PHILOX_KEYS = np.array([[0, 0], [2 ** 64 - 1, 2 ** 64 - 1],
+                        [2 ** 63 + 5, 2 ** 63 + 1234567],
+                        [0xDEADBEEFCAFEF00D, 0x8000000000000000],
+                        [17, 2 ** 64 - 2]], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("vector_words", [0, 64, 1 << 20],
+                         ids=["c-philox", "default", "array-philox"])
+def test_philox_words_match_numpy(monkeypatch, vector_words):
+    monkeypatch.setattr(models, "VECTOR_WORDS", vector_words)
+    for m in list(range(1, 10)) + [63, 64, 65, 257]:
+        words = np.empty((len(PHILOX_KEYS), m), dtype=np.uint64)
+        _philox_words(PHILOX_KEYS, words)
+        for key, row in zip(PHILOX_KEYS, words):
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(m))
+
+
+EDGE = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("law", [
+    gaussian_law(), rademacher_law(), uniform_law(-1.0, 3.0),
+    density_law(logistic_density()), stable_law(0.5), stable_law(1.0),
+    stable_law(1.5), stable_law(2.0),
+], ids=["gaussian", "rademacher", "uniform", "density", "stable0.5",
+        "stable1", "stable1.5", "stable2"])
+def test_transforms_are_finite_at_extreme_words(law):
+    if law.family == STABLE:  # every (angle, exponential) pair of extremes
+        words = np.array([0, 0, 0, EDGE, EDGE, 0, EDGE, EDGE], dtype=np.uint64)
+    else:
+        words = np.array([0, EDGE], dtype=np.uint64)
+    out = np.empty(len(words) // (2 if law.family == STABLE else 1))
+    _transform(law, words, out)
+    assert np.all(np.isfinite(out))
+    if law.family in (GAUSSIAN, RADEMACHER):
+        assert out[0] < 0.0 < out[1]
+
+
+MODELS_V2 = {
+    "gaussian": gaussian_model([2.0, 0.5], tail=PowerTail(0.7, -1.3)),
+    "stable1.5": stable_model(1.5, tail=PowerTail(2.0, -0.5)),
+    "rademacher": rademacher_model(),
+    "uniform": SequenceModel(laws=(uniform_law(0.0, 1.0),),
+                             tail=LawTail(uniform_law(-2.0, 5.0),
+                                          PowerTail(3.0, 0.3))),
+    "density": SequenceModel.iid(density_law(logistic_density())),
+    "mixed": SequenceModel(laws=(gaussian_law(2.0), stable_law(1.0),
+                                 gaussian_law(0.5), rademacher_law()),
+                           tail=LawTail(gaussian_law(), PowerTail(1.0, 0.1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS_V2))
+def test_column_is_a_prefix_of_longer_and_wider_samples(name):
+    # value j of column k depends on (seed, k, j) alone: rows 40 and 100
+    # straddle VECTOR_WORDS, so the two word paths must agree
+    model = MODELS_V2[name]
+    small = sample(model, 40, 5, seed=2 ** 40 + 3).data
+    large = sample(model, 100, 9, seed=2 ** 40 + 3).data
+    assert np.array_equal(small, large[:40, :5])
+    assert np.array_equal(sample(model, 1, 9, seed=2 ** 40 + 3).data,
+                          large[:1])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS_V2))
+def test_seed_chunks_match_single_samples(monkeypatch, name):
+    model = MODELS_V2[name]
+    seeds = np.asarray(_derive_seed(9, RECORD_SEEDS, np.arange(7)))
+    for chunk in (None, 1, 3 * 6 * 4):  # default, one seed, four seeds
+        if chunk is not None:
+            monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
+        drawn = 0
+        for lo, block in sample_chunks(model, 3, 6, seeds):
+            assert block.shape == (6, min(len(seeds) - lo,
+                                          max(1, models.DRAW_CHUNK // 18)), 3)
+            for i in range(block.shape[1]):
+                assert np.array_equal(
+                    block[:, i].T, sample(model, 3, 6, int(seeds[lo + i])).data)
+            drawn += block.shape[1]
+        assert drawn == len(seeds)
+
+
+def test_column_keys_of_seed_arrays_match_single_seeds():
+    seeds = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1],
+                     dtype=np.uint64)
+    ks = np.array([0, 1, 7, 2 ** 32 - 1])
+    keys = _column_keys(seeds, ks[:, None])
+    assert keys.shape == (len(ks), len(seeds), 2)
+    for i, seed in enumerate(seeds.tolist()):
+        assert np.array_equal(keys[:, i], _column_keys(seed, ks))
+
+
+@pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                    2 ** 130 + 3])
+def test_derived_seeds_match_seedsequence(master):
+    def oracle(*entropy):
+        state = np.random.SeedSequence(entropy=entropy).generate_state(
+            1, np.uint64)
+        return int(state[0])
+
+    idx = np.array([0, 1, 2983, 68855, 0xA11A, 2 ** 32 - 1])
+    seeds = _derive_seed(master, RECORD_SEEDS, idx)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [oracle(RECORD_SEEDS, i, master)
+                              for i in idx.tolist()]
+    assert _derive_seed(master, LAMBDA_SEED) == oracle(LAMBDA_SEED, master)
+    assert _derive_seed(master, GAP_SEEDS, 2, 5) == oracle(GAP_SEEDS, 2, 5,
+                                                           master)
+    assert type(_derive_seed(master, LAMBDA_SEED)) is int
+
+
+def test_derived_seeds_do_not_collide():
+    # under 32-bit seeds, records 2983 and 68855 of master 0 shared a seed,
+    # and the lambda estimate's (0, 0xA11A) was record 0xA11A's seed
+    records = _derive_seed(0, RECORD_SEEDS, np.array([2983, 68855]))
+    assert records[0] != records[1]
+    keys = _column_keys(records, np.arange(1, 4)[:, None])
+    assert not np.any(np.all(keys[:, 0] == keys[:, 1], axis=-1))
+    assert (_derive_seed(0, LAMBDA_SEED)
+            != _derive_seed(0, RECORD_SEEDS, 0xA11A))
+    assert len({_derive_seed(0, RECORD_SEEDS, 0), _derive_seed(0, LAMBDA_SEED),
+                _derive_seed(0, GAP_SEEDS, 0, 0)}) == 3
+    with pytest.raises(ValueError):
+        _derive_seed(0, RECORD_SEEDS, 2 ** 32)
+
+
+def test_random_subsets_are_uniform_subsets():
+    rows = 60_000
+    picks = _random_subsets(_column_rng(5, 0), 5, 2, rows)
+    assert picks.shape == (rows, 2)
+    assert np.all((0 <= picks) & (picks < 5))
+    assert np.all(picks[:, 0] != picks[:, 1])
+    pairs = np.sort(picks, axis=1)
+    freq = np.bincount(pairs[:, 0] * 5 + pairs[:, 1], minlength=25) / rows
+    assert np.all(np.abs(freq[freq > 0] - 0.1) < 4.0 * math.sqrt(0.09 / rows))
+    assert np.count_nonzero(freq) == 10
+    full = _random_subsets(_column_rng(6, 0), 4, 4, 10)
+    assert np.array_equal(np.sort(full, axis=1), np.tile(np.arange(4), (10, 1)))

@@ -19,9 +19,9 @@ from depthlab import (
     rademacher_model,
     uniform_model,
 )
-from depthlab import simplicial
+from depthlab import models, simplicial
 from depthlab.errors import BudgetExceededError
-from depthlab.models import _column_rng
+from depthlab.models import RECORD_SEEDS, _column_rng, _derive_seed
 from depthlab.simplicial import (BlockProjection, _open_hull_mask,
                                  iid_block_sampler, n_subsets)
 from depthlab.models import uniform_law
@@ -297,3 +297,24 @@ def test_block_experiment_requires_continuous_iid():
 def test_n_subsets_formula():
     assert n_subsets(4, 2) == 4
     assert n_subsets(60, 2) == math.comb(60, 3)
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default", "one-seed"])
+def test_block_experiment_records_match_per_seed_recompute(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
+    model = uniform_model(0.0, 1.0)
+    a = Point.periodic([0.5, 0.4], repeats=3)
+    res = block_depth_experiment(model, a, n=6, d=2, k_max=3, seeds=12,
+                                 master_seed=41, mc_draws=2_000)
+    seeds = _derive_seed(41, RECORD_SEEDS, np.arange(12))
+    assert [r.seed for r in res.records] == seeds.tolist()
+    for r in res.records:
+        rec = empirical_block_depth(a, sample(model, 6, 6, r.seed), d=2,
+                                    k_max=3)
+        assert r.block_counts == rec.block_counts
+        assert r.degenerate_counts == rec.degenerate_counts
+        assert (r.depth, r.n_subsets) == (rec.depth, rec.n_subsets)
+        assert r.min_block == rec.block_counts.index(min(rec.block_counts)) + 1
+    assert any(r.zero_hit for r in res.records)
+    assert not all(r.zero_hit for r in res.records)
