@@ -65,6 +65,7 @@ from .admissibility import (
     AdmissibilityVerdict,
     PositivityDecision,
     fisher_information,
+    hellinger_affinities,
     hellinger_affinity,
     kakutani_product,
     positivity_decision,

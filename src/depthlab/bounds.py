@@ -83,11 +83,11 @@ class LowerBoundReport:
 # ---------------------------------------------------------------------------
 
 def _markov_sums(a: Point, model: SequenceModel, m_max: int):
-    """t_k(a) and sigma_k for k = 1..m_max (scalar values, as lists), and
-    the left-to-right cumulative sums of (t_k(a)/sigma_k)^2."""
-    t = [a.value_at(k) for k in range(1, m_max + 1)]
-    sig = [model.sigma(k) for k in range(1, m_max + 1)]
-    return t, sig, np.cumsum((np.array(t) / np.array(sig)) ** 2)
+    """t_k(a) and sigma_k for k = 1..m_max (rows equal to the scalar
+    ``value_at`` and ``sigma``), and the left-to-right cumulative sums of
+    (t_k(a)/sigma_k)^2."""
+    t, sig = a.values(m_max), model.sigmas(m_max)
+    return t, sig, np.cumsum((t / sig) ** 2)
 
 
 def markov_bound_curve(a: Point, model: SequenceModel, m_max: int) -> np.ndarray:
@@ -116,7 +116,10 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
     kept = [m for m in depths if csum[m - 1] > 0.0]
     if not kept:
         raise ValueError("no witness exists: all requested depths see only zeros")
-    support = [k for k, tk in enumerate(t, start=1) if tk != 0.0]
+    support = (np.flatnonzero(t) + 1).tolist()
+    # Python floats: a float's ** 2 is the C library pow, which numpy's
+    # x*x does not match in the last bit
+    t, sig = t.tolist(), sig.tolist()
     coeffs = [t[k - 1] / sig[k - 1] ** 2 for k in support]
     witnesses = []
     for m in kept:

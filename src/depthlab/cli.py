@@ -17,7 +17,11 @@ import csv
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import admissibility, analytic, bounds, empirical, simplicial
 from .errors import DepthLabError
@@ -88,9 +92,9 @@ def model_from_document(doc: dict) -> SequenceModel:
         scales = None if K is None else [float(rule["value"])] * K
         tail = PowerTail(float(rule["value"]), 0.0)
     elif kind == "power":
-        coef, expo = float(rule["coef"]), float(rule["exponent"])
-        scales = None if K is None else [coef * k ** expo for k in range(1, K + 1)]
-        tail = PowerTail(coef, expo)
+        tail = PowerTail(float(rule["coef"]), float(rule["exponent"]))
+        scales = (None if K is None
+                  else tail.values(np.arange(1, K + 1)).tolist())
     else:
         raise ConfigError(f"unknown scale rule kind {kind!r}")
     if family == "gaussian":
@@ -215,20 +219,23 @@ def _require(cfg: dict, *keys: str) -> None:
 
 
 def write_outputs(outdir: Path, cfg: dict, summary: dict,
-                  csv_rows: list[list] | None = None,
+                  csv_rows: Iterable[Sequence] | None = None,
                   csv_header: list[str] | None = None,
-                  csv_name: str = "table.csv") -> None:
+                  csv_name: str = "table.csv") -> str:
+    """Write config.json, summary.json and the optional CSV table; returns
+    the summary's JSON text, which the subcommand also prints."""
     outdir.mkdir(parents=True, exist_ok=True)
     echo = {k: v for k, v in cfg.items()}
     (outdir / "config.json").write_text(
         json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    (outdir / "summary.json").write_text(text + "\n")
     if csv_rows is not None:
         with open(outdir / csv_name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
+    return text
 
 
 def _fmt(x) -> str:
@@ -263,8 +270,7 @@ def cmd_analytic(args) -> int:
             "classification": cls.label, "reason": cls.reason,
             "series": _json_num(cls.series), "sup": _json_num(cls.sup),
         }
-        write_outputs(Path(cfg["out"]), cfg, summary)
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(write_outputs(Path(cfg["out"]), cfg, summary))
         return 0
     else:
         raise ConfigError(f"no closed form for model families {sorted(fams)}")
@@ -276,8 +282,7 @@ def cmd_analytic(args) -> int:
         "series": _json_num(series_value),
         "norms": _json_dict(norms),
     }
-    write_outputs(Path(cfg["out"]), cfg, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(write_outputs(Path(cfg["out"]), cfg, summary))
     return 0
 
 
@@ -322,11 +327,12 @@ def cmd_bounds(args) -> int:
         "lower_bounds": lower,
         "series": _json_num(rep.value),
     }
-    rows = [[m, _fmt(float(b))] for m, b in zip(range(1, curve_max + 1), curve)
-            if math.isfinite(b)]
-    write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
-                  csv_header=["m", "B_m"], csv_name="markov_curve.csv")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    # csv writes a float as its repr
+    finite = np.flatnonzero(np.isfinite(curve))
+    rows = zip((finite + 1).tolist(), curve[finite].tolist())
+    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+                        csv_header=["m", "B_m"],
+                        csv_name="markov_curve.csv"))
     return 0
 
 
@@ -341,8 +347,7 @@ def cmd_admissible(args) -> int:
     summary = {"decision": decision.decision, "reason": decision.reason}
     if decision.verdict is not None:
         summary["verdict"] = decision.verdict.to_dict()
-    write_outputs(Path(cfg["out"]), cfg, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(write_outputs(Path(cfg["out"]), cfg, summary))
     return 0
 
 
@@ -372,10 +377,10 @@ def cmd_empirical(args) -> int:
     }
     rows = [[r.seed, r.n, r.K, _fmt(r.empirical_depth), int(r.zero_hit)]
             for r in result.records]
-    write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
-                  csv_header=["seed", "n", "K", "empirical_depth", "zero_hit"],
-                  csv_name="empirical.csv")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+                        csv_header=["seed", "n", "K", "empirical_depth",
+                                    "zero_hit"],
+                        csv_name="empirical.csv"))
     return 0
 
 
@@ -407,10 +412,9 @@ def cmd_simplicial(args) -> int:
         for k, z in enumerate(r.block_counts, start=1):
             rows.append([r.seed, k, z, r.n_subsets,
                          _fmt(z / r.n_subsets)])
-    write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
-                  csv_header=["seed", "k", "Z", "N", "ratio"],
-                  csv_name="simplicial.csv")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+                        csv_header=["seed", "k", "Z", "N", "ratio"],
+                        csv_name="simplicial.csv"))
     return 0
 
 
@@ -526,9 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -167,7 +167,7 @@ def empirical_half_space_depth(a: Point, s: Sample,
     """
     if family.kind == COORDINATES:
         _check_coordinate_width(family.K, s.K)
-        return _coordinate_depth(s.data, _coordinate_thresholds(a, family.K))
+        return _coordinate_depth(s.data, a.values(family.K))
     directions = family.materialize(s.K, point=a, model=model)
     by_support: dict[tuple[int, ...], list[int]] = {}
     for i, d in enumerate(directions):
@@ -181,12 +181,6 @@ def empirical_half_space_depth(a: Point, s: Sample,
             values[i] = np.count_nonzero(proj >= apply_direction(d, a)) / s.n
     best = int(np.argmin(values))
     return float(values[best]), directions[best]
-
-
-def _coordinate_thresholds(a: Point, K: int) -> np.ndarray:
-    # scalar value_at, as apply_direction reads the point: the numpy power
-    # in Point.values need not round power tails the same way
-    return np.array([a.value_at(k) for k in range(1, K + 1)])
 
 
 def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray
@@ -292,7 +286,7 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     seed chunk at a time.
     """
     family = DirectionFamily.coordinates(K)
-    thresholds = _coordinate_thresholds(a, K)
+    thresholds = a.values(K)
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
     least = np.empty(seeds, dtype=np.int64)
     first = np.empty(seeds, dtype=np.int64)

@@ -61,10 +61,27 @@ class PowerTail:
             raise ValueError("tail parameters must be finite")
 
     def value(self, k: int) -> float:
-        return self.coef * float(k) ** self.exponent
+        """coef * k**exponent, by the C library's ``pow``; an infinite
+        value where k**exponent overflows (0 when coef is 0)."""
+        try:
+            return self.coef * float(k) ** self.exponent
+        except OverflowError:
+            return math.copysign(math.inf, self.coef) if self.coef else 0.0
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        return self.coef * np.asarray(ks, dtype=float) ** self.exponent
+        """``value(k)`` for every k in ``ks``, bit for bit.
+
+        numpy's vectorised power rounds differently from ``pow`` in the
+        last bit for about 5% of entries, so the row is built from the
+        scalar formula: a model's scales and a point's coordinates then
+        read the same wherever they are taken.
+        """
+        coef, exponent = self.coef, self.exponent
+        ks = np.asarray(ks, dtype=float).tolist()
+        try:
+            return np.array([coef * k ** exponent for k in ks], dtype=float)
+        except OverflowError:
+            return np.array([self.value(k) for k in ks], dtype=float)
 
     @property
     def is_zero(self) -> bool:
@@ -79,9 +96,11 @@ class PowerTail:
 class Density:
     """A scalar probability density with optional analytic derivative.
 
-    ``pdf`` must accept floats (vectorization is a bonus).  When ``dpdf``
-    is absent, derivatives fall back to a centered finite difference with
-    step h = max(1e-6, 1e-6*|x|).
+    ``pdf`` is vectorised: it maps a float or an array of floats to
+    values of the same shape (the positivity probe, the sampler table and
+    the Hellinger quadrature call it on arrays).  ``dpdf`` is only called
+    on floats; when it is absent, derivatives fall back to a centered
+    finite difference with step h = max(1e-6, 1e-6*|x|).
     """
 
     pdf: Callable[[float], float]
@@ -219,8 +238,9 @@ class CoordinateLaw:
         """Standard deviation of scale * base; raises if it does not exist."""
         return self.std_at(self.scale)
 
-    def std_at(self, scale: float) -> float:
-        """Standard deviation of ``scale`` * base, whatever ``self.scale`` is."""
+    def std_at(self, scale):
+        """Standard deviation of ``scale`` * base, whatever ``self.scale``
+        is; ``scale`` may be a float or an array of scales."""
         if self.family in (GAUSSIAN, RADEMACHER):
             return scale
         if self.family == STABLE:
@@ -336,7 +356,7 @@ class LawTail:
     1, so a bad shape, or a coefficient that is not positive, fails when
     the tail is built.  Scales follow a power law so that weighted series
     over the tail stay analytically decidable; a scale that overflows far
-    out raises at the first k where it is not finite.
+    out is infinite, and the scale checks reject it where it is used.
     """
 
     unit: CoordinateLaw
@@ -351,6 +371,13 @@ class LawTail:
 
     def law(self, k: int) -> CoordinateLaw:
         return replace(self.unit, scale=self.scale.value(k))
+
+    def scales(self, ks: np.ndarray) -> np.ndarray:
+        """``scale.value(k)`` for every k in ``ks``, checked once as a row."""
+        row = self.scale.values(ks)
+        if not np.all((row > 0.0) & np.isfinite(row)):
+            raise ValueError("scale must be a positive finite real")
+        return row
 
 
 @dataclass(frozen=True)
@@ -386,6 +413,20 @@ class SequenceModel:
         scale = self.tail.scale.value(k)
         _check_scale(scale)
         return self.tail.unit.std_at(scale)
+
+    def sigmas(self, K: int) -> np.ndarray:
+        """``sigma(k)`` for k = 1..K, bit for bit: the explicit laws' stds,
+        then the tail's unit std at one checked row of scales."""
+        width = self.explicit_width
+        if K > width and self.tail is None:
+            raise LawUnavailableError(
+                f"law unavailable for coordinate {width + 1}")
+        out = np.empty(K)
+        out[:min(K, width)] = [law.std for law in self.laws[:K]]
+        if K > width:
+            scales = self.tail.scales(np.arange(width + 1, K + 1))
+            out[width:] = self.tail.unit.std_at(scales)
+        return out
 
     def shape_laws(self) -> tuple[CoordinateLaw, ...]:
         """The explicit laws, then the tail's unit law: every shape the
@@ -965,10 +1006,7 @@ def _column_plan(model: SequenceModel, K: int
     scales = np.empty(K)
     scales[:len(laws)] = [law.scale for law in laws]
     if K > width:
-        row = scales[width:]
-        row[:] = [tail.scale.value(k) for k in range(width + 1, K + 1)]
-        if not np.all((row > 0.0) & np.isfinite(row)):
-            raise ValueError("scale must be a positive finite real")
+        scales[width:] = tail.scales(np.arange(width + 1, K + 1))
         laws += (tail.unit,)  # one entry for every tail column
     runs: list[list] = []
     for lo, law in enumerate(laws):

@@ -268,20 +268,14 @@ def _check_block_shape(n: int, K: int, d: int, k_max: int, budget: int
     return total
 
 
-def _block_targets(a: Point, d: int, k_max: int) -> np.ndarray:
-    # scalar value_at, as in BlockProjection.of_point: the numpy power in
-    # Point.values need not round power tails the same way
-    return np.array([a.value_at(i) for i in range(1, k_max * d + 1)]
-                    ).reshape(k_max, d)
-
-
 def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                                budget: int = DEFAULT_BUDGET
                                ) -> SimplicialRecord:
     """min over blocks k <= k_max of the per-block U-statistic ratio."""
     total = _check_block_shape(s.n, s.K, d, k_max, budget)
     blocks = s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(1, 0, 2)
-    counts, degens = _block_hull_counts(blocks, _block_targets(a, d, k_max))
+    targets = a.values(k_max * d).reshape(k_max, d)
+    counts, degens = _block_hull_counts(blocks, targets)
     depth = int(counts.min()) / total
     return SimplicialRecord(n=s.n, d=d, n_subsets=total,
                             block_counts=tuple(counts.tolist()),
@@ -342,7 +336,7 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     law = _require_iid_continuous(model)
     width = k_max * d
     total = _check_block_shape(n, width, d, k_max, budget)
-    targets = _block_targets(a, d, k_max)
+    targets = a.values(k_max * d).reshape(k_max, d)
     lam, lam_se = simplicial_depth_mc(
         targets[0], iid_block_sampler(law, d), mc_draws,
         seed=_derive_seed(master_seed, LAMBDA_SEED))

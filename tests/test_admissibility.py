@@ -10,15 +10,19 @@ from depthlab import (
     fisher_information,
     gaussian_model,
     gaussian_sequence_depth,
+    hellinger_affinities,
     hellinger_affinity,
     kakutani_product,
     logistic_density,
     normal_density,
     positivity_decision,
     stable_model,
+    uniform_density,
     uniform_model,
 )
+from depthlab import admissibility
 from depthlab.admissibility import AI_AII, AIII
+from depthlab.errors import QuadratureError, UndecidedTailError
 from depthlab.models import _column_rng
 
 BASEL = math.pi ** 2 / 6.0
@@ -78,7 +82,76 @@ def test_hellinger_quadratic_scaling():
             assert defect == pytest.approx(info / 8.0 * s * s, rel=0.05)
 
 
+def test_hellinger_affinities_normal_closed_form():
+    # H(s) = exp(-s^2/8) for N(0,1); the shifts a Kakutani product meets
+    probes = [0.5 / 2 ** i for i in range(4)]
+    s = np.array([0.0] + probes + [1.0 / k for k in range(1, 101)] + [20.0])
+    h = hellinger_affinities(normal_density(), s)
+    assert h.shape == s.shape
+    assert np.max(np.abs(h - np.exp(-s * s / 8.0))) <= 1e-12
+
+
+def test_hellinger_affinities_finite_support():
+    # uniform on (-1, 1): H(s) = 1 - |s|/2 for |s| < 2, and 0 beyond,
+    # where the shifted supports no longer overlap
+    s = np.array([0.0, 0.1, -0.5, 1.0, -1.5, 1.99, 2.0, -2.0, 3.5])
+    h = hellinger_affinities(uniform_density(-1.0, 1.0), s)
+    want = np.where(np.abs(s) < 2.0, 1.0 - np.abs(s) / 2.0, 0.0)
+    assert np.max(np.abs(h - want)) <= 1e-12
+    assert hellinger_affinities(uniform_density(), [2.5, -4.0]).tolist() == [
+        0.0, 0.0]
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
+def test_hellinger_affinities_half_line(side):
+    # Exp(1) on [0, inf), or its mirror image: H(s) = exp(-|s|/2)
+    def pdf(x):
+        y = side * np.asarray(x, dtype=float)
+        return np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)
+
+    support = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
+    phi = Density(pdf=pdf, support=support, name="exponential")
+    s = np.array([0.0, 0.05, -0.3, 1.0, -2.5, 7.0])
+    h = hellinger_affinities(phi, s)
+    assert np.max(np.abs(h - np.exp(-np.abs(s) / 2.0))) <= 1e-12
+
+
+def test_hellinger_quadrature_gate(monkeypatch):
+    def loose(f, a, b, **kwargs):
+        return np.full(np.shape(f(0.5)), 0.9), 1e-7
+
+    monkeypatch.setattr(admissibility.integrate, "quad_vec", loose)
+    with pytest.raises(QuadratureError) as exc:
+        hellinger_affinities(normal_density(), [0.1, 0.2])
+    assert exc.value.partial.tolist() == [0.9, 0.9]
+
+
 # -- Kakutani products -------------------------------------------------------------
+
+def test_kakutani_makes_two_quadratures(monkeypatch):
+    # one vector quadrature for the explicit shifts, one for the probes
+    calls = []
+    real = admissibility.integrate.quad_vec
+
+    def counted(f, a, b, **kwargs):
+        calls.append(np.shape(f(0.5)))
+        return real(f, a, b, **kwargs)
+
+    monkeypatch.setattr(admissibility.integrate, "quad_vec", counted)
+    shifts = Point(tuple(1.0 / k for k in range(1, 101)) + (0.0,),
+                   tail=PowerTail(1.0, -1.0))
+    res = kakutani_product(normal_density(), shifts)
+    assert res.positive and res.tail_constant is not None
+    assert calls == [(100,), (4,)]
+
+
+def test_kakutani_probe_ratio_undecided():
+    # uniform shifts have 1 - H(s) = |s|/2, not quadratic: the probe
+    # ratios (1-H)/s^2 double at each halving, so no tail is certified
+    with pytest.raises(UndecidedTailError, match="quadratic regime"):
+        kakutani_product(uniform_density(-1.0, 1.0),
+                         Point((0.1,), tail=PowerTail(0.01, -1.0)))
+
 
 def test_kakutani_zero_shifts():
     res = kakutani_product(normal_density(), Point((0.0, 0.0, 0.0)))

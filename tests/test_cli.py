@@ -271,6 +271,34 @@ def test_model_document_gaussian_and_stable_rules():
     assert model_from_document(explicit) == gaussian_model([1.0, 3.0])
 
 
+@pytest.mark.parametrize("args", [
+    ["empirical", "--n", 2, "--K", 10, "--seeds", 2, "--seed", 1],
+    ["bounds"],
+], ids=["empirical", "bounds"])
+def test_overflowing_tail_scale_is_numeric_failure(tmp_path, capsys, args):
+    # 6**400 overflows: the scale row holds inf, which the row check rejects
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "gaussian",
+        "scale_rule": {"kind": "power", "coef": 1, "exponent": 400}}))
+    assert run(args + ["--model", model, "--point", "inverse-k",
+                       "--out", tmp_path / "x"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: scale must be a positive finite real"]
+
+
+def test_bounds_summary_is_printed_as_written(tmp_path, capsys):
+    out = tmp_path / "b"
+    assert run(BOUNDS + ["--depths", "4,16", "--out", out]) == 0
+    assert capsys.readouterr().out == (out / "summary.json").read_text()
+    rows = (out / "markov_curve.csv").read_text().splitlines()
+    assert rows[0] == "m,B_m" and len(rows) == 17
+    m, b = rows[16].split(",")
+    assert m == "16" and float(b) == json.loads(
+        (out / "summary.json").read_text())["certificates"][0][
+            "bound_values"][1]
+
+
 def test_module_entry_point_reports_config_error(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

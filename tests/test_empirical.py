@@ -286,9 +286,8 @@ def test_self_sample_ties_match_per_direction_loop(support_size, n):
 
 
 def test_coordinate_thresholds_read_the_point_as_the_definition():
-    # Point.values takes k**-0.5 through numpy's power, which may round
-    # differently from value_at; a row holding those values sits exactly at
-    # or one ulp off the point, where the two readings can disagree
+    # a row holding the point's own values sits exactly at the point, where
+    # any reading of k**-0.5 other than value_at's would flip a count
     a = Point.inverse_k(0.5)
     s = Sample(a.values(40)[None, :], seed=0)
     family = DirectionFamily.coordinates(40)

@@ -230,15 +230,26 @@ SIGMA_TAIL = PowerTail(1.7, -0.25)
 def test_sigma_equals_law_std_bitwise(model):
     for k in range(1, 2000):
         assert model.sigma(k) == model.law(k).std
+    # the row is the scalar sigma bit for bit, at every length
+    assert model.sigmas(1999).tolist() == [model.sigma(k)
+                                           for k in range(1, 2000)]
+    assert model.sigmas(1).tolist() == [model.sigma(1)]
 
 
 def test_sigma_on_tail_checks_the_scale():
     m = gaussian_model([1.0], tail=PowerTail(1e300, 200.0))
     assert m.sigma(1) == 1.0
+    assert m.sigmas(1).tolist() == [1.0]
     with pytest.raises(ValueError, match="positive finite"):
         m.sigma(2)
+    with pytest.raises(ValueError, match="positive finite"):
+        m.sigmas(2)
     with pytest.raises(MomentUnavailableError):
         stable_model(1.5).sigma(3)
+    with pytest.raises(MomentUnavailableError):
+        stable_model(1.5).sigmas(3)
+    with pytest.raises(LawUnavailableError):
+        gaussian_model([1.0, 2.0]).sigmas(3)
 
 
 # -- marginal correctness ----------------------------------------------------
@@ -360,6 +371,28 @@ def test_point_tail_values():
     assert a.value_at(4) == pytest.approx(1.0 / 16.0)
     assert a.values(4) == pytest.approx([2.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
     assert Point((1.0, 0.0)).value_at(3) == 0.0
+
+
+@pytest.mark.parametrize("point", [
+    Point.inverse_k(1.0),
+    Point.inverse_k(0.5),
+    Point((0.3, -2.0, 0.0), tail=PowerTail(-0.7, -0.6)),
+], ids=["inverse-k", "inverse-sqrt-k", "explicit-and-tail"])
+def test_point_values_equal_value_at_bitwise(point):
+    # numpy's vector power differs from the scalar pow in the last bit for
+    # some k at exponent -0.5; the row must be the scalar reading
+    assert point.values(2000).tolist() == [point.value_at(k)
+                                           for k in range(1, 2001)]
+    assert point.values(2).tolist() == [point.value_at(1), point.value_at(2)]
+
+
+def test_power_tail_overflow_is_infinite():
+    tail = PowerTail(1.0, 400.0)
+    assert tail.value(2) == 2.0 ** 400
+    assert tail.value(10) == math.inf
+    assert PowerTail(-3.0, 400.0).value(10) == -math.inf
+    assert tail.values(np.arange(1, 11)).tolist() == [tail.value(k)
+                                                      for k in range(1, 11)]
 
 
 # -- sampling stream version 2 -------------------------------------------------
