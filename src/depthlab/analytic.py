@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,8 +27,7 @@ from .models import (
     Point,
     PowerTail,
     SequenceModel,
-    _column_rng,
-    _stable_standard,
+    stable_cdf,
 )
 
 FINITE = "finite"
@@ -215,43 +213,6 @@ def _q_norm_with_tail(a: Point, model: SequenceModel, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stable CDF (analytic for p in {1,2}, Monte Carlo otherwise)
-# ---------------------------------------------------------------------------
-
-_STABLE_MC_DRAWS = 10 ** 6
-_STABLE_MC_SEED = 202406
-
-
-@lru_cache(maxsize=8)
-def _stable_mc_draws(p: float) -> np.ndarray:
-    rng = _column_rng(_STABLE_MC_SEED, 1)
-    return np.sort(_stable_standard(p, rng, _STABLE_MC_DRAWS))
-
-
-def stable_cdf(p: float, x: float) -> tuple[float, float]:
-    """(P(S <= x), standard error) for the standard symmetric p-stable S.
-
-    Analytic for p in {1, 2} (stderr 0); elsewhere a symmetrized Monte
-    Carlo estimate over 10^6 cached draws.
-    """
-    if not 0.0 < p <= 2.0:
-        raise ValueError("stability index must lie in (0, 2]")
-    if x == math.inf:
-        return 1.0, 0.0
-    if p == 2.0:
-        return float(ndtr(x)), 0.0
-    if p == 1.0:
-        return 0.5 + math.atan(x) / math.pi, 0.0
-    draws = _stable_mc_draws(p)
-    n = draws.size
-    below = np.searchsorted(draws, x, side="right") / n
-    above = 1.0 - np.searchsorted(draws, -x, side="left") / n
-    est = 0.5 * (below + above)  # symmetrization: exact 1/2 at x = 0
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n)
-    return float(est), stderr
-
-
-# ---------------------------------------------------------------------------
 # Half-space depth formulas
 # ---------------------------------------------------------------------------
 
@@ -272,10 +233,10 @@ def stable_depth(a: Point, model: SequenceModel) -> DepthReport:
             "norm": "inf", "q": q,
             "reason": "||tau(a)/c||_q diverges under the tail rule"})
         return DepthReport(0.0, cert, zero_certified=True)
-    cdf, stderr = stable_cdf(p, norm)
+    cdf, err = stable_cdf(p, norm)
     cert = Certificate("closed-form", {
         "formula": "1 - P(S <= ||tau(a)/c||_q)", "p": p, "q": q,
-        "norm": norm, "cdf_stderr": stderr})
+        "norm": norm, "cdf_stderr": err})
     return DepthReport(1.0 - cdf, cert)
 
 

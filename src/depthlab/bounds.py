@@ -335,16 +335,18 @@ def projection_lower_bound(a: Point, d: int) -> LowerBoundReport:
 # ---------------------------------------------------------------------------
 
 def exact_rademacher_probability(direction: Direction, a: Point) -> float:
-    """P(sum alpha_k eps_k >= t_alpha(a)) by enumerating sign patterns."""
+    """P(sum alpha_k eps_k >= t_alpha(a)): half-sums meet in the middle."""
     s = len(direction.support)
     if s > 20:
         raise ValueError("enumeration limited to supports of size <= 20")
     coeffs = np.asarray(direction.coeffs)
     target = sum(c * a.value_at(k)
                  for k, c in zip(direction.support, direction.coeffs))
-    grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * s), indexing="ij"))
-    sums = np.tensordot(coeffs, grid, axes=(0, 0))
-    return float(np.mean(sums >= target - 1e-12))
+    h = s // 2
+    left = _sign_patterns(h) @ coeffs[:h]
+    right = np.sort(_sign_patterns(s - h) @ coeffs[h:])
+    below = np.searchsorted(right, target - 1e-12 - left).sum()
+    return float(1.0 - below / 2.0 ** s)
 
 
 def rademacher_depth_over(a: Point, directions: Iterable[Direction]) -> float:
@@ -365,9 +367,9 @@ def _small_support_depth_upper(a: Point, limit: int = 10) -> Optional[float]:
     return rademacher_depth_over(a, dirs)
 
 
-def _sign_patterns(s: int):
-    grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * s), indexing="ij"))
-    return grid.reshape(s, -1).T
+def _sign_patterns(s: int) -> np.ndarray:
+    """The 2^s sign vectors of length s, one per row."""
+    return 1.0 - 2.0 * (np.arange(2 ** s)[:, None] >> np.arange(s) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ low bits of the projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .models import (
     Point,
     Sample,
     SequenceModel,
+    _column_plan,
     _column_rng,
     _derive_seed,
     _random_subsets,
@@ -259,15 +260,16 @@ def _ratio_vanishes(a: Point, model: SequenceModel, K: int) -> bool:
 
 def _analytic_floor(a: Point, model: SequenceModel, n: int, K: int
                     ) -> Optional[float]:
-    """1 - (1 - dhat^n)^K with dhat = min_k P(t_k(X) < t_k(a)).
-
-    None when the model has no law for some coordinate up to K.
-    """
+    """1 - (1 - dhat^n)^K with dhat = min_k P(t_k(X) < t_k(a)), read at scale
+    1 once per run of one law shape, at its least t_k(a)/c_k (the CDF is
+    nondecreasing); None when the model has no law for a coordinate <= K."""
     try:
-        probs = [model.law(k).prob_below(a.value_at(k)) for k in range(1, K + 1)]
+        runs, scales = _column_plan(model, K)
     except LawUnavailableError:
         return None
-    dhat = min(probs)
+    z = a.values(K) / scales
+    dhat = min(replace(law, scale=1.0).prob_below(float(z[lo:hi].min()))
+               for lo, hi, law in runs)
     return 1.0 - (1.0 - dhat ** n) ** K
 
 

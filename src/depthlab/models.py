@@ -22,13 +22,14 @@ from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri
 
 from .errors import (
     DirectionRangeError,
     LawUnavailableError,
     MomentUnavailableError,
+    QuadratureError,
 )
 
 GAUSSIAN = "gaussian"
@@ -192,9 +193,10 @@ class CoordinateLaw:
     """The law of one coordinate functional t_k(X).
 
     The realized variable is scale * base where base is the family's
-    standard variable: N(0,1), the standard symmetric p-stable (variance
-    one at p = 2, standard Cauchy at p = 1), a +/-1 sign, Uniform(lo, hi),
-    or a draw from ``density``.
+    standard variable: N(0,1), the standard symmetric p-stable (c.f.
+    exp(-|t|^p) for p < 2, so standard Cauchy at p = 1; N(0, 1) at p = 2,
+    a jump in scale by sqrt(2) from the limit N(0, 2) as p -> 2), a +/-1
+    sign, Uniform(lo, hi), or a draw from ``density``.
     """
 
     family: str
@@ -292,11 +294,6 @@ class CoordinateLaw:
         if self.family == UNIFORM:
             return float(np.clip((z - self.lo) / (self.hi - self.lo), 0.0, 1.0))
         if self.family == STABLE:
-            if self.p == 2.0:
-                return float(ndtr(z))
-            if self.p == 1.0:
-                return 0.5 + math.atan(z) / math.pi
-            from .analytic import stable_cdf  # lazy: avoids import cycle
             return stable_cdf(self.p, z)[0]
         return self.density.cdf(z)
 
@@ -901,18 +898,55 @@ def _cms(p: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.sqrt(2.0 * w) * np.sin(v)
     if p == 1.0:
         return np.tan(v)
-    np.maximum(w, 1e-300, out=w)  # in place: a stable-CDF table is 10^6 draws
+    np.maximum(w, 1e-300, out=w)
     return (np.sin(p * v) / np.cos(v) ** (1.0 / p)
             * (np.cos((1.0 - p) * v) / w) ** ((1.0 - p) / p))
 
 
-def _stable_standard(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard symmetric p-stable draws through the Generator: all
-    uniform angles, then all exponentials (the stable-CDF table's
-    stream)."""
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.standard_exponential(n)
-    return _cms(p, v, w)
+def stable_cdf(p: float, x: float) -> tuple[float, float]:
+    """(P(S <= x), error bound) for the standard symmetric p-stable S.
+
+    Closed forms at p in {1, 2}, x = 0 and x = +-inf.  Otherwise P(S > |x|)
+    is 1/pi times Nolan's (1997, Comm. Statist. Stochastic Models 13:759)
+    integral on (0, pi/2) of exp(-g) (p > 1) or 1 - exp(-g) (p < 1), g
+    monotone, taken from g = 50 to e^-50, split at g = 1: beyond, it is
+    within e^-50 of 0, or of 1 (near pi/2, added by length).  A bound
+    above 1e-8 raises ``QuadratureError``."""
+    if not 0.0 < p <= 2.0:
+        raise ValueError("stability index must lie in (0, 2]")
+    if p == 2.0:
+        return float(ndtr(x)), 0.0
+    if p == 1.0:
+        return 0.5 + math.atan(x) / math.pi, 0.0
+    if x == 0.0 or math.isinf(x):
+        return (0.5 if x == 0.0 else float(x > 0.0)), 0.0
+    half, m, logx = math.pi / 2, min(p, 2.0 - p) * math.pi / 2, math.log(abs(x))
+
+    # (log g, d theta / du) at u = logit(theta / half), from theta and
+    # half - theta each to full precision: narrow features at both ends resolve
+    def log_g(u):
+        t, d = half / (1.0 + math.exp(-u)), half / (1.0 + math.exp(u))
+        s = math.sin(p * t) if p * t <= half else math.sin(m + p * d)
+        return ((p * (logx - math.log(s)) + math.log(math.sin(d))) / (p - 1)
+                + math.log(math.sin(m + abs(p - 1.0) * d))), t * d / half
+
+    def integrand(u):
+        lg, jac = log_g(u)
+        return (math.exp(-math.exp(lg)) if p > 1.0
+                else -math.expm1(-math.exp(lg))) * jac
+
+    ends = (-690.0, 690.0)  # the angles left out are below 1e-299
+    span = sorted(log_g(u)[0] for u in ends)  # levels beyond sit at an end
+    us = sorted(optimize.brentq(lambda u: log_g(u)[0] - c, *ends)
+                for c in np.clip([math.log(50.0), 0.0, -50.0], *span))
+    parts = [integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12,
+                            limit=200) for a, b in zip(us, us[1:]) if b > a]
+    tail = (half / (1.0 + math.exp(us[2])) + sum(v for v, _ in parts)) / math.pi
+    err = sum(e for _, e in parts) / math.pi + math.exp(-50.0)
+    if err > 1e-8:
+        raise QuadratureError(f"stable-CDF quadrature failed (err {err:.2e})",
+                              partial=tail)
+    return (1.0 - tail if x > 0.0 else tail), err
 
 
 def _density_sampler_table(density: Density, gridsize: int = 4097):

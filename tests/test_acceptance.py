@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
@@ -99,14 +100,16 @@ def _stable_bf_depth(tau, c, p):
             best_ratio = max(best_ratio, float(np.max(num[keep] / den[keep])))
     if p == 2.0:
         return 1.0 - float(ndtr(best_ratio))
-    return 0.5 - math.atan(best_ratio) / math.pi
+    if p == 1.0:
+        return 0.5 - math.atan(best_ratio) / math.pi
+    return 1.0 - float(stats.levy_stable.cdf(best_ratio, p, 0.0))
 
 
 def test_criterion_2_stable_formula():
     t0 = time.time()
     rng = _column_rng(22, 0)
     worst = 0.0
-    for p in (1.0, 2.0):
+    for p in (1.0, 2.0, 1.5):
         for i in range(10):
             tau = rng.uniform(-1.5, 1.5, 3)
             c = rng.uniform(0.5, 2.0, 3)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,13 @@ from depthlab import (
     stable_model,
     weighted_series,
 )
-from depthlab.errors import GridCoverageError, HeterogeneousModelError
+from depthlab import models
+from depthlab.cli import main as cli_main
+from depthlab.errors import (
+    GridCoverageError,
+    HeterogeneousModelError,
+    QuadratureError,
+)
 from depthlab.models import _column_rng, stable_law
 from depthlab.models import SequenceModel
 
@@ -76,6 +87,11 @@ def test_stable_depth_examples():
     m1 = stable_model(1.0)
     r1 = stable_depth(Point((1.0,)), m1)
     assert r1.value == pytest.approx(0.25, abs=1e-12)
+    # p = 1.5, q = 3: the certificate carries the CDF's error bound
+    r15 = stable_depth(Point((1.0, -1.0)), stable_model(1.5))
+    cdf, err = stable_cdf(1.5, 2.0 ** (1.0 / 3.0))
+    assert r15.value == 1.0 - cdf
+    assert r15.certificate.detail["cdf_stderr"] == err <= 1e-8
 
 
 def test_stable_depth_antitone_and_centered():
@@ -104,13 +120,69 @@ def test_stable_depth_heterogeneous_error():
         stable_depth(Point((1.0,)), gaussian_model())
 
 
-def test_stable_cdf_monte_carlo_matches_analytic_anchors():
-    # p=1.5 estimates are within Monte Carlo error of scipy at a few probes
+def test_stable_cdf_matches_levy_stable():
+    # levy_stable returns exactly 1/2 below |x| = 0.01 and 1 from x = 1000,
+    # so the probes stay between
     from scipy import stats
-    for x in (0.5, 1.5, 4.0):
-        est, se = stable_cdf(1.5, x)
-        assert est == pytest.approx(stats.levy_stable.cdf(x, 1.5, 0.0),
-                                    abs=max(4.0 * se, 1e-3))
+    for p in (0.5, 1.5, 1.9):
+        for x in (-10.0, -3.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 3.0, 10.0):
+            value, err = stable_cdf(p, x)
+            assert 0.0 < err <= 1e-8
+            assert value == pytest.approx(
+                float(stats.levy_stable.cdf(x, p, 0.0)), abs=1e-9)
+
+
+def test_stable_cdf_far_tail():
+    # 1 - F(30) at p = 1.99, from a 40-digit evaluation of the integral
+    assert 1.0 - stable_cdf(1.99, 30.0)[0] == pytest.approx(5.762557493533e-6,
+                                                           rel=1e-6)
+    assert stable_cdf(1.99, -30.0)[0] == pytest.approx(5.762557493533e-6,
+                                                       rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+def test_stable_cdf_symmetry_and_limits(p):
+    assert stable_cdf(p, 0.0) == (0.5, 0.0)
+    assert stable_cdf(p, math.inf) == (1.0, 0.0)
+    assert stable_cdf(p, -math.inf) == (0.0, 0.0)
+    for x in (0.01, 0.7, 2.0, 50.0):
+        assert stable_cdf(p, -x)[0] == pytest.approx(1.0 - stable_cdf(p, x)[0],
+                                                     abs=1e-15)
+    with pytest.raises(ValueError):
+        stable_cdf(2.5, 1.0)
+
+
+def test_stable_cdf_jumps_at_p2():
+    # exp(-|t|^p) tends to N(0, 2) as p -> 2, while p = 2 is N(0, 1)
+    for x in (-3.0, -1.0, 0.3, 1.0, 2.0, 4.0):
+        assert abs(stable_cdf(1.9999, x)[0] - ndtr(x / math.sqrt(2.0))) < 1e-5
+        assert stable_cdf(2.0, x) == (float(ndtr(x)), 0.0)
+
+
+def test_stable_cdf_quadrature_gate(monkeypatch, tmp_path):
+    monkeypatch.setattr(models.integrate, "quad",
+                        lambda f, a, b, **kwargs: (0.25, 1e-7))
+    with pytest.raises(QuadratureError) as exc:
+        stable_cdf(1.5, 1.0)
+    assert exc.value.partial > 0.0
+    stable = tmp_path / "stable.json"
+    stable.write_text(json.dumps({"family": "stable", "p": 1.5}))
+    assert cli_main(["analytic", "--model", str(stable), "--point",
+                     "inverse-k", "--out", str(tmp_path / "x")]) == 3
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # importing scipy.stats costs more than the stable-CDF quadrature, so
+    # neither the library nor the CLI may load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, depthlab, depthlab.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"]
 
 
 # -- gaussian sequence depth --------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,50 @@ def test_exact_rademacher_enumeration():
                                         Point.zero()) == pytest.approx(0.5)
     dirs = [Direction.coordinate(1), d]
     assert rademacher_depth_over(Point.zero(), dirs) == pytest.approx(0.5)
+
+
+def _grid_rademacher_probability(coeffs, target):
+    sums = np.array([np.dot(coeffs, signs) for signs in
+                     itertools.product((-1.0, 1.0), repeat=len(coeffs))])
+    return float(np.mean(sums >= target - 1e-12))
+
+
+def test_exact_rademacher_matches_grid_enumeration():
+    rng = _column_rng(411, 0)
+    for s in range(1, 13):
+        for trial in range(4):
+            if trial % 2:
+                # integer coefficients and point: sums tie with the target
+                coeffs = rng.integers(1, 4, s) * rng.choice([-1.0, 1.0], s)
+                coords = rng.integers(-1, 2, s).astype(float)
+            else:
+                coeffs = rng.standard_normal(s)
+                coords = rng.uniform(-1.0, 1.0, s)
+            d = Direction(tuple(range(1, s + 1)), tuple(coeffs))
+            target = float(np.dot(coeffs, coords))
+            assert exact_rademacher_probability(d, Point(tuple(coords))) == \
+                _grid_rademacher_probability(coeffs, target)
+
+
+def test_exact_rademacher_s20_memory():
+    # coefficients 1..20 at the zero point: P = 1/2 + P(sum = 0)/2, with the
+    # zero-sum patterns counted by a subset-sum table
+    d = Direction(tuple(range(1, 21)), tuple(float(k) for k in range(1, 21)))
+    ways = np.zeros(211, dtype=np.int64)
+    ways[0] = 1
+    for k in range(1, 21):
+        ways[k:] = ways[k:] + ways[:-k]
+    tracemalloc.start()
+    try:
+        value = exact_rademacher_probability(d, Point.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.5 + ways[105] / 2.0 ** 21
+    assert peak < 10 * 2 ** 20
+    with pytest.raises(ValueError):
+        exact_rademacher_probability(
+            Direction(tuple(range(1, 22)), (1.0,) * 21), Point.zero())
 
 
 # -- projection bound ----------------------------------------------------------------

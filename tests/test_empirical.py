@@ -27,10 +27,14 @@ from depthlab.errors import DirectionRangeError
 from depthlab.models import (
     RECORD_SEEDS,
     Density,
+    LawTail,
     SequenceModel,
     _derive_seed,
     density_law,
     gaussian_law,
+    rademacher_law,
+    stable_model,
+    uniform_law,
 )
 
 ONES = Point((), tail=PowerTail(1.0, 0.0))
@@ -157,6 +161,37 @@ def test_experiment_records_independent_of_seed_count():
 def test_analytic_floor_none_past_model_width():
     model = SequenceModel(laws=(gaussian_law(1.0),) * 3)
     assert _analytic_floor(Point((0.5,)), model, n=2, K=5) is None
+
+
+@pytest.mark.parametrize("model", [
+    gaussian_model(scales=[1.0, 0.5, 2.0], tail=PowerTail(1.0, -0.3)),
+    SequenceModel(laws=(uniform_law(-1.0, 1.0, 2.0), rademacher_law(0.4)),
+                  tail=LawTail(gaussian_law(), PowerTail(0.5, 0.0))),
+    rademacher_model(),
+    stable_model(1.5, scales=[1.0, 3.0], tail=PowerTail(2.0, -0.2)),
+], ids=["gaussian", "mixed", "rademacher", "stable1.5"])
+def test_analytic_floor_is_the_per_coordinate_minimum(model):
+    # one CDF read per law-shape run gives the least of the K probabilities
+    K, n = 40, 3
+    a = Point((0.3, -1.2, 0.8), tail=PowerTail(0.7, -0.5))
+    dhat = min(model.law(k).prob_below(a.value_at(k)) for k in range(1, K + 1))
+    assert _analytic_floor(a, model, n, K) == pytest.approx(
+        1.0 - (1.0 - dhat ** n) ** K, rel=1e-14, abs=0.0)
+
+
+def test_analytic_floor_reads_one_stable_cdf_per_run(monkeypatch):
+    calls = []
+    real = models.stable_cdf
+
+    def counted(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    monkeypatch.setattr(models, "stable_cdf", counted)
+    model = stable_model(1.5, scales=[1.0, 3.0], tail=PowerTail(2.0, -0.2))
+    _analytic_floor(Point.inverse_k(0.5), model, n=2, K=2000)
+    # the least t_k(a)/c_k, k^-0.5 / (2 k^-0.2), is at k = K
+    assert calls == [pytest.approx(2000.0 ** -0.3 / 2.0, rel=1e-12)]
 
 
 def test_analytic_floor_propagates_density_errors():
