@@ -233,11 +233,14 @@ def stable_depth(a: Point, model: SequenceModel) -> DepthReport:
             "norm": "inf", "q": q,
             "reason": "||tau(a)/c||_q diverges under the tail rule"})
         return DepthReport(0.0, cert, zero_certified=True)
-    cdf, err = stable_cdf(p, norm)
+    # P(S > x) read as P(S <= -x) by symmetry, not as 1 - P(S <= x): the
+    # subtraction loses the tail's relative precision, and reads 0 once the
+    # tail falls below the spacing of doubles near 1
+    depth, err = stable_cdf(p, -norm)
     cert = Certificate("closed-form", {
         "formula": "1 - P(S <= ||tau(a)/c||_q)", "p": p, "q": q,
         "norm": norm, "cdf_stderr": err})
-    return DepthReport(1.0 - cdf, cert)
+    return DepthReport(depth, cert)
 
 
 def gaussian_sequence_depth(a: Point, model: SequenceModel) -> DepthReport:

@@ -11,10 +11,15 @@ Evaluation is array-shaped.  The coordinate family is one column-chunked
 comparison of the sample against the point's coordinates, and no
 ``Direction`` is built except the minimizer.  Any other family gathers the
 sample columns of each distinct support once and projects every direction
-on that support by its own matrix-vector product, which is bitwise the
-product ``project_sample`` computes for it.  Directions are never batched
-into one matrix-matrix product: that sums in another order and changes
-low bits of the projections.
+on that support by its own matrix-vector product, one row chunk at a time
+(``models._row_chunks``), into one preallocated chunk buffer; these are
+bitwise the products ``project_sample`` computes.  A direction stops being
+counted once its partial count exceeds the least complete count so far: a
+count only grows, so it cannot be the minimum, and the result is exact.
+Ties go to the first direction in family order, whichever support group
+is counted first.  Directions are never batched into one matrix-matrix
+product: that sums in another order and changes low bits of the
+projections.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .models import (
     _column_rng,
     _derive_seed,
     _random_subsets,
-    apply_direction,
+    _row_chunks,
     sample,
     sample_chunks,
 )
@@ -101,12 +106,7 @@ class DirectionFamily:
             _check_coordinate_width(self.K, width)
             return [Direction.coordinate(k) for k in range(1, self.K + 1)]
         if self.kind == RANDOM_SPARSE:
-            rng = _column_rng(self.seed, 0xD1CE)
-            size = min(self.support_size, width)
-            supports = np.sort(_random_subsets(rng, width, size, self.count),
-                               axis=1) + 1
-            coeffs = rng.standard_normal((self.count, size))
-            coeffs[coeffs == 0.0] = 1.0
+            supports, coeffs = _random_sparse_arrays(self, width)
             return [Direction(tuple(support), tuple(c)) for support, c
                     in zip(supports.tolist(), coeffs.tolist())]
         if self.kind == MARKOV_WITNESSES:
@@ -147,6 +147,19 @@ class DirectionFamily:
         return f"explicit({len(self.directions)} directions)"
 
 
+def _random_sparse_arrays(family: DirectionFamily, width: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Supports (1-based, increasing) and coefficients of a random_sparse
+    family, one row per direction in family order."""
+    rng = _column_rng(family.seed, 0xD1CE)
+    size = min(family.support_size, width)
+    supports = np.sort(_random_subsets(rng, width, size, family.count),
+                       axis=1) + 1
+    coeffs = rng.standard_normal((family.count, size))
+    coeffs[coeffs == 0.0] = 1.0
+    return supports, coeffs
+
+
 def _check_coordinate_width(K: int, width: int) -> None:
     if K > width:
         raise DirectionRangeError(
@@ -169,19 +182,45 @@ def empirical_half_space_depth(a: Point, s: Sample,
     if family.kind == COORDINATES:
         _check_coordinate_width(family.K, s.K)
         return _coordinate_depth(s.data, a.values(family.K))
-    directions = family.materialize(s.K, point=a, model=model)
+    if family.kind == RANDOM_SPARSE:
+        rows, coeffs = _random_sparse_arrays(family, s.K)
+        supports = [tuple(row) for row in rows.tolist()]
+    else:
+        directions = family.materialize(s.K, point=a, model=model)
+        supports = [d.support for d in directions]
+        coeffs = [d.coeffs for d in directions]
     by_support: dict[tuple[int, ...], list[int]] = {}
-    for i, d in enumerate(directions):
-        by_support.setdefault(d.support, []).append(i)
-    values = np.empty(len(directions))
+    for i, support in enumerate(supports):
+        by_support.setdefault(support, []).append(i)
+    point = a.values(s.K)
+    chunks = _row_chunks(s.n)
+    size = max(hi - lo for lo, hi in chunks)
+    proj, above = np.empty(size), np.empty(size, dtype=bool)
+    best, first = s.n + 1, len(supports)
     for support, members in by_support.items():
-        cols = s.data[:, np.asarray(support) - 1]
-        for i in members:
-            d = directions[i]
-            proj = cols @ np.asarray(d.coeffs)
-            values[i] = np.count_nonzero(proj >= apply_direction(d, a)) / s.n
-    best = int(np.argmin(values))
-    return float(values[best]), directions[best]
+        idx = np.asarray(support) - 1
+        group = np.array([coeffs[i] for i in members], dtype=float)
+        # t(a) as apply_direction sums it: term by term in support order
+        terms = group * point[idx]
+        thresholds = terms[:, 0].copy()
+        for j in range(1, len(support)):
+            thresholds += terms[:, j]
+        cols = s.data[:, idx]
+        blocks = [(cols[lo:hi], proj[:hi - lo], above[:hi - lo])
+                  for lo, hi in chunks]
+        for i, c, t in zip(members, group, thresholds.tolist()):
+            # i becomes the minimizer with a count of at most `limit`: a
+            # tie goes to the lower family index
+            limit = best if i < first else best - 1
+            count = 0
+            for block, out, mask in blocks:
+                np.greater_equal(np.matmul(block, c, out=out), t, out=mask)
+                count += np.count_nonzero(mask)
+                if count > limit:
+                    break
+            else:
+                best, first = count, i
+    return int(best) / s.n, Direction(supports[first], tuple(coeffs[first]))
 
 
 def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray

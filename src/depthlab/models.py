@@ -653,6 +653,8 @@ _WORD_CHUNK = 1 << 14
 # Most values one seed chunk of an experiment draws at once (512 KiB); a
 # chunk holds one seed at least
 DRAW_CHUNK = 1 << 16
+# Rows of one projection chunk (128 KiB of float64); a multiple of 4
+PROJECT_CHUNK = 1 << 14
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
@@ -1112,13 +1114,36 @@ def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
         yield lo, _draw(model, n, _column_keys(seeds[lo:lo + per], ks))
 
 
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi) in which an n-row sample is projected.
+
+    Chunks hold ``PROJECT_CHUNK`` rows and so start at multiples of 4; a
+    last chunk of fewer than 4 rows joins the one before it.  OpenBLAS
+    computes the leftover rows (n mod 4) of a matrix-vector product in a
+    scalar path that rounds differently, and numpy sends a one-row product
+    to ``ddot``, so a row's projection would otherwise depend on where its
+    chunk ends.  Every caller that projects in these chunks gets the same
+    bits as every other, whatever the number of BLAS threads; the bits
+    themselves hold for a given BLAS build and thread count.
+    """
+    bounds = [(lo, min(lo + PROJECT_CHUNK, n))
+              for lo in range(0, n, PROJECT_CHUNK)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 4:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
+
+
 def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
     """t_alpha(X_j) for every row j; errors if the support exceeds the width.
 
-    One gather of the support columns and one matrix-vector product; on a
-    column-major sample the gather copies contiguous columns.  Empirical
-    depth evaluates whole families without this helper, gathering each
-    distinct support once, with the same per-direction product.
+    One gather of the support columns, then one matrix-vector product per
+    row chunk of ``_row_chunks``; on a column-major sample the gather
+    copies contiguous columns.  Empirical depth counts whole families
+    without this helper, with the same gather and the same per-chunk
+    products, stopping a direction once its partial count exceeds the
+    least complete count, with ties to the first direction in family
+    order; its counts equal those of a loop over this function bit for bit
+    on the same BLAS build and thread count.
     """
     if direction.max_index > sample.K:
         raise DirectionRangeError(
@@ -1126,7 +1151,11 @@ def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
             f"sample width is {sample.K}")
     idx = np.asarray(direction.support, dtype=int) - 1
     coeffs = np.asarray(direction.coeffs)
-    return sample.data[:, idx] @ coeffs
+    cols = sample.data[:, idx]
+    out = np.empty(sample.n)
+    for lo, hi in _row_chunks(sample.n):
+        np.matmul(cols[lo:hi], coeffs, out=out[lo:hi])
+    return out
 
 
 def sample_to_csv(s: Sample, path) -> None:

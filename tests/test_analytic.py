@@ -87,11 +87,22 @@ def test_stable_depth_examples():
     m1 = stable_model(1.0)
     r1 = stable_depth(Point((1.0,)), m1)
     assert r1.value == pytest.approx(0.25, abs=1e-12)
-    # p = 1.5, q = 3: the certificate carries the CDF's error bound
+    # p = 1.5, q = 3: the depth is the CDF at -norm, and the certificate
+    # carries its error bound
     r15 = stable_depth(Point((1.0, -1.0)), stable_model(1.5))
-    cdf, err = stable_cdf(1.5, 2.0 ** (1.0 / 3.0))
-    assert r15.value == 1.0 - cdf
+    tail, err = stable_cdf(1.5, -(2.0 ** (1.0 / 3.0)))
+    assert r15.value == tail
     assert r15.certificate.detail["cdf_stderr"] == err <= 1e-8
+
+
+def test_stable_depth_keeps_far_tail_precision():
+    # 1 - P(S <= x) reads 0 here; the tail is Gamma(p) sin(pi p/2)/pi x^-p
+    # up to a relative O(x^-p) term
+    p, x = 1.5, 1e12
+    r = stable_depth(Point((x,)), stable_model(p))
+    tail = math.gamma(p) * math.sin(math.pi * p / 2.0) / math.pi * x ** -p
+    assert r.value > 0.0
+    assert abs(r.value - tail) <= r.certificate.detail["cdf_stderr"]
 
 
 def test_stable_depth_antitone_and_centered():

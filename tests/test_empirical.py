@@ -282,7 +282,12 @@ FAMILY_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 10 ** 4])
+# above one projection chunk, with n = 1 (mod 4): three row chunks, the last
+# with a leftover row
+ABOVE_CHUNK = 5 * models.PROJECT_CHUNK // 2 + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10 ** 4, ABOVE_CHUNK])
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 @pytest.mark.parametrize("model_name",
                          ["gaussian", "rademacher", "rademacher_at_zero"])
@@ -318,6 +323,69 @@ def test_self_sample_ties_match_per_direction_loop(support_size, n):
         assert empirical_half_space_depth(a, s, family) == expected
         assert empirical_half_space_depth(
             a, Sample(np.ascontiguousarray(s.data), seed), family) == expected
+
+
+@pytest.mark.parametrize("case", sorted(set(FAMILY_CASES) - {
+    "coordinates", "coordinates_far"}))
+def test_depth_matches_per_direction_loop_in_small_chunks(monkeypatch, case):
+    # chunks of 8 rows: most directions stop counting after a few chunks
+    monkeypatch.setattr(models, "PROJECT_CHUNK", 8)
+    family, a = FAMILY_CASES[case]
+    for model in (gaussian_model(), rademacher_model()):
+        s = sample(model, 61, WIDTH, seed=_derive_seed(4041, 61))
+        assert empirical_half_space_depth(a, s, family, model=model) == \
+            _loop_depth(a, s, family, model)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_tie_across_support_groups_goes_to_lower_index(monkeypatch, chunk):
+    # supports (1,) = directions 0 and 2, counted first; support (2,) =
+    # direction 1.  Directions 1 and 2 tie at the least count, and the
+    # later-counted group holds the lower index.
+    if chunk is not None:
+        monkeypatch.setattr(models, "PROJECT_CHUNK", chunk)
+    rows = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
+    s = Sample(np.tile(rows, (5, 1)), seed=0)
+    family = DirectionFamily.explicit([
+        Direction.coordinate(1),            # count 15
+        Direction.coordinate(2),            # count 5
+        Direction((1,), (-1.0,)),           # count 5
+    ])
+    expected = (0.25, Direction.coordinate(2))
+    assert empirical_half_space_depth(Point.zero(), s, family) == expected
+    assert _loop_depth(Point.zero(), s, family) == expected
+
+
+def test_first_direction_with_count_zero_is_the_minimizer():
+    s = sample(gaussian_model(), 50, 4, seed=3)
+    family = DirectionFamily.explicit([
+        Direction.from_mapping({2: 1.0, 4: 1.0}),  # never reaches 100
+        Direction.coordinate(1),
+        Direction.from_mapping({2: 2.0, 4: 2.0}),  # count 0 again
+        Direction.coordinate(3),
+    ])
+    a = Point((0.0, 50.0, 0.0, 50.0))
+    expected = (0.0, Direction.from_mapping({2: 1.0, 4: 1.0}))
+    assert empirical_half_space_depth(a, s, family) == expected
+    assert _loop_depth(a, s, family) == expected
+
+
+def test_random_sparse_builds_only_the_minimizer(monkeypatch):
+    built = []
+
+    class Counted(Direction):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    s = sample(gaussian_model(), 500, 6, seed=4)
+    family = DirectionFamily.random_sparse(300, 3, seed=5)
+    value, argmin = _loop_depth(ONES, s, family)
+    monkeypatch.setattr(empirical, "Direction", Counted)
+    got, got_argmin = empirical_half_space_depth(ONES, s, family)
+    assert len(built) == 1
+    assert (got, got_argmin.support, got_argmin.coeffs) == (
+        value, argmin.support, argmin.coeffs)
 
 
 def test_coordinate_thresholds_read_the_point_as_the_definition():

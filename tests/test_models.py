@@ -12,6 +12,7 @@ from depthlab import (
     Direction,
     Point,
     PowerTail,
+    Sample,
     SequenceModel,
     apply_direction,
     gaussian_law,
@@ -347,6 +348,33 @@ def test_project_sample_range_error():
         project_sample(Direction.coordinate(4), s)
     proj = project_sample(Direction.from_mapping({1: 1.0, 3: -2.0}), s)
     assert proj == pytest.approx(s.data[:, 0] - 2.0 * s.data[:, 2])
+
+
+CHUNK = models.PROJECT_CHUNK
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (2 * CHUNK + 1, [(0, CHUNK), (CHUNK, 2 * CHUNK + 1)]),
+    (CHUNK + 3, [(0, CHUNK + 3)]),
+], ids=["two-chunks-and-a-row", "one-chunk-and-three-rows"])
+@pytest.mark.parametrize("support_size", [3, 5, 9])
+def test_project_sample_is_the_per_chunk_product(n, bounds, support_size):
+    # a last chunk of fewer than 4 rows joins the one before it
+    assert models._row_chunks(n) == bounds
+    s = sample(gaussian_model(), n, 9, seed=support_size)
+    rng = np.random.default_rng(support_size)
+    support = np.sort(rng.choice(9, support_size, replace=False)) + 1
+    d = Direction(tuple(support.tolist()), tuple(rng.standard_normal(
+        support_size).tolist()))
+    idx, coeffs = support - 1, np.asarray(d.coeffs)
+    projections = []
+    for data in (s.data, np.ascontiguousarray(s.data)):
+        proj = project_sample(d, Sample(data, s.seed))
+        for lo, hi in bounds:
+            chunk = data[lo:hi, idx] @ coeffs
+            assert proj[lo:hi].tobytes() == chunk.tobytes()
+        projections.append(proj.tobytes())
+    assert projections[0] == projections[1]
 
 
 def test_sample_is_column_major_and_read_only():
