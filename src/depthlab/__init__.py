@@ -73,7 +73,6 @@ from .admissibility import (
 from .empirical import (
     DirectionFamily,
     ExperimentResult,
-    consistency_gap,
     empirical_half_space_depth,
     zero_depth_experiment,
 )

@@ -225,9 +225,8 @@ def write_outputs(outdir: Path, cfg: dict, summary: dict,
     """Write config.json, summary.json and the optional CSV table; returns
     the summary's JSON text, which the subcommand also prints."""
     outdir.mkdir(parents=True, exist_ok=True)
-    echo = {k: v for k, v in cfg.items()}
     (outdir / "config.json").write_text(
-        json.dumps(echo, indent=2, sort_keys=True) + "\n")
+        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     text = json.dumps(summary, indent=2, sort_keys=True)
     (outdir / "summary.json").write_text(text + "\n")
     if csv_rows is not None:
@@ -236,12 +235,6 @@ def write_outputs(outdir: Path, cfg: dict, summary: dict,
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
     return text
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +368,7 @@ def cmd_empirical(args) -> int:
         "family": result.family,
         "n": int(cfg["n"]), "K": int(cfg["K"]), "seeds": int(cfg["seeds"]),
     }
-    rows = [[r.seed, r.n, r.K, _fmt(r.empirical_depth), int(r.zero_hit)]
+    rows = [[r.seed, r.n, r.K, r.empirical_depth, int(r.zero_hit)]
             for r in result.records]
     print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
                         csv_header=["seed", "n", "K", "empirical_depth",
@@ -410,8 +403,7 @@ def cmd_simplicial(args) -> int:
     rows = []
     for r in result.records:
         for k, z in enumerate(r.block_counts, start=1):
-            rows.append([r.seed, k, z, r.n_subsets,
-                         _fmt(z / r.n_subsets)])
+            rows.append([r.seed, k, z, r.n_subsets, z / r.n_subsets])
     print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
                         csv_header=["seed", "k", "Z", "N", "ratio"],
                         csv_name="simplicial.csv"))
@@ -432,15 +424,11 @@ def cmd_plotdata(args) -> int:
     if "certificates" in doc:
         for cert in doc["certificates"]:
             for m, b in zip(cert["depths"], cert["bound_values"]):
-                rows.append(["markov_bound", m, _fmt(float(b)), ""])
-    elif "rows" in doc:  # consistency-gap table
-        for row in doc["rows"]:
-            if row.get("gap") is not None:
-                rows.append(["gap", row["n"], _fmt(float(row["gap"])), ""])
+                rows.append(["markov_bound", m, float(b), ""])
     elif "fraction_zero" in doc:
         x = doc.get("k_max", doc.get("K", 0))
-        rows.append(["fraction_zero", x, _fmt(float(doc["fraction_zero"])),
-                     _fmt(float(doc.get("fraction_zero_stderr", 0.0)))])
+        rows.append(["fraction_zero", x, float(doc["fraction_zero"]),
+                     float(doc.get("fraction_zero_stderr", 0.0))])
     else:
         raise ConfigError(f"unrecognized summary document {path}")
     outdir = Path(cfg["out"])

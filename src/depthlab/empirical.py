@@ -7,33 +7,37 @@ infimum.  Coordinate families alone already force empirical depth to zero
 in the regimes of interest, so finite families suffice for every
 demonstrated phenomenon.
 
-Evaluation is array-shaped.  The coordinate family is one column-chunked
-comparison of the sample against the point's coordinates, and no
-``Direction`` is built except the minimizer.  Any other family gathers the
-sample columns of each distinct support once and projects every direction
-on that support by its own matrix-vector product, one row chunk at a time
-(``models._row_chunks``), into one preallocated chunk buffer; these are
-bitwise the products ``project_sample`` computes.  A direction stops being
-counted once its partial count exceeds the least complete count so far: a
-count only grows, so it cannot be the minimum, and the result is exact.
-Ties go to the first direction in family order, whichever support group
-is counted first.  Directions are never batched into one matrix-matrix
-product: that sums in another order and changes low bits of the
-projections.
+A family is a description and a builder of ragged arrays (ptr, index,
+coeffs) in family order: direction i has the 1-based, increasing support
+``index[ptr[i]:ptr[i + 1]]`` and the matching slice of ``coeffs``.
+Evaluation reads these arrays, and no ``Direction`` is built except the
+minimizer.  When the directions are the coordinates 1..K in order, each
+with coefficient exactly 1.0, the depth is one column-chunked comparison
+of the sample against the point's coordinates; only for coefficient 1.0
+is that exact, since c*x >= c*a can round differently from x >= a.  Any
+other family gathers the sample columns of each distinct support once and
+projects every direction on that support by its own matrix-vector
+product, one row chunk at a time (``models._row_chunks``), into one
+preallocated chunk buffer; these are bitwise the products
+``project_sample`` computes.  A direction stops being counted once its
+partial count exceeds the least complete count so far: a count only
+grows, so it cannot be the minimum, and the result is exact.  Ties go to
+the first direction in family order, whichever support group is counted
+first.  Directions are never batched into one matrix-matrix product: that
+sums in another order and changes low bits of the projections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analytic import gaussian_sequence_depth, rademacher_classify, stable_depth
 from .errors import DirectionRangeError, LawUnavailableError
 from .models import (
-    GAP_SEEDS,
     GAUSSIAN,
     RADEMACHER,
     RECORD_SEEDS,
@@ -47,123 +51,113 @@ from .models import (
     _derive_seed,
     _random_subsets,
     _row_chunks,
-    sample,
     sample_chunks,
 )
-
-COORDINATES = "coordinates"
-RANDOM_SPARSE = "random_sparse"
-MARKOV_WITNESSES = "markov_witnesses"
-EXPLICIT = "explicit"
 
 # Most booleans one chunk of the coordinate family's comparison may hold
 # (1 MiB); a chunk is at least one column.
 COMPARE_CHUNK = 1 << 20
+
+# (ptr, index, coeffs): direction i is index[ptr[i]:ptr[i + 1]], 1-based
+# and increasing, with coefficients coeffs[ptr[i]:ptr[i + 1]]
+Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
 # Direction families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionFamily:
-    kind: str
-    K: Optional[int] = None
-    count: Optional[int] = None
-    support_size: Optional[int] = None
-    seed: Optional[int] = None
-    depths: Optional[tuple[int, ...]] = None
-    directions: Optional[tuple[Direction, ...]] = None
+    """A finite direction family: its description, and a builder of its
+    ragged arrays from the sample width, the point and the model.
+
+    Families compare by identity: two explicit families of equal size share
+    a description but not their directions.
+    """
+
+    description: str
+    build: Callable[[int, Optional[Point], Optional[SequenceModel]], Arrays]
 
     @staticmethod
     def coordinates(K: int) -> "DirectionFamily":
         if K < 1:
             raise ValueError("K must be >= 1")
-        return DirectionFamily(COORDINATES, K=K)
+        return DirectionFamily(
+            f"coordinates(K={K})",
+            lambda width, point, model: (np.arange(K + 1),
+                                         np.arange(1, K + 1), np.ones(K)))
 
     @staticmethod
     def random_sparse(count: int, support_size: int, seed: int
                       ) -> "DirectionFamily":
         if count < 1 or support_size < 1:
             raise ValueError("count and support_size must be >= 1")
-        return DirectionFamily(RANDOM_SPARSE, count=count,
-                               support_size=support_size, seed=seed)
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
+
+        def build(width, point, model) -> Arrays:
+            rng = _column_rng(seed, 0xD1CE)
+            size = min(support_size, width)
+            supports = np.sort(_random_subsets(rng, width, size, count),
+                               axis=1) + 1
+            coeffs = rng.standard_normal((count, size))
+            coeffs[coeffs == 0.0] = 1.0
+            return (np.arange(0, count * size + 1, size), supports.ravel(),
+                    coeffs.ravel())
+
+        return DirectionFamily(f"random_sparse(count={count}, "
+                               f"support={support_size}, seed={seed})", build)
 
     @staticmethod
     def markov_witnesses(depths: Sequence[int]) -> "DirectionFamily":
-        return DirectionFamily(MARKOV_WITNESSES, depths=tuple(depths))
+        depths = tuple(depths)
+        if not depths or min(depths) < 1:
+            raise ValueError("depths must be positive integers")
+
+        def build(width, point, model) -> Arrays:
+            if point is None or model is None:
+                raise ValueError("markov witnesses need the point and model")
+            from .bounds import markov_zero_certificate
+            return _ragged(
+                markov_zero_certificate(point, model, depths).witnesses)
+
+        return DirectionFamily(f"markov_witnesses(depths={list(depths)})",
+                               build)
 
     @staticmethod
     def explicit(directions: Sequence[Direction]) -> "DirectionFamily":
         if len(directions) == 0:
             raise ValueError("explicit family must be nonempty")
-        return DirectionFamily(EXPLICIT, directions=tuple(directions))
+        directions = tuple(directions)
+        return DirectionFamily(f"explicit({len(directions)} directions)",
+                               lambda width, point, model: _ragged(directions))
+
+    def arrays(self, width: int, point: Optional[Point] = None,
+               model: Optional[SequenceModel] = None) -> Arrays:
+        """The ragged arrays, all supports within the given sample width."""
+        ptr, index, coeffs = self.build(width, point, model)
+        if index.max() > width:
+            raise DirectionRangeError(
+                f"direction out of range: support reaches {index.max()}, "
+                f"width is {width}")
+        return ptr, index, coeffs
 
     def materialize(self, width: int, point: Optional[Point] = None,
                     model: Optional[SequenceModel] = None) -> list[Direction]:
         """Concrete direction list, all within the given sample width."""
-        if self.kind == COORDINATES:
-            _check_coordinate_width(self.K, width)
-            return [Direction.coordinate(k) for k in range(1, self.K + 1)]
-        if self.kind == RANDOM_SPARSE:
-            supports, coeffs = _random_sparse_arrays(self, width)
-            return [Direction(tuple(support), tuple(c)) for support, c
-                    in zip(supports.tolist(), coeffs.tolist())]
-        if self.kind == MARKOV_WITNESSES:
-            if point is None or model is None:
-                raise ValueError("markov witnesses need the point and model")
-            from .bounds import markov_zero_certificate
-            cert = markov_zero_certificate(point, model, self.depths)
-            for w in cert.witnesses:
-                if w.max_index > width:
-                    raise DirectionRangeError(
-                        f"direction out of range: witness reaches "
-                        f"{w.max_index}, width is {width}")
-            return list(cert.witnesses)
-        for d in self.directions:
-            if d.max_index > width:
-                raise DirectionRangeError(
-                    f"direction out of range: support reaches {d.max_index}, "
-                    f"width is {width}")
-        return list(self.directions)
-
-    def required_width(self, default: int) -> int:
-        if self.kind == COORDINATES:
-            return self.K
-        if self.kind == EXPLICIT:
-            return max(d.max_index for d in self.directions)
-        if self.kind == MARKOV_WITNESSES:
-            return max(self.depths)
-        return default
-
-    def describe(self) -> str:
-        if self.kind == COORDINATES:
-            return f"coordinates(K={self.K})"
-        if self.kind == RANDOM_SPARSE:
-            return (f"random_sparse(count={self.count}, "
-                    f"support={self.support_size}, seed={self.seed})")
-        if self.kind == MARKOV_WITNESSES:
-            return f"markov_witnesses(depths={list(self.depths)})"
-        return f"explicit({len(self.directions)} directions)"
+        ptr, index, coeffs = self.arrays(width, point, model)
+        bounds = ptr.tolist()
+        return [Direction(index[lo:hi], coeffs[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _random_sparse_arrays(family: DirectionFamily, width: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Supports (1-based, increasing) and coefficients of a random_sparse
-    family, one row per direction in family order."""
-    rng = _column_rng(family.seed, 0xD1CE)
-    size = min(family.support_size, width)
-    supports = np.sort(_random_subsets(rng, width, size, family.count),
-                       axis=1) + 1
-    coeffs = rng.standard_normal((family.count, size))
-    coeffs[coeffs == 0.0] = 1.0
-    return supports, coeffs
-
-
-def _check_coordinate_width(K: int, width: int) -> None:
-    if K > width:
-        raise DirectionRangeError(
-            f"direction out of range: K={K} exceeds width {width}")
+def _ragged(directions: Sequence[Direction]) -> Arrays:
+    """The ragged arrays of the given directions, in their order."""
+    sizes = [len(d.support) for d in directions]
+    return (np.concatenate(([0], np.cumsum(sizes))),
+            np.concatenate([d.support for d in directions]),
+            np.concatenate([d.coeffs for d in directions]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +173,24 @@ def empirical_half_space_depth(a: Point, s: Sample,
     Ties count toward the depth (the indicator is >=). Returns the first
     minimizer in family order.
     """
-    if family.kind == COORDINATES:
-        _check_coordinate_width(family.K, s.K)
-        return _coordinate_depth(s.data, a.values(family.K))
-    if family.kind == RANDOM_SPARSE:
-        rows, coeffs = _random_sparse_arrays(family, s.K)
-        supports = [tuple(row) for row in rows.tolist()]
-    else:
-        directions = family.materialize(s.K, point=a, model=model)
-        supports = [d.support for d in directions]
-        coeffs = [d.coeffs for d in directions]
+    ptr, index, coeffs = family.arrays(s.K, point=a, model=model)
+    count = len(ptr) - 1
+    if (index.size == count and np.array_equal(index, np.arange(1, count + 1))
+            and np.all(coeffs == 1.0)):
+        return _coordinate_depth(s.data, a.values(count))
+    bounds, indices = ptr.tolist(), index.tolist()
     by_support: dict[tuple[int, ...], list[int]] = {}
-    for i, support in enumerate(supports):
+    for i in range(count):
+        support = tuple(indices[bounds[i]:bounds[i + 1]])
         by_support.setdefault(support, []).append(i)
     point = a.values(s.K)
     chunks = _row_chunks(s.n)
     size = max(hi - lo for lo, hi in chunks)
     proj, above = np.empty(size), np.empty(size, dtype=bool)
-    best, first = s.n + 1, len(supports)
+    best, first = s.n + 1, count
     for support, members in by_support.items():
         idx = np.asarray(support) - 1
-        group = np.array([coeffs[i] for i in members], dtype=float)
+        group = coeffs[ptr[members][:, None] + np.arange(len(support))]
         # t(a) as apply_direction sums it: term by term in support order
         terms = group * point[idx]
         thresholds = terms[:, 0].copy()
@@ -212,15 +203,16 @@ def empirical_half_space_depth(a: Point, s: Sample,
             # i becomes the minimizer with a count of at most `limit`: a
             # tie goes to the lower family index
             limit = best if i < first else best - 1
-            count = 0
+            total = 0
             for block, out, mask in blocks:
                 np.greater_equal(np.matmul(block, c, out=out), t, out=mask)
-                count += np.count_nonzero(mask)
-                if count > limit:
+                total += np.count_nonzero(mask)
+                if total > limit:
                     break
             else:
-                best, first = count, i
-    return int(best) / s.n, Direction(supports[first], tuple(coeffs[first]))
+                best, first = total, i
+    lo, hi = bounds[first], bounds[first + 1]
+    return int(best) / s.n, Direction(index[lo:hi], coeffs[lo:hi])
 
 
 def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray
@@ -326,7 +318,8 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     ``sample(model, n, K, seed)``; the samples are drawn and compared a
     seed chunk at a time.
     """
-    family = DirectionFamily.coordinates(K)
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     thresholds = a.values(K)
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
     least = np.empty(seeds, dtype=np.int64)
@@ -356,38 +349,4 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
         analytic_floor=_analytic_floor(a, model, n, K),
         consistency_failure=failure,
         ratio_vanishes=_ratio_vanishes(a, model, K),
-        family=family.describe())
-
-
-@dataclass(frozen=True)
-class GapRow:
-    n: int
-    mean_empirical: float
-    true_depth: Optional[float]
-    gap: Optional[float]
-
-
-def consistency_gap(a: Point, model: SequenceModel, family: DirectionFamily,
-                    n_grid: Sequence[int], seeds: int, master_seed: int = 0,
-                    K: Optional[int] = None,
-                    true_depth: Optional[float] = None) -> list[GapRow]:
-    """Mean empirical depth against the analytic true depth along n_grid."""
-    if K is None:
-        K = family.required_width(default=max(
-            a.explicit_width, model.explicit_width, 1))
-    if true_depth is None:
-        true_depth = reference_depth(a, model)
-
-    rows = []
-    for j, n in enumerate(n_grid):
-        values = []
-        for i in range(seeds):
-            s = sample(model, n, K,
-                       _derive_seed(master_seed, GAP_SEEDS, j, i))
-            value, _ = empirical_half_space_depth(a, s, family, model=model)
-            values.append(value)
-        mean_emp = float(np.mean(values))
-        gap = None if true_depth is None else abs(mean_emp - true_depth)
-        rows.append(GapRow(n=int(n), mean_empirical=mean_emp,
-                           true_depth=true_depth, gap=gap))
-    return rows
+        family=DirectionFamily.coordinates(K).description)

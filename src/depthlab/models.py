@@ -745,9 +745,9 @@ def _column_keys(seed, ks) -> np.ndarray:
     return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=-1)
 
 
-# Domain words of derived seeds, so that experiment records, the lambda
-# estimate and the consistency-gap table never share a seed
-RECORD_SEEDS, LAMBDA_SEED, GAP_SEEDS = 0x5EED, 0xA11A, 0x6A9
+# Domain words of derived seeds, so that experiment records and the lambda
+# estimate never share a seed
+RECORD_SEEDS, LAMBDA_SEED = 0x5EED, 0xA11A
 
 
 def _derive_seed(master_seed: int, *path):

@@ -217,6 +217,8 @@ def u_statistic_depth(a: Point, s: Sample, d: int, k: int,
 def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
                          seed: int) -> tuple[float, float]:
     """Subset-subsampled estimate of Z_{n,k}/N_{n,d} with standard error."""
+    if subsets < 1:
+        raise ValueError("subsets must be >= 1")
     if s.n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} rows, sample has {s.n}")
     proj = BlockProjection(d=d, k=k)
@@ -333,6 +335,8 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     the true depth equals the single-block simplicial depth lambda(a),
     estimated here by Monte Carlo.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     law = _require_iid_continuous(model)
     width = k_max * d
     total = _check_block_shape(n, width, d, k_max, budget)

@@ -148,17 +148,6 @@ def test_plotdata_markov(tmp_path):
     assert rows[1].startswith("markov_bound,4,")
 
 
-def test_plotdata_gap_table(tmp_path):
-    doc = tmp_path / "gap.json"
-    doc.write_text(json.dumps({"rows": [
-        {"n": 2, "gap": 0.09}, {"n": 4, "gap": 0.10}, {"n": 8, "gap": None}]}))
-    out = tmp_path / "g"
-    assert run(["plotdata", "--input", doc, "--out", out]) == 0
-    rows = (out / "plotdata.csv").read_text().splitlines()
-    assert rows[1] == "gap,2,0.09,"
-    assert len(rows) == 3  # the None gap row is dropped
-
-
 def test_point_csv_loading(tmp_path):
     pt = tmp_path / "point.csv"
     pt.write_text("k,value\n1,0.5\n3,-0.25\n")

@@ -11,7 +11,6 @@ from depthlab import (
     PowerTail,
     Sample,
     apply_direction,
-    consistency_gap,
     empirical_half_space_depth,
     gaussian_model,
     gaussian_sequence_depth,
@@ -63,14 +62,19 @@ def test_two_sample_rademacher_zero_probability():
 
 
 def test_single_direction_clt():
-    d = Direction.from_mapping({1: 1.0, 2: 1.0})
-    a = Point((1.0, 0.0))
-    n = 10 ** 4
-    s = sample(gaussian_model(), n, 2, seed=77)
-    value, _ = empirical_half_space_depth(
-        a, s, DirectionFamily.explicit([d]))
-    truth = 1.0 - float(ndtr(1.0 / math.sqrt(2.0)))
-    assert value == pytest.approx(truth, abs=3.0 / math.sqrt(n))
+    # the error shrinks at the CLT rate: within 3/sqrt(n), six standard
+    # errors, at every n of the grid
+    cases = [({1: 1.0, 2: 1.0}, (1.0, 0.0), 10 ** 4)] + [
+        ({1: 1.0, 3: 2.0}, (0.5, 0.0, 0.25), n) for n in (100, 400, 1600)]
+    for mapping, coords, n in cases:
+        d = Direction.from_mapping(mapping)
+        a = Point(coords)
+        s = sample(gaussian_model(), n, d.max_index, seed=77)
+        value, _ = empirical_half_space_depth(
+            a, s, DirectionFamily.explicit([d]))
+        sigma = math.sqrt(sum(c * c for c in d.coeffs))
+        truth = 1.0 - float(ndtr(apply_direction(d, a) / sigma))
+        assert value == pytest.approx(truth, abs=3.0 / math.sqrt(n))
 
 
 def test_depth_monotone_in_family():
@@ -94,10 +98,28 @@ def test_depth_invariant_under_positive_rescaling():
 
 
 def test_direction_out_of_range():
-    s = sample(gaussian_model(), 5, 2, seed=4)
-    with pytest.raises(DirectionRangeError):
-        empirical_half_space_depth(Point.zero(), s,
-                                   DirectionFamily.coordinates(3))
+    g = gaussian_model()
+    s = sample(g, 5, 2, seed=4)
+    for family in (DirectionFamily.coordinates(3),
+                   DirectionFamily.explicit([Direction.coordinate(1),
+                                             Direction.coordinate(3)]),
+                   DirectionFamily.markov_witnesses([2, 4])):
+        with pytest.raises(DirectionRangeError):
+            empirical_half_space_depth(ONES, s, family, model=g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DirectionFamily.coordinates(0),
+    lambda: DirectionFamily.random_sparse(0, 2, seed=1),
+    lambda: DirectionFamily.random_sparse(5, 2, seed=-1),
+    lambda: DirectionFamily.markov_witnesses([]),
+    lambda: DirectionFamily.markov_witnesses([3, 0]),
+    lambda: DirectionFamily.explicit([]),
+], ids=["coordinates", "sparse_count", "sparse_seed", "markov_empty",
+        "markov_zero", "explicit_empty"])
+def test_bad_family_arguments_are_rejected_when_built(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_markov_witness_family_consistency():
@@ -129,15 +151,19 @@ def test_zero_depth_experiment_rademacher_center():
 
 
 def test_zero_depth_experiment_gaussian_consistency_failure():
-    a = Point.inverse_k(1.0)
-    res = zero_depth_experiment(gaussian_model(), a, n=2, K=200, seeds=40,
-                                master_seed=2)
-    assert res.fraction_zero >= 0.99
-    truth = gaussian_sequence_depth(a, gaussian_model()).value
-    assert res.true_depth_reference == pytest.approx(truth)
-    assert truth > 0.0
-    assert res.consistency_failure is True
-    assert res.ratio_vanishes
+    # t_k = 1/k has positive true depth, so its collapse is a failure;
+    # t_k = k^-1/2 diverges in l2, its true depth is 0 and the collapse
+    # is consistent
+    for exponent, failure in ((1.0, True), (0.5, False)):
+        a = Point.inverse_k(exponent)
+        res = zero_depth_experiment(gaussian_model(), a, n=2, K=200,
+                                    seeds=40, master_seed=2)
+        assert res.fraction_zero >= 0.99
+        truth = gaussian_sequence_depth(a, gaussian_model()).value
+        assert res.true_depth_reference == pytest.approx(truth)
+        assert (truth > 0.0) is failure
+        assert res.consistency_failure is failure
+        assert res.ratio_vanishes
 
 
 def test_zero_depth_experiment_single_coordinate():
@@ -203,42 +229,6 @@ def test_analytic_floor_propagates_density_errors():
         _analytic_floor(Point((0.5,)), model, n=2, K=3)
 
 
-# -- consistency gap ------------------------------------------------------------
-
-def test_consistency_gap_divergent_point_is_consistent():
-    a = Point.inverse_k(0.5)
-    rows = consistency_gap(a, gaussian_model(),
-                           DirectionFamily.coordinates(150),
-                           n_grid=[2, 4], seeds=25, master_seed=6)
-    for row in rows:
-        assert row.true_depth == 0.0
-        assert row.gap <= 0.02
-
-
-def test_consistency_gap_convergent_point_fails():
-    a = Point.inverse_k(1.0)
-    rows = consistency_gap(a, gaussian_model(),
-                           DirectionFamily.coordinates(200),
-                           n_grid=[2, 3], seeds=25, master_seed=7)
-    truth = gaussian_sequence_depth(a, gaussian_model()).value
-    for row in rows:
-        assert row.true_depth == pytest.approx(truth)
-        assert row.gap == pytest.approx(truth, abs=0.02)
-
-
-def test_consistency_gap_single_direction_clt_rate():
-    d = Direction.from_mapping({1: 1.0, 3: 2.0})
-    a = Point((0.5, 0.0, 0.25))
-    sigma = math.sqrt(1.0 + 4.0)
-    truth = 1.0 - float(ndtr((0.5 + 0.5) / sigma))
-    rows = consistency_gap(a, gaussian_model(),
-                           DirectionFamily.explicit([d]),
-                           n_grid=[100, 400, 1600], seeds=20, master_seed=8,
-                           true_depth=truth)
-    for row in rows:
-        assert row.gap <= 3.0 / math.sqrt(row.n)
-
-
 # -- array-shaped evaluation against the per-direction loop --------------------
 
 def _loop_depth(a, s, family, model=None):
@@ -277,6 +267,11 @@ FAMILY_CASES = {
     "sparse_full": (DirectionFamily.random_sparse(20, WIDTH, seed=33),
                     Point((0.1, -0.4))),
     "explicit_duplicates": (DUPLICATED, FAR),
+    # the coordinate compare path, and the projection path for coefficient 2
+    "explicit_coordinates": (DirectionFamily.explicit(
+        [Direction.coordinate(k) for k in range(1, WIDTH + 1)]), ONES),
+    "explicit_coordinates_doubled": (DirectionFamily.explicit(
+        [Direction((k,), (2.0,)) for k in range(1, WIDTH + 1)]), ONES),
     "markov_witnesses": (DirectionFamily.markov_witnesses([5, 2, 9, 2, 7]),
                          Point.inverse_k(1.0)),
 }
@@ -296,7 +291,7 @@ def test_depth_matches_per_direction_loop(model_name, case, n):
     # coefficients, so the >= indicator is exercised, not only its strict part
     model = gaussian_model() if model_name == "gaussian" else rademacher_model()
     family, a = FAMILY_CASES[case]
-    if model_name == "rademacher_at_zero" and family.kind != "markov_witnesses":
+    if model_name == "rademacher_at_zero" and case != "markov_witnesses":
         a = Point.zero()
     s = sample(model, n, WIDTH, seed=_derive_seed(4040, n))
     expected = _loop_depth(a, s, family, model)
@@ -326,7 +321,7 @@ def test_self_sample_ties_match_per_direction_loop(support_size, n):
 
 
 @pytest.mark.parametrize("case", sorted(set(FAMILY_CASES) - {
-    "coordinates", "coordinates_far"}))
+    "coordinates", "coordinates_far", "explicit_coordinates"}))
 def test_depth_matches_per_direction_loop_in_small_chunks(monkeypatch, case):
     # chunks of 8 rows: most directions stop counting after a few chunks
     monkeypatch.setattr(models, "PROJECT_CHUNK", 8)
@@ -386,6 +381,25 @@ def test_random_sparse_builds_only_the_minimizer(monkeypatch):
     assert len(built) == 1
     assert (got, got_argmin.support, got_argmin.coeffs) == (
         value, argmin.support, argmin.coeffs)
+
+
+def test_compare_path_only_for_unit_coordinates(monkeypatch):
+    # coordinates 1..K in order with coefficient 1.0 are compared, not
+    # projected, whichever constructor built them
+    compared = []
+    real = empirical._coordinate_depth
+
+    def recorded(data, thresholds):
+        compared.append(thresholds.size)
+        return real(data, thresholds)
+
+    monkeypatch.setattr(empirical, "_coordinate_depth", recorded)
+    s = sample(gaussian_model(), 20, WIDTH, seed=6)
+    for case, (family, a) in sorted(FAMILY_CASES.items()):
+        compared.clear()
+        empirical_half_space_depth(a, s, family, model=gaussian_model())
+        assert bool(compared) is (case in {
+            "coordinates", "coordinates_far", "explicit_coordinates"}), case
 
 
 def test_coordinate_thresholds_read_the_point_as_the_definition():

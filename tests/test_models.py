@@ -34,7 +34,6 @@ from depthlab.errors import (
 from depthlab import models
 from depthlab.models import (
     DENSITY,
-    GAP_SEEDS,
     LAMBDA_SEED,
     RECORD_SEEDS,
     GAUSSIAN,
@@ -531,8 +530,7 @@ def test_derived_seeds_match_seedsequence(master):
     assert seeds.tolist() == [oracle(RECORD_SEEDS, i, master)
                               for i in idx.tolist()]
     assert _derive_seed(master, LAMBDA_SEED) == oracle(LAMBDA_SEED, master)
-    assert _derive_seed(master, GAP_SEEDS, 2, 5) == oracle(GAP_SEEDS, 2, 5,
-                                                           master)
+    assert _derive_seed(master, 0x6A9, 2, 5) == oracle(0x6A9, 2, 5, master)
     assert type(_derive_seed(master, LAMBDA_SEED)) is int
 
 
@@ -546,7 +544,7 @@ def test_derived_seeds_do_not_collide():
     assert (_derive_seed(0, LAMBDA_SEED)
             != _derive_seed(0, RECORD_SEEDS, 0xA11A))
     assert len({_derive_seed(0, RECORD_SEEDS, 0), _derive_seed(0, LAMBDA_SEED),
-                _derive_seed(0, GAP_SEEDS, 0, 0)}) == 3
+                _derive_seed(0, 0x6A9, 0, 0)}) == 3
     with pytest.raises(ValueError):
         _derive_seed(0, RECORD_SEEDS, 2 ** 32)
 

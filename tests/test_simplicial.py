@@ -18,6 +18,7 @@ from depthlab import (
     u_statistic_depth_mc,
     rademacher_model,
     uniform_model,
+    zero_depth_experiment,
 )
 from depthlab import models, simplicial
 from depthlab.errors import BudgetExceededError
@@ -292,6 +293,24 @@ def test_block_experiment_requires_continuous_iid():
     with pytest.raises(ValueError):
         block_depth_experiment(rademacher_model(), Point.zero(), n=4, d=2, k_max=5,
                          seeds=2, master_seed=1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: zero_depth_experiment(gaussian_model(), Point.zero(), n=2, K=3,
+                                  seeds=0),
+    lambda: block_depth_experiment(uniform_model(0.0, 1.0),
+                                   Point.periodic([0.5, 0.5], repeats=2),
+                                   n=4, d=2, k_max=2, seeds=0),
+    lambda: u_statistic_depth_mc(Point((0.5, 0.5)),
+                                 sample(uniform_model(0.0, 1.0), 4, 2, seed=1),
+                                 d=2, k=1, subsets=0, seed=2),
+    lambda: u_statistic_depth_mc(Point((0.5, 0.5)),
+                                 sample(uniform_model(0.0, 1.0), 4, 2, seed=1),
+                                 d=2, k=1, subsets=-3, seed=2),
+], ids=["zero_depth_seeds", "block_seeds", "ustat_subsets", "ustat_negative"])
+def test_counts_below_one_are_rejected(run):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run()
 
 
 def test_n_subsets_formula():

@@ -1,0 +1,25 @@
+"""Rules on the package source that no unit test of behaviour would catch."""
+
+import ast
+from pathlib import Path
+
+import depthlab
+
+BROAD = {"Exception", "BaseException"}
+
+
+def test_no_broad_exception_handlers():
+    # an error is never turned into None or False: a handler names the
+    # exceptions it can act on
+    root = Path(depthlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None or any(isinstance(n, ast.Name) and n.id in BROAD
+                                     for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
