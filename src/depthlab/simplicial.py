@@ -1,20 +1,25 @@
 """Simplicial depth in R^d, the block-projection depth on sequence space,
 its U-statistic estimator, and the associated consistency-failure experiment.
 
-Open-hull membership is decided by a barycentric linear solve with a
-pivot-style singularity tolerance of 1e-12; degenerate vertex sets count
-as "outside" and are tallied in a diagnostic counter.  Strict positivity
-of the barycentric weights is tested with exact floating comparison,
-since boundary hits are measure-zero for absolutely continuous laws.
+Open-hull membership goes through one batched test.  A vertex set is
+degenerate, and counts as "outside" and in a diagnostic counter, when the
+determinant of its (d+1)x(d+1) affine system (vertices as columns over a
+ones-row) is at most 1e-12 times the product of the column norms.  For
+d <= 2 the target is inside iff every barycentric numerator, an
+orientation determinant of the vertices translated by the target, has the
+strict sign of that determinant (Shewchuk 1997); no system is solved, and
+on lattices where the products are exact, such as the quarter grid, the
+verdict is exact, so a target on an edge is outside.  For d >= 3 the
+barycentric weights come from a batched linear solve and must all be
+strictly positive.
 
 The exact block counts of one sample, or of every sample in a seed chunk
 of the experiment, go through one batched test: the (d+1)-subsets are
-enumerated once for all blocks and the vertex sets of every block are
-stacked into one batch of systems.  Each system keeps its own block's
-target as right-hand side (vertices are not translated), so every
-determinant and solve is bitwise the one-subset computation.  Every
-hull-test batch, and the subset enumeration feeding it, holds at most
-``HULL_CHUNK`` systems, so memory stays bounded at any subset budget.
+enumerated once for all blocks and each block's target is broadcast
+against its own vertex sets, so every verdict is the one-subset verdict.
+Every hull-test batch, and the subset enumeration feeding it, holds at
+most ``HULL_CHUNK`` vertex sets, so memory stays bounded at any subset
+budget.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
                      _sample_column, sample_chunks)
 
 DEFAULT_BUDGET = 10 ** 7
-HULL_CHUNK = 200_000    # barycentric systems per hull-test batch
+HULL_CHUNK = 200_000    # vertex sets per hull-test batch
 _PIVOT_TOL = 1e-12
 
 
@@ -70,41 +75,62 @@ class BlockProjection:
 
 
 # ---------------------------------------------------------------------------
-# Open-simplex membership (barycentric solve)
+# Open-simplex membership
 # ---------------------------------------------------------------------------
 
 def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, degenerate) masks for batched vertex sets.
+    """(inside, degenerate) masks for batched vertex sets: by orientation
+    signs for d <= 2, by a barycentric solve for d >= 3.
 
-    ``vertex_sets`` has shape (N, d+1, d); vertices become columns of the
-    (d+1)x(d+1) barycentric system with an affine ones-row.  The target
-    ``x`` is one point of shape (d,) shared by every system, or one point
-    per system, shape (N, d).
+    ``vertex_sets`` has shape (..., d+1, d), one vertex per row.  The
+    target ``x`` broadcasts against the batch: one shared point of shape
+    (d,), or one per vertex set, shape (..., d).
     """
-    n_batch, dp1, d = vertex_sets.shape
-    mats = np.empty((n_batch, dp1, dp1))
-    mats[:, :d, :] = np.transpose(vertex_sets, (0, 2, 1))
-    mats[:, d, :] = 1.0
-    col_norms = np.linalg.norm(mats, axis=1)
-    hadamard = np.prod(np.maximum(col_norms, 1e-300), axis=1)
-    dets = np.linalg.det(mats)
-    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
-    safe = np.where(degenerate[:, None, None], np.eye(dp1)[None], mats)
+    *batch, dp1, d = vertex_sets.shape
     x = np.asarray(x, dtype=float)
-    rhs = np.ones(x.shape[:-1] + (dp1,))
-    rhs[..., :d] = x
-    # a shared target stays one broadcast vector, not an (N, d+1) copy
-    rhs_stack = np.broadcast_to(rhs[..., None], (n_batch, dp1, 1))
-    weights = np.linalg.solve(safe, rhs_stack)[..., 0]
-    inside = np.all(weights > 0.0, axis=1) & ~degenerate
+    # v[j][i] is coordinate j of vertex i, one contiguous plane each
+    v = np.ascontiguousarray(np.moveaxis(vertex_sets, (-1, -2), (0, 1)))
+    hadamard = np.prod(np.sqrt(np.einsum("j...,j...->...", v, v) + 1.0),
+                       axis=0)
+    if d == 1:
+        (x0, x1), = v
+        t = x[..., 0]
+        dets, nums = x1 - x0, (x1 - t, t - x0)
+    elif d == 2:
+        (x0, x1, x2), (y0, y1, y2) = v
+        dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        # translate in place: v[j][i] becomes coordinate j of v_i - x
+        v -= np.moveaxis(np.broadcast_to(x, (*batch, d)), -1, 0)[:, None]
+        (ex0, ex1, ex2), (ey0, ey1, ey2) = v
+        nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
+                ex0 * ey1 - ey0 * ex1)
+    else:
+        mats = np.empty((*batch, dp1, dp1))
+        mats[..., :d, :] = np.swapaxes(vertex_sets, -1, -2)
+        mats[..., d, :] = 1.0
+        dets = np.linalg.det(mats)
+        degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+        safe = np.where(degenerate[..., None, None], np.eye(dp1), mats)
+        rhs = np.ones(x.shape[:-1] + (dp1,))
+        rhs[..., :d] = x
+        # a shared target stays one broadcast vector, not a copy per system
+        rhs_stack = np.broadcast_to(rhs[..., None], (*batch, dp1, 1))
+        weights = np.linalg.solve(safe, rhs_stack)[..., 0]
+        inside = np.all(weights > 0.0, axis=-1) & ~degenerate
+        return inside, degenerate
+    # d <= 2: inside iff every numerator has the strict sign of dets
+    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+    positive = np.logical_and.reduce([num > 0.0 for num in nums])
+    negative = np.logical_and.reduce([num < 0.0 for num in nums])
+    inside = np.where(dets > 0.0, positive, negative) & ~degenerate
     return inside, degenerate
 
 
 def point_in_open_simplex(x, vertices) -> bool:
     """True iff x lies strictly inside the open hull of the d+1 vertices.
 
-    Degenerate vertex sets (singular barycentric system) return False.
+    Degenerate vertex sets (near-singular affine system) return False.
     """
     verts = np.asarray(vertices, dtype=float)[None, :, :]
     inside, _ = _open_hull_mask(np.asarray(x, dtype=float), verts)
@@ -173,8 +199,9 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
 
     ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  Subsets
     are enumerated in chunks and every block is tested against each chunk
-    in one batch of at most ``HULL_CHUNK`` systems (a single block per
-    batch when B alone exceeds it).
+    in one batch of at most ``HULL_CHUNK`` vertex sets (a single block per
+    batch when B alone exceeds it), each block's target broadcast against
+    its own vertex sets.
     """
     n_blocks, n, d = blocks.shape
     counts = np.zeros(n_blocks, dtype=np.int64)
@@ -189,11 +216,10 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
             return counts, degens
         for lo in range(0, n_blocks, block_step):
             hi = min(lo + block_step, n_blocks)
-            verts = blocks[lo:hi, combos].reshape(-1, d + 1, d)
-            rhs = np.repeat(targets[lo:hi], len(combos), axis=0)
-            inside, degen = _open_hull_mask(rhs, verts)
-            counts[lo:hi] += inside.reshape(hi - lo, -1).sum(axis=1)
-            degens[lo:hi] += degen.reshape(hi - lo, -1).sum(axis=1)
+            inside, degen = _open_hull_mask(targets[lo:hi, None],
+                                            blocks[lo:hi, combos])
+            counts[lo:hi] += inside.sum(axis=1)
+            degens[lo:hi] += degen.sum(axis=1)
 
 
 def u_statistic_depth(a: Point, s: Sample, d: int, k: int,

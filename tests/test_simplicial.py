@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,54 @@ from depthlab import (
 from depthlab import models, simplicial
 from depthlab.errors import BudgetExceededError
 from depthlab.models import RECORD_SEEDS, _column_rng, _derive_seed
-from depthlab.simplicial import (BlockProjection, _open_hull_mask,
-                                 iid_block_sampler, n_subsets)
+from depthlab.simplicial import (_PIVOT_TOL, BlockProjection,
+                                 _open_hull_mask, iid_block_sampler, n_subsets)
 from depthlab.models import uniform_law
+
+
+# -- reference open-hull tests ----------------------------------------------------
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _exact_hull(x, verts):
+    """(inside, degenerate) for one vertex set, d <= 2, in rational
+    arithmetic: the open-hull rule with the degeneracy test squared,
+    det^2 <= tol^2 * prod(|v_i|^2 + 1), so no root is taken."""
+    x = [Fraction(float(c)) for c in x]
+    v = [[Fraction(float(c)) for c in row] for row in verts]
+    if len(x) == 1:
+        det = v[1][0] - v[0][0]
+        nums = [v[1][0] - x[0], x[0] - v[0][0]]
+    else:
+        det = _orient(*v)
+        nums = [_orient(x, v[1], v[2]), _orient(v[0], x, v[2]),
+                _orient(v[0], v[1], x)]
+    bound = Fraction(_PIVOT_TOL) ** 2
+    for row in v:
+        bound *= sum(c * c for c in row) + 1
+    degenerate = det * det <= bound
+    return not degenerate and all(num * det > 0 for num in nums), degenerate
+
+
+def _barycentric_mask(x, vertex_sets):
+    """(inside, degenerate) masks by the batched barycentric solve, the
+    reference for every d: ``vertex_sets`` (N, d+1, d), ``x`` (d,) or
+    (N, d)."""
+    n_batch, dp1, d = vertex_sets.shape
+    mats = np.empty((n_batch, dp1, dp1))
+    mats[:, :d, :] = np.transpose(vertex_sets, (0, 2, 1))
+    mats[:, d, :] = 1.0
+    hadamard = np.prod(np.linalg.norm(mats, axis=1), axis=1)
+    dets = np.linalg.det(mats)
+    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+    safe = np.where(degenerate[:, None, None], np.eye(dp1)[None], mats)
+    rhs = np.ones(np.shape(x)[:-1] + (dp1,))
+    rhs[..., :d] = x
+    rhs = np.broadcast_to(rhs[..., None], (n_batch, dp1, 1))
+    weights = np.linalg.solve(safe, rhs)[..., 0]
+    return np.all(weights > 0.0, axis=1) & ~degenerate, degenerate
 
 
 def test_point_in_open_simplex_examples():
@@ -39,6 +85,63 @@ def test_point_in_open_simplex_1d():
     assert point_in_open_simplex([0.5], [[0.0], [1.0]])
     assert not point_in_open_simplex([1.0], [[0.0], [1.0]])
     assert not point_in_open_simplex([1.5], [[0.0], [1.0]])
+
+
+def test_point_on_edge_is_outside():
+    # the barycentric solve leaves a weight of +1.1e-16 on this edge
+    assert not point_in_open_simplex([0.5, 0.5],
+                                     [[0.5, 0.0], [0.25, 0.25], [0.5, 0.75]])
+
+
+@pytest.mark.parametrize("targets", ["shared", "per-system"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_hull_mask_exact_on_quarter_lattice(d, targets):
+    # every vertex set of the lattice [0, 1]^d (d = 1: of [-2, 3]),
+    # half of them reversed, so both orientations and every collinear or
+    # repeated configuration occur; on this lattice the signs are exact
+    axis = np.arange(-2.0, 3.125, 0.25) if d == 1 else np.arange(5) / 4.0
+    grid = np.array(list(itertools.product(axis, repeat=d)))
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(len(grid)), d + 1)))
+    combos[1::2] = combos[1::2, ::-1]
+    verts = grid[combos]
+    if targets == "shared":
+        x = np.full(d, 0.5)
+    else:
+        x = grid[_column_rng(41, d).integers(0, len(grid), len(verts))]
+    inside, degenerate = _open_hull_mask(x, verts)
+    expected = np.array([_exact_hull(xi, v) for xi, v in
+                         zip(np.broadcast_to(x, (len(verts), d)), verts)])
+    assert inside.tolist() == expected[:, 0].tolist()
+    assert degenerate.tolist() == expected[:, 1].tolist()
+    assert 0 < inside.sum() and 0 < degenerate.sum()
+
+
+@pytest.mark.parametrize("law", ["uniform", "gaussian"])
+def test_sign_masks_match_barycentric_on_continuous_triangles(law):
+    rng = _column_rng(2026, 0xB0)
+    if law == "uniform":
+        verts = rng.random((10 ** 5, 3, 2))
+        x = np.array([0.5, 0.5])
+    else:
+        verts = rng.standard_normal((10 ** 5, 3, 2))
+        x = rng.standard_normal((10 ** 5, 2))
+    inside, degenerate = _open_hull_mask(x, verts)
+    ref_inside, ref_degenerate = _barycentric_mask(x, verts)
+    assert np.array_equal(inside, ref_inside)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert inside.sum() > 5000 and not degenerate.any()
+
+
+def test_degenerate_masks_match_barycentric_on_quarter_grid():
+    # random triangles on a 5 x 5 lattice: collinear and repeated
+    # vertices are common, and both tests must flag the same ones
+    rng = _column_rng(2027, 0xB0)
+    verts = rng.integers(0, 5, (10 ** 5, 3, 2)) / 4.0
+    _, degenerate = _open_hull_mask(np.array([0.5, 0.5]), verts)
+    _, ref_degenerate = _barycentric_mask(np.array([0.5, 0.5]), verts)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert degenerate.sum() > 10 ** 4
 
 
 def test_simplicial_depth_mc_median():
@@ -176,8 +279,10 @@ def test_block_counts_iid_across_blocks():
     assert stat.pvalue > 1e-3
 
 
-def _oracle_counts(a, s, d, k_max):
-    """Per-block hit and degenerate counts, one subset at a time."""
+def _oracle_counts(a, s, d, k_max, exact=True):
+    """Per-block hit and degenerate counts, one subset at a time: rational
+    arithmetic for d <= 2 (unless ``exact`` is false), else the
+    barycentric solve."""
     counts, degens = [], []
     for k in range(1, k_max + 1):
         proj = BlockProjection(d=d, k=k)
@@ -185,8 +290,13 @@ def _oracle_counts(a, s, d, k_max):
         hits = degenerate = 0
         for combo in itertools.combinations(range(s.n), d + 1):
             verts = block[list(combo)]
-            hits += point_in_open_simplex(target, verts)
-            degenerate += int(_open_hull_mask(target, verts[None])[1][0])
+            if exact and d <= 2:
+                inside, degen = _exact_hull(target, verts)
+            else:
+                inside, degen = (bool(m[0]) for m in
+                                 _barycentric_mask(target, verts[None]))
+            hits += inside
+            degenerate += degen
         counts.append(hits)
         degens.append(degenerate)
     return tuple(counts), tuple(degens)
@@ -219,6 +329,29 @@ def test_block_counts_match_subset_oracle(case, d, n):
         assert (res.count, res.degenerate) == (counts[k - 1], degens[k - 1])
     if case == "rademacher" and n == 9:
         assert sum(degens) > 0
+
+
+@pytest.mark.parametrize("case", ["rademacher", "repeated-rows"])
+def test_degenerate_counts_match_barycentric(case):
+    # atoms and repeated rows make collinear and coincident vertex sets;
+    # the sign test must flag exactly those the barycentric test flags
+    # (hits are checked exactly: targets on edges are outside)
+    d, k_max = 2, 3
+    if case == "rademacher":
+        s = sample(rademacher_model(), 8, k_max * d, seed=71)
+    else:
+        base = sample(uniform_model(0.0, 1.0), 4, k_max * d, seed=72).data
+        s = Sample(base[[0, 1, 1, 2, 3, 3, 3, 0]], seed=0)
+    a = Point.periodic([0.0, 0.0] if case == "rademacher" else [0.5, 0.5],
+                       repeats=k_max)
+    counts, degens = _oracle_counts(a, s, d, k_max)
+    assert _oracle_counts(a, s, d, k_max, exact=False)[1] == degens
+    rec = empirical_block_depth(a, s, d=d, k_max=k_max)
+    assert (rec.block_counts, rec.degenerate_counts) == (counts, degens)
+    for k in range(1, k_max + 1):
+        res = u_statistic_depth(a, s, d=d, k=k)
+        assert (res.count, res.degenerate) == (counts[k - 1], degens[k - 1])
+    assert min(degens) > 0
 
 
 @pytest.mark.parametrize("d, n, k_max", [(1, 9, 7), (2, 9, 1), (2, 6, 4),
