@@ -5,7 +5,11 @@ Every run resolves its configuration (a JSON document merged with CLI
 flags, flags winning), echoes the resolved config into the output
 directory for provenance, and writes machine-readable JSON/CSV artifacts.
 All randomness flows from one mandatory master seed; reruns of the same
-config reproduce outputs byte for byte.
+config reproduce outputs byte for byte.  The CSV dialect is part of that
+contract: the bytes of ``csv.writer``'s default dialect (comma separators,
+CRLF line ends, ints as ``str``, floats as ``repr``, an empty string as an
+empty field).  Each subcommand formats its rows as text lines, and
+``models.write_table`` writes them.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -19,7 +23,7 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from . import admissibility, analytic, bounds, empirical, simplicial
 from .errors import DepthLabError
 from .models import (
     STREAM_VERSION,
+    TABLE_BATCH,
     Point,
     PowerTail,
     SequenceModel,
@@ -34,6 +39,7 @@ from .models import (
     rademacher_model,
     stable_model,
     uniform_model,
+    write_table,
 )
 
 
@@ -212,29 +218,59 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
     return cfg
 
 
+def _depths(value) -> list[int]:
+    """Witness depths from a comma list or a JSON list, each >= 1."""
+    entries = value if isinstance(value, list) else str(value).split(",")
+    if not entries:
+        raise ConfigError("depths must name at least one depth")
+    return [_int_at_least("depths", m, 1) for m in entries]
+
+
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-def write_outputs(outdir: Path, cfg: dict, summary: dict,
-                  csv_rows: Iterable[Sequence] | None = None,
-                  csv_header: list[str] | None = None,
-                  csv_name: str = "table.csv") -> str:
-    """Write config.json, summary.json and the optional CSV table; returns
-    the summary's JSON text, which the subcommand also prints."""
+def _echo_config(outdir: Path, cfg: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+
+
+def write_outputs(outdir: Path, cfg: dict, summary: dict,
+                  csv_lines: Iterable[str] | None = None,
+                  csv_header: Sequence[str] = (),
+                  csv_name: str = "table.csv") -> str:
+    """Write config.json, summary.json and the optional CSV table of
+    pre-formatted lines; returns the summary's JSON text, which the
+    subcommand also prints."""
+    _echo_config(outdir, cfg)
     text = json.dumps(summary, indent=2, sort_keys=True)
     (outdir / "summary.json").write_text(text + "\n")
-    if csv_rows is not None:
-        with open(outdir / csv_name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+    if csv_lines is not None:
+        write_table(outdir / csv_name, csv_header, csv_lines)
     return text
+
+
+def _curve_lines(curve: np.ndarray) -> Iterator[str]:
+    """Rows m,B_m of the finite Markov bounds, converted a batch at a time."""
+    finite = np.flatnonzero(np.isfinite(curve))
+    for lo in range(0, finite.size, TABLE_BATCH):
+        rows = finite[lo:lo + TABLE_BATCH]
+        yield from map("{},{!r}".format, (rows + 1).tolist(),
+                       curve[rows].tolist())
+
+
+def _block_lines(records) -> Iterator[str]:
+    """Rows seed,k,Z,N,ratio; a record's seed prefix and each distinct
+    count's Z,N,ratio tail are formatted once."""
+    for r in records:
+        N = r.n_subsets
+        tails = {z: f"{z},{N},{z / N!r}" for z in set(r.block_counts)}
+        head = f"{r.seed},"
+        yield from [f"{head}{k},{tails[z]}"
+                    for k, z in enumerate(r.block_counts, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +320,7 @@ def cmd_bounds(args) -> int:
     _require(cfg, "model", "point")
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
-    depths = [_int_at_least("depths", m, 1)
-              for m in str(cfg.get("depths", "4,16,64")).split(",")]
+    depths = _depths(cfg.get("depths", "4,16,64"))
     curve_max = int(cfg.get("curve_max", max(depths)))
     cfg["depths"] = ",".join(str(m) for m in depths)
     cfg["curve_max"] = curve_max
@@ -320,10 +355,8 @@ def cmd_bounds(args) -> int:
         "lower_bounds": lower,
         "series": _json_num(rep.value),
     }
-    # csv writes a float as its repr
-    finite = np.flatnonzero(np.isfinite(curve))
-    rows = zip((finite + 1).tolist(), curve[finite].tolist())
-    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+    print(write_outputs(Path(cfg["out"]), cfg, summary,
+                        csv_lines=_curve_lines(curve),
                         csv_header=["m", "B_m"],
                         csv_name="markov_curve.csv"))
     return 0
@@ -368,9 +401,9 @@ def cmd_empirical(args) -> int:
         "family": result.family,
         "n": int(cfg["n"]), "K": int(cfg["K"]), "seeds": int(cfg["seeds"]),
     }
-    rows = [[r.seed, r.n, r.K, r.empirical_depth, int(r.zero_hit)]
-            for r in result.records]
-    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+    lines = (f"{r.seed},{r.n},{r.K},{r.empirical_depth!r},{int(r.zero_hit)}"
+             for r in result.records)
+    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_lines=lines,
                         csv_header=["seed", "n", "K", "empirical_depth",
                                     "zero_hit"],
                         csv_name="empirical.csv"))
@@ -400,11 +433,8 @@ def cmd_simplicial(args) -> int:
         "gap": result.gap,
         "n": result.n, "d": result.d, "k_max": result.k_max,
     }
-    rows = []
-    for r in result.records:
-        for k, z in enumerate(r.block_counts, start=1):
-            rows.append([r.seed, k, z, r.n_subsets, z / r.n_subsets])
-    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_rows=rows,
+    print(write_outputs(Path(cfg["out"]), cfg, summary,
+                        csv_lines=_block_lines(result.records),
                         csv_header=["seed", "k", "Z", "N", "ratio"],
                         csv_name="simplicial.csv"))
     return 0
@@ -420,24 +450,30 @@ def cmd_plotdata(args) -> int:
         raise ConfigError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object")
-    rows: list[list] = []
+    lines: list[str] = []
     if "certificates" in doc:
         for cert in doc["certificates"]:
             for m, b in zip(cert["depths"], cert["bound_values"]):
-                rows.append(["markov_bound", m, float(b), ""])
+                lines.append(f"markov_bound,{_plot_x(m)},{float(b)!r},")
     elif "fraction_zero" in doc:
-        x = doc.get("k_max", doc.get("K", 0))
-        rows.append(["fraction_zero", x, float(doc["fraction_zero"]),
-                     float(doc.get("fraction_zero_stderr", 0.0))])
+        x = _plot_x(doc.get("k_max", doc.get("K", 0)))
+        lines.append(f"fraction_zero,{x},{float(doc['fraction_zero'])!r},"
+                     f"{float(doc.get('fraction_zero_stderr', 0.0))!r}")
     else:
         raise ConfigError(f"unrecognized summary document {path}")
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "plotdata.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x", "y", "stderr"])
-        writer.writerows(rows)
+    _echo_config(outdir, cfg)
+    write_table(outdir / "plotdata.csv", ("series", "x", "y", "stderr"),
+                lines)
     return 0
+
+
+def _plot_x(x) -> str:
+    """A summary's depth or width as its CSV field: a JSON number, written
+    as csv.writer writes it (str of a float is its repr)."""
+    if not isinstance(x, (int, float)):
+        raise ConfigError(f"plot abscissa must be a number, got {x!r}")
+    return str(x)
 
 
 def _json_num(x):

@@ -15,11 +15,11 @@ are column-major).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
@@ -1158,11 +1158,28 @@ def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
     return out
 
 
+# rows formatted and written per ``write`` call: bounds the text held at once
+TABLE_BATCH = 1024
+
+
+def write_table(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV table from pre-formatted rows, ``TABLE_BATCH`` at a time.
+
+    Each line is one row without its line end.  The bytes are those of
+    ``csv.writer``'s default dialect for the fields the package writes:
+    comma separators, ``\\r\\n`` line ends, ints as ``str``, floats as
+    ``repr`` and an empty string as an empty field; no field needs quoting.
+    """
+    lines = iter(lines)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while batch := list(islice(lines, TABLE_BATCH)):
+            batch.append("")
+            fh.write("\r\n".join(batch))
+
+
 def sample_to_csv(s: Sample, path) -> None:
     """Write the sample in long form with header j,k,value (1-based indices)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "value"])
-        for j in range(s.n):
-            for k in range(s.K):
-                writer.writerow([j + 1, k + 1, repr(float(s.data[j, k]))])
+    write_table(path, ("j", "k", "value"),
+                (f"{j},{k},{v!r}" for j, row in enumerate(s.data, start=1)
+                 for k, v in enumerate(row.tolist(), start=1)))

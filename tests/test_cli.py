@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -5,16 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from depthlab import bounds, empirical, simplicial
 from depthlab.cli import main, model_from_document
 from depthlab.models import (
     STREAM_VERSION,
+    TABLE_BATCH,
+    Point,
     PowerTail,
+    Sample,
     gaussian_model,
+    rademacher_model,
     sample,
     sample_to_csv,
     stable_model,
+    uniform_model,
 )
 
 
@@ -329,3 +338,142 @@ def test_stochastic_config_records_stream_version(tmp_path, args):
     assert run([args[0], "--config", old, "--out", tmp_path / "b"]) == 2
     assert run([args[0], "--config", tmp_path / "a" / "config.json",
                 "--out", tmp_path / "c"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: byte-equal to csv.writer's default dialect
+# ---------------------------------------------------------------------------
+
+def csv_oracle(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_sample_csv_matches_csv_writer(tmp_path):
+    # more cells than one write batch, with negative, subnormal and large
+    # values among them
+    data = np.random.default_rng(8).standard_normal((70, 70))
+    data[0, :6] = [-1.5, 5e-324, -2.2250738585072014e-309,
+                   1.7976931348623157e308, -3.0e300, 0.0]
+    s = Sample(data, seed=0)
+    assert s.n * s.K > TABLE_BATCH
+    path = tmp_path / "sample.csv"
+    sample_to_csv(s, path)
+    rows = [[j + 1, k + 1, repr(float(s.data[j, k]))]
+            for j in range(s.n) for k in range(s.K)]
+    assert path.read_bytes() == csv_oracle(["j", "k", "value"], rows)
+
+
+def test_markov_curve_matches_csv_writer(tmp_path):
+    # leading zero coordinates leave B_m infinite, and unwritten, for m < 4
+    point = Point((0.0, 0.0, 0.0, 0.5, 0.25), tail=PowerTail(1.0, -1.0))
+    pt = tmp_path / "lead0.json"
+    pt.write_text(json.dumps({"coords": list(point.coords),
+                              "tail": {"coef": 1.0, "exponent": -1.0}}))
+    curve_max = TABLE_BATCH + 1000
+    out = tmp_path / "b"
+    assert run(["bounds", "--model", "gaussian_unit", "--point", pt,
+                "--depths", "4,16", "--curve-max", curve_max,
+                "--out", out]) == 0
+    curve = bounds.markov_bound_curve(point, gaussian_model(), curve_max)
+    rows = [[m, b] for m, b in enumerate(curve.tolist(), start=1)
+            if math.isfinite(b)]
+    assert len(rows) == curve_max - 3 > TABLE_BATCH
+    assert ((out / "markov_curve.csv").read_bytes()
+            == csv_oracle(["m", "B_m"], rows))
+
+    pout = tmp_path / "p"
+    assert run(["plotdata", "--input", out / "summary.json",
+                "--out", pout]) == 0
+    cert = json.loads((out / "summary.json").read_text())["certificates"][0]
+    rows = [["markov_bound", m, float(b), ""]
+            for m, b in zip(cert["depths"], cert["bound_values"])]
+    assert ((pout / "plotdata.csv").read_bytes()
+            == csv_oracle(["series", "x", "y", "stderr"], rows))
+
+
+def test_empirical_table_matches_csv_writer(tmp_path):
+    seeds = TABLE_BATCH + 100
+    out = tmp_path / "e"
+    assert run(EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", seeds,
+                            "--seed", 6, "--out", out]) == 0
+    result = empirical.zero_depth_experiment(
+        rademacher_model(), Point.zero(), n=3, K=5, seeds=seeds,
+        master_seed=6)
+    rows = [[r.seed, r.n, r.K, r.empirical_depth, int(r.zero_hit)]
+            for r in result.records]
+    assert any(r.seed >= 2 ** 63 for r in result.records)
+    assert ((out / "empirical.csv").read_bytes()
+            == csv_oracle(["seed", "n", "K", "empirical_depth", "zero_hit"],
+                          rows))
+
+    pout = tmp_path / "p"
+    assert run(["plotdata", "--input", out / "summary.json",
+                "--out", pout]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    rows = [["fraction_zero", doc["K"], doc["fraction_zero"],
+             doc["fraction_zero_stderr"]]]
+    assert ((pout / "plotdata.csv").read_bytes()
+            == csv_oracle(["series", "x", "y", "stderr"], rows))
+
+
+def test_simplicial_table_matches_csv_writer(tmp_path):
+    kmax, seeds = 100, 50
+    out = tmp_path / "s"
+    assert run(["simplicial", "--model", "uniform_unit", "--point", "zero",
+                "--n", 6, "--d", 2, "--kmax", kmax, "--seeds", seeds,
+                "--seed", 11, "--mc-draws", 1000, "--out", out]) == 0
+    result = simplicial.block_depth_experiment(
+        uniform_model(-1.0, 1.0), Point.zero(), n=6, d=2, k_max=kmax,
+        seeds=seeds, master_seed=11, mc_draws=1000)
+    rows = [[r.seed, k, z, r.n_subsets, z / r.n_subsets]
+            for r in result.records
+            for k, z in enumerate(r.block_counts, start=1)]
+    assert len(rows) > TABLE_BATCH
+    assert any(r.seed >= 2 ** 63 for r in result.records)
+    assert len({row[2] for row in rows}) > 2
+    assert ((out / "simplicial.csv").read_bytes()
+            == csv_oracle(["seed", "k", "Z", "N", "ratio"], rows))
+
+
+def test_plotdata_echoes_its_config(tmp_path):
+    out = tmp_path / "b"
+    assert run(BOUNDS + ["--depths", "4,16", "--out", out]) == 0
+    pout = tmp_path / "p"
+    assert run(["plotdata", "--input", out / "summary.json",
+                "--out", pout]) == 0
+    echo = json.loads((pout / "config.json").read_text())
+    assert echo == {"input": str(out / "summary.json"), "out": str(pout)}
+
+
+def test_plotdata_rejects_a_non_numeric_abscissa(tmp_path, capsys):
+    doc = tmp_path / "summary.json"
+    doc.write_text(json.dumps({"fraction_zero": 0.5, "K": "2,3"}))
+    assert run(["plotdata", "--input", doc, "--out", tmp_path / "p"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "p").exists()
+
+
+def test_depths_as_json_list(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depths": [4, 16]}))
+    assert run(BOUNDS + ["--config", cfg, "--out", tmp_path / "a"]) == 0
+    assert run(BOUNDS + ["--depths", "4,16", "--out", tmp_path / "b"]) == 0
+    echo = json.loads((tmp_path / "a" / "config.json").read_text())
+    assert echo["depths"] == "4,16"
+    for name in ("summary.json", "markov_curve.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+@pytest.mark.parametrize("depths", [[4, 0], [4, "x"], [[4]], []],
+                         ids=["zero", "not-int", "nested", "empty"])
+def test_bad_depth_list_is_config_error(tmp_path, capsys, depths):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depths": depths}))
+    assert run(BOUNDS + ["--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("config error: depths")
+    assert not (tmp_path / "x").exists()

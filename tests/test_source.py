@@ -23,3 +23,20 @@ def test_no_broad_exception_handlers():
                                      for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_tables_are_written_by_write_table_only():
+    # every CSV table goes through models.write_table, so no second
+    # table-writing path with its own dialect comes back
+    root = Path(depthlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "csv"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                  and any(a.name == "writer" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
