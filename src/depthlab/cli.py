@@ -175,6 +175,12 @@ _LEAST = {"n": 1, "K": 1, "seeds": 1, "d": 1, "kmax": 1, "mc_draws": 1,
 
 
 def _int_at_least(name: str, value, least: int) -> int:
+    """``value`` as an int >= least.  A boolean or a number with a
+    fractional part is an error, not truncated: the echoed config would
+    hold another value than the run used."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):

@@ -14,17 +14,26 @@ Evaluation reads these arrays, and no ``Direction`` is built except the
 minimizer.  When the directions are the coordinates 1..K in order, each
 with coefficient exactly 1.0, the depth is one column-chunked comparison
 of the sample against the point's coordinates; only for coefficient 1.0
-is that exact, since c*x >= c*a can round differently from x >= a.  Any
-other family gathers the sample columns of each distinct support once and
-projects every direction on that support by its own matrix-vector
-product, one row chunk at a time (``models._row_chunks``), into one
-preallocated chunk buffer; these are bitwise the products
-``project_sample`` computes.  A direction stops being counted once its
-partial count exceeds the least complete count so far: a count only
-grows, so it cannot be the minimum, and the result is exact.  Ties go to
-the first direction in family order, whichever support group is counted
-first.  Directions are never batched into one matrix-matrix product: that
-sums in another order and changes low bits of the projections.
+is that exact, since c*x >= c*a can round differently from x >= a.
+
+Any other family is counted against the reference arithmetic of
+``project_sample`` and ``apply_direction`` (c_1 x_1, then + c_j x_j in
+support order, in float64), which computes t(a) and t(X_j) alike, so a
+sample row equal to the point ties with it.  The count is a filtered
+predicate (Shewchuk 1997): the support columns of each distinct support
+are rounded once into a float32 column-major array, and every direction
+on that support is screened by a float32 matrix-vector product, one row
+chunk at a time (``models._row_chunks``).  The screen is within a proven bound
+delta of the reference on every row, whatever summation order or fused
+multiply-adds the BLAS uses (``_band``); a row above t(a) + delta counts,
+and a lower bound on the count suffices to stop counting a direction
+once it exceeds the least complete count so far: a count only grows, so
+it cannot be the minimum.  A direction that is never stopped is settled:
+the rows of its band, within delta of t(a) or NaN, are recounted in the
+reference arithmetic.  The counts are therefore those of a loop over
+``project_sample``, bit for bit, under every BLAS build and thread count.
+Ties go to the first direction in family order, whichever support group
+is counted first.
 """
 
 from __future__ import annotations
@@ -51,12 +60,17 @@ from .models import (
     _derive_seed,
     _random_subsets,
     _row_chunks,
+    _support_order_sum,
     sample_chunks,
 )
 
 # Most booleans one chunk of the coordinate family's comparison may hold
 # (1 MiB); a chunk is at least one column.
 COMPARE_CHUNK = 1 << 20
+# Coefficient sums and column maxima past which a support group is out of
+# the float32 screen's range (2^128, less room for rounding): its band is
+# every row
+_SCREEN_LIMIT = 2.0 ** 120
 
 # (ptr, index, coeffs): direction i is index[ptr[i]:ptr[i + 1]], 1-based
 # and increasing, with coefficients coeffs[ptr[i]:ptr[i + 1]]
@@ -185,34 +199,122 @@ def empirical_half_space_depth(a: Point, s: Sample,
         by_support.setdefault(support, []).append(i)
     point = a.values(s.K)
     chunks = _row_chunks(s.n)
-    size = max(hi - lo for lo, hi in chunks)
-    proj, above = np.empty(size), np.empty(size, dtype=bool)
+    width = max(len(support) for support in by_support)
+    cols = np.empty((s.n, width), dtype=np.float32, order="F")
+    proj = np.empty(chunks[0][1], dtype=np.float32)
+    above = np.empty(chunks[0][1], dtype=bool)
     best, first = s.n + 1, count
-    for support, members in by_support.items():
-        idx = np.asarray(support) - 1
-        group = coeffs[ptr[members][:, None] + np.arange(len(support))]
-        # t(a) as apply_direction sums it: term by term in support order
-        terms = group * point[idx]
-        thresholds = terms[:, 0].copy()
-        for j in range(1, len(support)):
-            thresholds += terms[:, j]
-        cols = s.data[:, idx]
-        blocks = [(cols[lo:hi], proj[:hi - lo], above[:hi - lo])
-                  for lo, hi in chunks]
-        for i, c, t in zip(members, group, thresholds.tolist()):
-            # i becomes the minimizer with a count of at most `limit`: a
-            # tie goes to the lower family index
-            limit = best if i < first else best - 1
-            total = 0
-            for block, out, mask in blocks:
-                np.greater_equal(np.matmul(block, c, out=out), t, out=mask)
-                total += np.count_nonzero(mask)
-                if total > limit:
-                    break
-            else:
-                best, first = total, i
+    # float32 overflow is caught by the band, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for support, members in by_support.items():
+            idx = np.asarray(support) - 1
+            m = len(support)
+            group = coeffs[ptr[members][:, None] + np.arange(m)]
+            # t(a) as apply_direction sums it
+            thresholds = _support_order_sum(group.T, point[idx])
+            col_max = np.empty(m)
+            for j, k in enumerate(idx):
+                column = s.data[:, k]
+                cols[:, j] = column
+                col_max[j] = np.maximum(column.max(), -column.min())
+            screen = cols[:, :m]
+            highs, lows = _band(group, col_max, thresholds)
+            blocks = [(lo, screen[lo:hi], proj[:hi - lo], above[:hi - lo])
+                      for lo, hi in chunks]
+            for i, c, c32, t, high, low in zip(
+                    members, group, group.astype(np.float32), thresholds,
+                    highs, lows):
+                # i becomes the minimizer with a count of at most `limit`: a
+                # tie goes to the lower family index
+                limit = best if i < first else best - 1
+                total = 0
+                for _, block, out, mask in blocks:
+                    np.greater(np.matmul(block, c32, out=out), high, out=mask)
+                    total += np.count_nonzero(mask)
+                    if total > limit:
+                        break
+                else:
+                    total = _settle(s.data, idx, c, t, c32, high, low, blocks)
+                    if total <= limit:
+                        best, first = total, i
     lo, hi = bounds[first], bounds[first + 1]
     return int(best) / s.n, Direction(index[lo:hi], coeffs[lo:hi])
+
+
+def _gamma(m: int, u: float) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of an
+    m-term dot product in unit roundoff u, in any order, with or without
+    fused multiply-adds."""
+    return m * u / (1.0 - m * u) if m * u < 1.0 else math.inf
+
+
+def _band(group: np.ndarray, col_max: np.ndarray, thresholds: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """float32 bounds (high, low) per direction of a support group, such
+    that a row whose screen value exceeds high has reference projection
+    >= t(a), and one whose screen value is below low has one < t(a).
+
+    The screen value is the float32 product of the float32-rounded columns
+    and coefficients.  Whatever order and fusion the BLAS uses, it is within
+    delta = rel * sum_k |c_k| max_j |x_jk| + abs of the reference (Higham
+    2002, section 3.1), where rel sums the float32 dot product's bound
+    gamma_m(2^-24) (1 + 2^-24)^2, the float32 rounding of both factors,
+    2 * 2^-24 + 2^-48, and the float64 reference's gamma_m(2^-53); abs
+    covers underflow, each rounding below float32's normal range losing
+    less than 2^-126 even where a BLAS flushes subnormals to zero.  A
+    group whose coefficient sum, column maxima or weighted sum pass
+    ``_SCREEN_LIMIT``, or are not finite, is past float32's range: delta
+    is infinite and every row is in the band.
+    """
+    m = group.shape[1]
+    u, eta = 2.0 ** -24, 2.0 ** -126
+    magnitudes = np.abs(group)
+    coeff_sum, weighted = magnitudes.sum(axis=1), magnitudes @ col_max
+    col_sum = col_max.sum()
+    rel = (_gamma(m, u) * (1.0 + u) ** 2 + 2.0 * u + u * u
+           + _gamma(m, 2.0 ** -53))
+    absolute = ((1.0 + _gamma(m, u)) * (1.0 + u) * eta
+                * (coeff_sum + col_sum + 2 * m) + m * 2.0 ** -1074)
+    # the last factor covers the float64 rounding of delta's own evaluation
+    delta = (rel * weighted + absolute) * (1.0 + (m + 4) * 2.0 ** -52)
+    delta[~(np.maximum(coeff_sum, weighted) <= _SCREEN_LIMIT)
+          | ~(col_sum <= _SCREEN_LIMIT)] = math.inf
+    high = np.nextafter(thresholds + delta, math.inf)
+    low = np.nextafter(thresholds - delta, -math.inf)
+    return _to_float32(high, math.inf), _to_float32(low, -math.inf)
+
+
+def _to_float32(values: np.ndarray, toward: float) -> np.ndarray:
+    """float32 values rounded toward +inf or -inf from float64 ones."""
+    out = values.astype(np.float32)
+    off = (out > values) if toward < 0 else (out < values)
+    out[off] = np.nextafter(out[off], np.float32(toward))
+    return out
+
+
+def _settle(data: np.ndarray, idx: np.ndarray, c: np.ndarray, t: float,
+            c32: np.ndarray, high: np.float32, low: np.float32,
+            blocks: list) -> int:
+    """The exact count of rows whose reference projection is >= t.
+
+    A row whose screen value exceeds high counts and one below low does
+    not; the rest, the band (NaN included), are recounted in the reference
+    arithmetic: gathered, or with the whole chunk when the band holds more
+    than an eighth of it, where the gather would cost more.
+    """
+    total = 0
+    for lo, block, out, mask in blocks:
+        np.matmul(block, c32, out=out)
+        np.greater(out, high, out=mask)
+        band = np.flatnonzero(~(mask | (out < low)))
+        if 8 * band.size > out.size:
+            band = slice(lo, lo + out.size)
+        else:
+            total += np.count_nonzero(mask)
+            band += lo
+        values = _support_order_sum([data[band, k] for k in idx], c)
+        total += np.count_nonzero(values >= t)
+    return total
 
 
 def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray

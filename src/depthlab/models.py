@@ -594,16 +594,20 @@ def apply_direction(direction: Direction, coords) -> float:
     """sum_k alpha_k * coords_k, reading the implicit tail past the prefix.
 
     ``coords`` may be a Point (power or zero tail) or a plain vector
-    (zero tail).
+    (zero tail).  The sum is the reference arithmetic of a projection:
+    c_1 x_1, then + c_j x_j in support order, one rounding per operation
+    (not ``sum``, which compensates from Python 3.12 on).
     """
     if isinstance(coords, Point):
-        return float(sum(c * coords.value_at(k)
-                         for k, c in zip(direction.support, direction.coeffs)))
-    vec = np.asarray(coords, dtype=float)
-    total = 0.0
-    for k, c in zip(direction.support, direction.coeffs):
-        if k <= vec.shape[-1]:
-            total += c * float(vec[k - 1])
+        values = [coords.value_at(k) for k in direction.support]
+    else:
+        vec = np.asarray(coords, dtype=float)
+        values = [float(vec[k - 1]) if k <= vec.shape[-1] else 0.0
+                  for k in direction.support]
+    terms = [c * x for c, x in zip(direction.coeffs, values)]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
     return total
 
 
@@ -653,7 +657,8 @@ _WORD_CHUNK = 1 << 14
 # Most values one seed chunk of an experiment draws at once (512 KiB); a
 # chunk holds one seed at least
 DRAW_CHUNK = 1 << 16
-# Rows of one projection chunk (128 KiB of float64); a multiple of 4
+# Rows of one chunk of empirical depth's float32 screen (64 KiB of
+# projections); read at call time
 PROJECT_CHUNK = 1 << 14
 
 
@@ -1115,47 +1120,36 @@ def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
 
 
 def _row_chunks(n: int) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) in which an n-row sample is projected.
+    """Row bounds (lo, hi) of ``PROJECT_CHUNK`` rows each, the last one
+    shorter, in which empirical depth screens an n-row sample."""
+    return [(lo, min(lo + PROJECT_CHUNK, n))
+            for lo in range(0, n, PROJECT_CHUNK)]
 
-    Chunks hold ``PROJECT_CHUNK`` rows and so start at multiples of 4; a
-    last chunk of fewer than 4 rows joins the one before it.  OpenBLAS
-    computes the leftover rows (n mod 4) of a matrix-vector product in a
-    scalar path that rounds differently, and numpy sends a one-row product
-    to ``ddot``, so a row's projection would otherwise depend on where its
-    chunk ends.  Every caller that projects in these chunks gets the same
-    bits as every other, whatever the number of BLAS threads; the bits
-    themselves hold for a given BLAS build and thread count.
-    """
-    bounds = [(lo, min(lo + PROJECT_CHUNK, n))
-              for lo in range(0, n, PROJECT_CHUNK)]
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 4:
-        bounds[-2:] = [(bounds[-2][0], n)]
-    return bounds
+
+def _support_order_sum(columns: Sequence[np.ndarray], coeffs) -> np.ndarray:
+    """c_1 x_1, then + c_j x_j in order, one float64 elementwise ufunc at a
+    time: the reference arithmetic of a projection, with no BLAS and no
+    fused multiply-add, so an entry does not depend on the array it sits
+    in.  ``columns[j]`` holds the values x_j and ``coeffs[j]`` is c_j."""
+    total = columns[0] * coeffs[0]
+    for column, c in zip(columns[1:], coeffs[1:]):
+        total += column * c
+    return total
 
 
 def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
     """t_alpha(X_j) for every row j; errors if the support exceeds the width.
 
-    One gather of the support columns, then one matrix-vector product per
-    row chunk of ``_row_chunks``; on a column-major sample the gather
-    copies contiguous columns.  Empirical depth counts whole families
-    without this helper, with the same gather and the same per-chunk
-    products, stopping a direction once its partial count exceeds the
-    least complete count, with ties to the first direction in family
-    order; its counts equal those of a loop over this function bit for bit
-    on the same BLAS build and thread count.
+    Entry j is ``apply_direction(direction, sample.data[j])`` bit for bit,
+    whatever the layout of the sample and the BLAS build: the reference
+    that empirical depth's counts equal.
     """
     if direction.max_index > sample.K:
         raise DirectionRangeError(
             f"direction out of range: support reaches {direction.max_index}, "
             f"sample width is {sample.K}")
-    idx = np.asarray(direction.support, dtype=int) - 1
-    coeffs = np.asarray(direction.coeffs)
-    cols = sample.data[:, idx]
-    out = np.empty(sample.n)
-    for lo, hi in _row_chunks(sample.n):
-        np.matmul(cols[lo:hi], coeffs, out=out[lo:hi])
-    return out
+    columns = [sample.data[:, k - 1] for k in direction.support]
+    return _support_order_sum(columns, direction.coeffs)
 
 
 # rows formatted and written per ``write`` call: bounds the text held at once

@@ -221,6 +221,54 @@ def test_counts_from_config_file_are_checked(tmp_path):
     assert (echo["n"], echo["K"], echo["seeds"], echo["seed"]) == (3, 5, 2, 1)
 
 
+@pytest.mark.parametrize("key", ["n", "K", "seeds", "seed"])
+@pytest.mark.parametrize("value", [3.7, True, float("inf")],
+                         ids=["fraction", "boolean", "infinite"])
+def test_non_integral_counts_from_config_file_are_config_errors(
+        tmp_path, capsys, key, value):
+    settings = {"model": "rademacher", "point": "zero",
+                "n": 3, "K": 5, "seeds": 2, "seed": 1, key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run(["empirical", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+    assert not (tmp_path / "x").exists()
+
+
+BLOCKS = {"model": "uniform_unit", "point": "zero", "n": 4, "d": 2,
+          "kmax": 3, "seeds": 2, "seed": 1}
+MARKOV = {"model": "gaussian_unit", "point": "inverse-k"}
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("simplicial", {**BLOCKS, "d": 1.5}),
+    ("simplicial", {**BLOCKS, "kmax": 2.5}),
+    ("simplicial", {**BLOCKS, "mc_draws": 100.5}),
+    ("simplicial", {**BLOCKS, "budget": False}),
+    ("bounds", {**MARKOV, "curve_max": 10.5}),
+    ("bounds", {**MARKOV, "depths": [4, 2.5]}),
+    ("bounds", {**MARKOV, "depths": [True]}),
+], ids=["d", "kmax", "mc_draws", "budget", "curve_max", "depths",
+        "depths-boolean"])
+def test_non_integral_settings_are_config_errors(tmp_path, capsys, command,
+                                                 settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be an integer" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "rademacher", "point": "zero",
+                               "n": 3.0, "K": 5, "seeds": 2, "seed": 1}))
+    assert run(["empirical", "--config", cfg, "--out", tmp_path / "x"]) == 0
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    assert summary["n"] == 3
+
+
 @pytest.mark.parametrize("name, text", [
     ("bad.json", '{"coords": [1, 2'),
     ("no-exponent.json", '{"coords": [1], "tail": {"coef": 1}}'),

@@ -238,7 +238,9 @@ def _loop_depth(a, s, family, model=None):
     s = Sample(np.ascontiguousarray(s.data), s.seed)
     best_value, best_dir = math.inf, None
     for d in family.materialize(s.K, point=a, model=model):
-        value = float(np.mean(project_sample(d, s) >= apply_direction(d, a)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            above = project_sample(d, s) >= apply_direction(d, a)
+        value = float(np.mean(above))
         if value < best_value:
             best_value, best_dir = value, d
             if value == 0.0:
@@ -277,8 +279,7 @@ FAMILY_CASES = {
 }
 
 
-# above one projection chunk, with n = 1 (mod 4): three row chunks, the last
-# with a leftover row
+# above one projection chunk: three row chunks, the last a shorter one
 ABOVE_CHUNK = 5 * models.PROJECT_CHUNK // 2 + 1
 
 
@@ -306,18 +307,122 @@ def test_depth_matches_per_direction_loop(model_name, case, n):
 @pytest.mark.parametrize("n", [1, 8])
 @pytest.mark.parametrize("support_size", [2, 3, 5, WIDTH])
 def test_self_sample_ties_match_per_direction_loop(support_size, n):
-    # every row equals the point, so each direction's value is 1 or 0 as its
-    # projection rounds to or below t(a): any change in how the projections
-    # are summed shows up in the depth
+    # every row equals the point, so every projection ties with t(a) and the
+    # depth is 1 in every direction; a projection summed unlike t(a) can
+    # round below it and make it 0
     for seed in range(3):
         row = sample(gaussian_model(), 1, WIDTH, seed=seed).data[0]
         a = Point(tuple(row))
         s = Sample(np.asfortranarray(np.tile(row, (n, 1))), seed)
         family = DirectionFamily.random_sparse(200, support_size, seed=seed)
         expected = _loop_depth(a, s, family)
+        assert expected[0] == 1.0
         assert empirical_half_space_depth(a, s, family) == expected
         assert empirical_half_space_depth(
             a, Sample(np.ascontiguousarray(s.data), seed), family) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 100, 1000])
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_sample_row_as_point_has_depth_at_least_one_over_n(case, n):
+    # the row itself is on the closed side of every half-space through it
+    family = FAMILY_CASES[case][0]
+    model = gaussian_model()
+    s = sample(model, n, WIDTH, seed=_derive_seed(4042, n))
+    for j in sorted({0, n // 2, n - 1}):
+        a = Point(tuple(s.data[j]))
+        value, _ = empirical_half_space_depth(a, s, family, model=model)
+        assert value >= 1.0 / n
+
+
+# explicit directions whose coefficients leave float32's range
+TINY_AND_HUGE = DirectionFamily.explicit([
+    Direction((1, 3), (1e-300, 1.0)),
+    Direction((2,), (1e300,)),
+    Direction((2, 4), (1e300, -1e-300)),
+    Direction((1, 2, 5), (-1e-300, 1e-300, 1e-300)),
+    Direction((1, 3), (1.0, -1.0)),
+    Direction((1, 2), (1e5, 1e5)),  # inf - inf in float32 at scale 1e35
+])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-42, 1e-300, 1e35, 1e300],
+                         ids=["unit", "f32-subnormal", "f32-zero",
+                              "1e35", "past-f32"])
+@pytest.mark.parametrize("model_name", ["gaussian", "rademacher", "stable0.5"])
+@pytest.mark.parametrize("case", ["sparse_pairs", "sparse_full",
+                                  "explicit_duplicates", "tiny_and_huge"])
+def test_depth_is_exact_whatever_the_magnitudes(case, model_name, scale):
+    # the point is a sample row, so rows tie with it; Rademacher rows tie on
+    # every coordinate; stable(0.5) columns spread over ten decades, which
+    # widens the band to most rows
+    model = {"gaussian": gaussian_model(), "rademacher": rademacher_model(),
+             "stable0.5": stable_model(0.5)}[model_name]
+    family = (TINY_AND_HUGE if case == "tiny_and_huge"
+              else FAMILY_CASES[case][0])
+    s = sample(model, 200, WIDTH, seed=_derive_seed(4044, 200))
+    s = Sample(s.data * scale, s.seed)
+    for a in (Point(tuple(s.data[7])), Point.zero()):
+        assert empirical_half_space_depth(a, s, family) == \
+            _loop_depth(a, s, family)
+
+
+@pytest.mark.parametrize("case", ["sparse_pairs", "sparse_mixed",
+                                  "explicit_duplicates", "tiny_and_huge"])
+def test_depth_is_exact_on_a_sample_holding_inf_and_nan(case):
+    family = (TINY_AND_HUGE if case == "tiny_and_huge"
+              else FAMILY_CASES[case][0])
+    data = np.array(sample(gaussian_model(), 100, WIDTH, seed=8).data)
+    data[3, 0], data[10, 1], data[11, 2] = np.inf, -np.inf, np.nan
+    data[20, :] = np.nan
+    s = Sample(data, seed=8)
+    for a in (Point(tuple(data[50])), ONES):
+        assert empirical_half_space_depth(a, s, family) == \
+            _loop_depth(a, s, family)
+
+
+def _reversed_screen(block, c32, out):
+    """The float32 products summed last to first, in float32."""
+    np.multiply(block[:, -1], c32[-1], out=out)
+    for j in range(c32.size - 2, -1, -1):
+        out += block[:, j] * c32[j]
+    return out
+
+
+def _pushed_screen(rng):
+    """The exact dot product of the float32 factors, pushed up or down at
+    random by 0.9 gamma_{m-1}(2^-24) sum_k |c_k x_jk|, then rounded to
+    float32: within the gamma_m bound of any float32 evaluation."""
+    def matmul(block, c32, out):
+        products = block.astype(float) * c32.astype(float)  # exact
+        m = c32.size
+        gamma = (m - 1) * 2.0 ** -24 / (1.0 - (m - 1) * 2.0 ** -24)
+        push = rng.choice([-0.9, 0.9], size=len(out)) * gamma
+        out[:] = (products.sum(axis=1)
+                  + push * np.abs(products).sum(axis=1))
+        return out
+    return matmul
+
+
+@pytest.mark.parametrize("screen", ["reversed", "pushed"])
+@pytest.mark.parametrize("case", ["sparse_pairs", "sparse_mixed",
+                                  "sparse_full", "explicit_duplicates",
+                                  "explicit_coordinates_doubled"])
+def test_depth_does_not_depend_on_how_the_screen_is_evaluated(
+        monkeypatch, case, screen):
+    # any float32 evaluation within the error bound counts the same rows:
+    # ties with a sample row taken as the point, and Rademacher ties
+    family = FAMILY_CASES[case][0]
+    fake = (_reversed_screen if screen == "reversed"
+            else _pushed_screen(np.random.default_rng(7)))
+    for model, point in ((gaussian_model(), None), (rademacher_model(), ONES),
+                         (rademacher_model(), None)):
+        s = sample(model, 300, WIDTH, seed=_derive_seed(4045, 300))
+        a = Point(tuple(s.data[11])) if point is None else point
+        expected = _loop_depth(a, s, family)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "matmul", fake)
+            assert empirical_half_space_depth(a, s, family) == expected
 
 
 @pytest.mark.parametrize("case", sorted(set(FAMILY_CASES) - {

@@ -308,6 +308,15 @@ def test_apply_direction_examples():
     assert apply_direction(Direction.from_mapping({2: 1.0}), Point((7.0,))) == 0.0
 
 
+def test_apply_direction_sums_term_by_term_in_support_order():
+    # (1e16 + 1) rounds to 1e16; a compensated sum (math.fsum, or sum() of
+    # floats from Python 3.12 on) would give 1.0
+    d = Direction((1, 2, 3), (1.0, 1.0, 1.0))
+    assert apply_direction(d, Point((1e16, 1.0, -1e16))) == 0.0
+    assert apply_direction(d, (1e16, 1.0, -1e16)) == 0.0
+    assert math.fsum((1e16, 1.0, -1e16)) == 1.0
+
+
 def test_apply_direction_power_tail():
     d = Direction.from_mapping({5: 2.0})
     a = Point((1.0,), tail=PowerTail(1.0, -1.0))
@@ -349,31 +358,23 @@ def test_project_sample_range_error():
     assert proj == pytest.approx(s.data[:, 0] - 2.0 * s.data[:, 2])
 
 
-CHUNK = models.PROJECT_CHUNK
-
-
-@pytest.mark.parametrize("n, bounds", [
-    (2 * CHUNK + 1, [(0, CHUNK), (CHUNK, 2 * CHUNK + 1)]),
-    (CHUNK + 3, [(0, CHUNK + 3)]),
-], ids=["two-chunks-and-a-row", "one-chunk-and-three-rows"])
-@pytest.mark.parametrize("support_size", [3, 5, 9])
-def test_project_sample_is_the_per_chunk_product(n, bounds, support_size):
-    # a last chunk of fewer than 4 rows joins the one before it
-    assert models._row_chunks(n) == bounds
-    s = sample(gaussian_model(), n, 9, seed=support_size)
+@pytest.mark.parametrize("support_size", [1, 3, 5, 9])
+def test_project_sample_is_apply_direction_per_row(support_size):
+    # bit for bit on every row and both layouts; zero entries and a
+    # negative first coefficient make signed zeros
+    s = sample(gaussian_model(), 300, 9, seed=support_size)
+    data = np.array(s.data, order="F")
+    data[:7, :] = 0.0
+    data[7:20:3, :] = -0.0
     rng = np.random.default_rng(support_size)
     support = np.sort(rng.choice(9, support_size, replace=False)) + 1
-    d = Direction(tuple(support.tolist()), tuple(rng.standard_normal(
-        support_size).tolist()))
-    idx, coeffs = support - 1, np.asarray(d.coeffs)
-    projections = []
-    for data in (s.data, np.ascontiguousarray(s.data)):
-        proj = project_sample(d, Sample(data, s.seed))
-        for lo, hi in bounds:
-            chunk = data[lo:hi, idx] @ coeffs
-            assert proj[lo:hi].tobytes() == chunk.tobytes()
-        projections.append(proj.tobytes())
-    assert projections[0] == projections[1]
+    coeffs = rng.standard_normal(support_size)
+    coeffs[0] = -abs(coeffs[0])
+    d = Direction(tuple(support.tolist()), tuple(coeffs.tolist()))
+    for layout in (data, np.ascontiguousarray(data)):
+        proj = project_sample(d, Sample(layout, s.seed))
+        expected = np.array([apply_direction(d, row) for row in layout])
+        assert proj.tobytes() == expected.tobytes()
 
 
 def test_sample_is_column_major_and_read_only():
