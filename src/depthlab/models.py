@@ -97,11 +97,12 @@ class PowerTail:
 class Density:
     """A scalar probability density with optional analytic derivative.
 
-    ``pdf`` is vectorised: it maps a float or an array of floats to
-    values of the same shape (the positivity probe, the sampler table and
-    the Hellinger quadrature call it on arrays).  ``dpdf`` is only called
-    on floats; when it is absent, derivatives fall back to a centered
-    finite difference with step h = max(1e-6, 1e-6*|x|).
+    ``pdf`` is vectorised: it maps a float or an array of floats of any
+    shape to values of the same shape (the positivity probe and the
+    sampler table call it on 1-D arrays, the Hellinger quadrature on
+    (panels, 21) and (panels, 21, shifts) arrays).  ``dpdf`` is only
+    called on floats; when it is absent, derivatives fall back to a
+    centered finite difference with step h = max(1e-6, 1e-6*|x|).
     """
 
     pdf: Callable[[float], float]

@@ -102,28 +102,110 @@ def test_hellinger_affinities_finite_support():
         0.0, 0.0]
 
 
-@pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
-def test_hellinger_affinities_half_line(side):
-    # Exp(1) on [0, inf), or its mirror image: H(s) = exp(-|s|/2)
+def _exponential(side):
+    # Exp(1) on [0, inf), or its mirror image on (-inf, 0]
     def pdf(x):
         y = side * np.asarray(x, dtype=float)
         return np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)
 
     support = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
-    phi = Density(pdf=pdf, support=support, name="exponential")
+    return Density(pdf=pdf, support=support, name="exponential")
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
+def test_hellinger_affinities_half_line(side):
+    # Exp(1) on [0, inf), or its mirror image: H(s) = exp(-|s|/2)
     s = np.array([0.0, 0.05, -0.3, 1.0, -2.5, 7.0])
-    h = hellinger_affinities(phi, s)
+    h = hellinger_affinities(_exponential(side), s)
     assert np.max(np.abs(h - np.exp(-np.abs(s) / 2.0))) <= 1e-12
 
 
-def test_hellinger_quadrature_gate(monkeypatch):
-    def loose(f, a, b, **kwargs):
-        return np.full(np.shape(f(0.5)), 0.9), 1e-7
+def _logistic_defect_ratio(s):
+    # (1 - y/sinh(y)) / s^2 with y = |s|/2, by the series of sinh(y) - y
+    y = abs(s) / 2.0
+    return (y ** 3 / 6.0 + y ** 5 / 120.0 + y ** 7 / 5040.0) / (
+        math.sinh(y) * s * s)
 
-    monkeypatch.setattr(admissibility.integrate, "quad_vec", loose)
+
+# density, H(s), and (1 - H(s)) / s^2 computed without cancellation
+CLOSED_FORMS = {
+    "normal": (normal_density, lambda s: math.exp(-s * s / 8.0),
+               lambda s: -math.expm1(-s * s / 8.0) / (s * s)),
+    "logistic": (logistic_density,
+                 lambda s: 1.0 if s == 0.0 else (abs(s) / 2.0) / math.sinh(
+                     abs(s) / 2.0),
+                 _logistic_defect_ratio),
+    "uniform": (uniform_density, lambda s: max(0.0, 1.0 - abs(s) / 2.0),
+                lambda s: 0.5 / abs(s)),
+    "exponential": (lambda: _exponential(1.0),
+                    lambda s: math.exp(-abs(s) / 2.0),
+                    lambda s: -math.expm1(-abs(s) / 2.0) / (s * s)),
+    "mirror-exponential": (lambda: _exponential(-1.0),
+                           lambda s: math.exp(-abs(s) / 2.0),
+                           lambda s: -math.expm1(-abs(s) / 2.0) / (s * s)),
+}
+# the tail probes of a Kakutani product whose explicit part has width 100
+PROBES = [(1.0 / 101.0) / m for m in (1.0, 2.0, 4.0, 8.0)]
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_hellinger_affinities_closed_forms(family):
+    make, exact, defect_ratio = CLOSED_FORMS[family]
+    phi = make()
+    s = [0.0, 1e-3, -1e-3, 0.05, -0.05, 1.0, -1.0, 7.0, 25.0] + PROBES
+    h = hellinger_affinities(phi, s)
+    assert max(abs(v - exact(x)) for v, x in zip(h, s)) <= 1e-13
+    # the probe constant (1 - H)/s^2 cancels, so it reads H near 1 closely
+    for v, x in zip(hellinger_affinities(phi, PROBES), PROBES):
+        assert (1.0 - v) / (x * x) == pytest.approx(defect_ratio(x), rel=1e-6)
+
+
+def test_hellinger_reads_pdf_on_panel_arrays():
+    base = normal_density()
+    shapes = []
+
+    def pdf(x):
+        shapes.append(np.shape(x))
+        return base.pdf(x)
+
+    s = np.array([1.0 / k for k in range(1, 101)])
+    h = hellinger_affinities(Density(pdf=pdf, symmetric=True), s)
+    assert np.max(np.abs(h - np.exp(-s * s / 8.0))) <= 1e-13
+    assert 0 < len(shapes) <= 40
+    for shape in shapes:
+        assert shape[1:] in ((21,), (21, 100)), shape
+
+
+def test_hellinger_gate_rejects_nan():
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    phi = Density(pdf=lambda x: np.where(np.abs(x) > 30.0, np.nan,
+                                         c * np.exp(-0.5 * np.square(x))),
+                  symmetric=True, name="nan-tailed normal")
+    with pytest.raises(QuadratureError):
+        hellinger_affinities(phi, [0.5, 1.0])
+    with pytest.raises(QuadratureError):
+        kakutani_product(phi, Point((0.5, 0.25)))
+
+
+def test_hellinger_quadrature_gate(monkeypatch):
+    # two panels resolve neither the Gaussian on the whole line nor the
+    # square-root edges of sqrt(phi(t) phi(t - s)) for the Epanechnikov
+    # density 3/4 (1 - t^2) to 1e-8; its shift 3 has no overlap, so no
+    # partial value
+    monkeypatch.setattr(admissibility, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError) as exc:
         hellinger_affinities(normal_density(), [0.1, 0.2])
-    assert exc.value.partial.tolist() == [0.9, 0.9]
+    assert exc.value.partial.shape == (2,)
+    assert np.max(np.abs(exc.value.partial - np.exp(-np.array([0.1, 0.2]) ** 2
+                                                    / 8.0))) < 1e-2
+
+    epanechnikov = Density(
+        pdf=lambda x: np.where(np.abs(x) <= 1.0, 0.75 * (1.0 - np.square(x)),
+                               0.0),
+        support=(-1.0, 1.0), symmetric=True, name="epanechnikov")
+    with pytest.raises(QuadratureError) as exc:
+        hellinger_affinities(epanechnikov, [0.5, 3.0, -0.25])
+    assert exc.value.partial.shape == (2,)
 
 
 # -- Kakutani products -------------------------------------------------------------
@@ -131,13 +213,13 @@ def test_hellinger_quadrature_gate(monkeypatch):
 def test_kakutani_makes_two_quadratures(monkeypatch):
     # one vector quadrature for the explicit shifts, one for the probes
     calls = []
-    real = admissibility.integrate.quad_vec
+    real = admissibility.hellinger_affinities
 
-    def counted(f, a, b, **kwargs):
-        calls.append(np.shape(f(0.5)))
-        return real(f, a, b, **kwargs)
+    def counted(phi, shifts):
+        calls.append(np.shape(shifts))
+        return real(phi, shifts)
 
-    monkeypatch.setattr(admissibility.integrate, "quad_vec", counted)
+    monkeypatch.setattr(admissibility, "hellinger_affinities", counted)
     shifts = Point(tuple(1.0 / k for k in range(1, 101)) + (0.0,),
                    tail=PowerTail(1.0, -1.0))
     res = kakutani_product(normal_density(), shifts)
