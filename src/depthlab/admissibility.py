@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .analytic import (
     DIVERGENT,
@@ -38,6 +37,7 @@ from .models import (
     SequenceModel,
     normal_density,
 )
+from .quadrature import gauss_kronrod
 
 SHEPP_SERIES = "SHEPP-SERIES"
 KAKUTANI_NUMERIC = "KAKUTANI-NUMERIC"
@@ -90,155 +90,126 @@ def fisher_information(phi: Density, tol: float = 1e-6) -> float:
     """integral of (phi')^2 / phi with absolute error <= tol.
 
     The density must be positive on its support; a zero inside the support
-    is rejected before quadrature.
+    is rejected before quadrature.  ``phi.pdf`` and ``phi.derivative`` are
+    read on the (panels, 21) node arrays of the shared Gauss-Kronrod rule.
     """
     _positivity_probe(phi)
 
     def integrand(x):
-        p = float(phi.pdf(x))
-        if p <= 0.0:
-            # structural zeros are caught by the probe; here the density has
-            # merely underflowed in a far tail, where the integrand vanishes
-            return 0.0
-        d = phi.derivative(x)
-        return d * d / p
+        p = np.asarray(phi.pdf(x), dtype=float)
+        d = np.asarray(phi.derivative(x), dtype=float)
+        # structural zeros are caught by the probe; here the density has
+        # merely underflowed in a far tail, where the integrand vanishes (a
+        # NaN density stays NaN and fails the gate)
+        return np.divide(d * d, p, out=np.zeros(np.shape(x)),
+                         where=~(p <= 0.0))
 
     lo, hi = phi.support
-    val, err = integrate.quad(integrand, lo, hi, limit=400)
-    if not math.isfinite(val) or err > tol:
+    val, err = gauss_kronrod(integrand, lo, hi, gate=tol,
+                             what="Fisher-information")
+    if err > tol:
+        # the shared gate is relative above 1; this bound is absolute
         raise QuadratureError(
             f"Fisher-information quadrature did not converge (err {err:.2e})",
-            partial=val)
-    return val
+            partial=float(val))
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
 # Hellinger affinity and Kakutani products
 # ---------------------------------------------------------------------------
 
-# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983):
-# nodes from the end inwards, mirrored; row 0 holds the Kronrod weights, row
-# 1 the 10-point Gauss weights, which sit on every second node
-_GK21_HALF_NODES = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_KRONROD_HALF = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
-_GAUSS_HALF = (
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338)
-_GK21_NODES = np.array(_GK21_HALF_NODES + (0.0,)
-                       + tuple(-x for x in reversed(_GK21_HALF_NODES)))
-_GK21_WEIGHTS = np.array([
-    _KRONROD_HALF + (0.149445554002916905664936468389821,)
-    + _KRONROD_HALF[::-1],
-    _GAUSS_HALF + (0.0,) + _GAUSS_HALF[::-1]])
-MAX_PANELS = 400
+def _overlap_quadrature(phi: Density, s: np.ndarray, integrand,
+                        epsabs: float = 1e-12):
+    """The integral of integrand(phi(t), phi(t - s)) over the overlap
+    [max(lo, lo+s), min(hi, hi+s)] of phi's support [lo, hi] with its shift,
+    for every shift s with a nonempty overlap, in one call of the shared
+    rule (relative tolerance 1e-12, gate 1e-8).
+
+    Returns the mask of those shifts and their integrals, with the shift
+    as the last axis.  The overlap is read through a variable u common to
+    every shift: the whole line as it is, a finite overlap mapped onto
+    [0, 1], a half line onto [0, inf).  On the whole line x is u itself, so
+    phi(x) is evaluated once for all shifts; ``phi.pdf`` sees (panels, 21)
+    and (panels, 21, shifts) arrays.
+    """
+    lo, hi = phi.support
+    a, b = np.maximum(lo, lo + s), np.minimum(hi, hi + s)
+    live = a < b
+    if not live.any():
+        return live, np.zeros((0,))
+    s, a, b = s[live], a[live], b[live]
+    whole = not (math.isfinite(lo) or math.isfinite(hi))
+    # x = base + u * step for u in [0, u_hi]; on the whole line x = u
+    if whole:
+        base, step, u_hi = None, 1.0, math.inf
+    elif math.isfinite(lo) and math.isfinite(hi):
+        base, step, u_hi = a, b - a, 1.0
+    elif math.isfinite(lo):
+        base, step, u_hi = a, 1.0, math.inf
+    else:
+        base, step, u_hi = b, -1.0, math.inf
+    jac = np.abs(step)
+
+    def f(u):
+        if whole:
+            p0 = phi.pdf(u)[..., None]
+            x = u[..., None]
+        else:
+            x = base + u[..., None] * step
+            p0 = phi.pdf(x)
+        p1 = np.maximum(phi.pdf(x - s), 0.0)
+        return integrand(np.maximum(p0, 0.0), p1) * jac
+
+    total, _ = gauss_kronrod(f, -math.inf if whole else 0.0, u_hi,
+                             epsabs=epsabs, what="Hellinger")
+    return live, total
 
 
 def hellinger_affinities(phi: Density, shifts) -> np.ndarray:
     """integral of sqrt(phi(t) phi(t - s)) dt for every shift s, within 1e-8.
 
     Shift s integrates over [max(lo, lo+s), min(hi, hi+s)] on phi's support
-    [lo, hi], through a variable u common to every shift: the whole line as
-    it is, a finite interval mapped onto [0, 1], a half line onto [0, inf).
-    An empty interval gives 0.  An infinite u-range is read through the
-    signed t = 1/(1 + |u|), so panels always tile a finite t-interval.
+    [lo, hi]; an empty interval gives 0.  All shifts share one call of the
+    adaptive Gauss-Kronrod rule (``quadrature.gauss_kronrod``, absolute
+    and relative tolerance 1e-12 on the max norm over the shifts), which raises
+    ``QuadratureError`` with the partial values unless the summed error is
+    at most 1e-8 and every value is finite.  Results are clipped to [0, 1].
+    """
+    s = np.atleast_1d(np.asarray(shifts, dtype=float))
+    out = np.zeros(s.shape)
+    live, h = _overlap_quadrature(phi, s, lambda p0, p1: np.sqrt(p0 * p1))
+    out[live] = np.clip(h, 0.0, 1.0)
+    return out
 
-    One adaptive 21-point Gauss-Kronrod rule serves all shifts: each pass
-    evaluates the 21 nodes of every live panel for every live shift at
-    once, so ``phi.pdf`` sees (panels, 21) and (panels, 21, shifts) arrays.
-    A panel's error is the max over shifts of |Kronrod - Gauss|; a panel
-    within its width's share of the tolerance (1e-12, absolute and
-    relative) is settled, the others are bisected, and all settle once the
-    errors sum to the tolerance.  Past 400 panels, or on a non-finite
-    value, the rule stops; unless the summed error is at most 1e-8 and
-    every value is finite it raises ``QuadratureError`` with the partial
-    values.  Results are clipped to [0, 1].
+
+def hellinger_defects(phi: Density, shifts) -> np.ndarray:
+    """1 - H(s) for every shift s, integrated as a defect so that small
+    shifts keep their digits.
+
+    1 - H(s) = (1/2) integral over the overlap of (sqrt(phi(t)) -
+    sqrt(phi(t - s)))^2 dt + (1 - (1/2) integral over the overlap of
+    (phi(t) + phi(t - s)) dt).  On the whole line the overlap misses no
+    mass, so the second term is 0 and is not computed.  One call of the
+    shared rule serves all shifts, with relative tolerance 1e-12 on the max norm over
+    them and no absolute floor; an empty overlap gives 1.  Results are
+    clipped to [0, 1].
     """
     s = np.atleast_1d(np.asarray(shifts, dtype=float))
     lo, hi = phi.support
-    a, b = np.maximum(lo, lo + s), np.minimum(hi, hi + s)
-    out = np.zeros(s.shape)
-    live = a < b
-    if not live.any():
-        return out
-    s, a, b = s[live], a[live], b[live]
-    # x = base + u * step; on the whole line x is u itself, so phi(x) is
-    # evaluated once for all shifts
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    if finite:
-        base, step, edges = a, b - a, [0.0, 1.0]
-    elif math.isfinite(lo):
-        base, step, edges = a, 1.0, [0.0, 1.0]
-    elif math.isfinite(hi):
-        base, step, edges = b, -1.0, [0.0, 1.0]
-    else:
-        base, step, edges = None, 1.0, [-1.0, 0.0, 1.0]
-    jac = np.abs(step)
+    whole = not (math.isfinite(lo) or math.isfinite(hi))
 
-    def panel_sums(left, width):
-        """Kronrod and Gauss sums, shape (2, panels, shifts)."""
-        h = 0.5 * width[:, None]
-        t = (left[:, None] + h) + h * _GK21_NODES
-        if finite:
-            u, dt = t, 1.0
-        else:
-            # under the panel cap no node comes near t = 0, where 1/t^2
-            # would overflow
-            u, dt = (1.0 - np.abs(t)) / t, 1.0 / (t * t)
-        if base is None:
-            p0 = phi.pdf(u)[..., None]
-            x = u[..., None]
-        else:
-            x = base + u[..., None] * step
-            p0 = phi.pdf(x)
-        # in place: the (panels, 21, shifts) arrays dominate the memory
-        f = np.maximum(phi.pdf(x - s), 0.0)
-        f *= np.maximum(p0, 0.0)
-        np.sqrt(f, out=f)
-        f *= jac * (h * dt)[..., None]
-        return np.einsum("kn,pns->kps", _GK21_WEIGHTS, f)
+    def integrand(p0, p1):
+        defect = 0.5 * np.square(np.sqrt(p0) - np.sqrt(p1))
+        if whole:
+            return defect
+        return np.stack([defect, 0.5 * (p0 + p1)], axis=-2)
 
-    left = np.array(edges[:-1])
-    width = np.diff(edges)
-    span = edges[-1] - edges[0]
-    total, total_err, settled = np.zeros(s.shape), 0.0, 0
-    while True:
-        kron, gauss = panel_sums(left, width)
-        err = np.max(np.abs(kron - gauss), axis=1)
-        # epsabs = epsrel = 1e-12 on the max norm over the shifts
-        tol = 1e-12 * max(1.0, np.max(np.abs(total + kron.sum(axis=0))))
-        done = (err <= tol * width / span) | (total_err + err.sum() <= tol)
-        total = total + kron[done].sum(axis=0)
-        total_err += err[done].sum()
-        settled += done.sum()
-        left, width, kron, err = (left[~done], width[~done], kron[~done],
-                                  err[~done])
-        if (not left.size or settled + 2 * left.size > MAX_PANELS
-                or not np.isfinite(err).all()):
-            break
-        width = 0.5 * width
-        left = np.concatenate([left, left + width])
-        width = np.concatenate([width, width])
-    # panels still live when the rule stops count with their estimates
-    total = total + kron.sum(axis=0)
-    total_err += err.sum()
-    if not (total_err <= 1e-8 and np.isfinite(total).all()):
-        raise QuadratureError(
-            f"Hellinger quadrature did not converge (err {total_err:.2e})",
-            partial=total)
-    out[live] = np.clip(total, 0.0, 1.0)
+    out = np.ones(s.shape)
+    live, parts = _overlap_quadrature(phi, s, integrand, epsabs=0.0)
+    if live.any():
+        out[live] = np.clip(parts if whole else parts[0] + (1.0 - parts[1]),
+                            0.0, 1.0)
     return out
 
 
@@ -263,12 +234,13 @@ def _quadratic_tail_constant(phi: Density, probe: float) -> float:
     """A constant C with 1 - H(s) <= C s^2 for |s| <= probe, from probes.
 
     Evaluates (1-H)/s^2 at four geometrically shrinking shifts, in one
-    vector quadrature; the quadratic regime must be visible (ratios within
-    a factor 4), otherwise the tail is not certified.
+    vector quadrature of the defect 1 - H itself (``hellinger_defects``),
+    since 1 - H read off a rounded H loses about nine digits at the
+    smallest probe; the quadratic regime must be visible (ratios within a
+    factor 4), otherwise the tail is not certified.
     """
     shifts = probe / np.array([1.0, 2.0, 4.0, 8.0])
-    ratios = ((1.0 - hellinger_affinities(phi, shifts)) / (shifts * shifts)
-              ).tolist()
+    ratios = (hellinger_defects(phi, shifts) / (shifts * shifts)).tolist()
     if max(ratios) > 4.0 * max(min(ratios), 1e-300):
         raise UndecidedTailError(
             "UNDECIDED: no quadratic regime visible at the probe shifts")

@@ -22,7 +22,6 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     MomentUnavailableError,
     QuadratureError,
 )
+from .quadrature import gauss_kronrod
 
 GAUSSIAN = "gaussian"
 STABLE = "stable"
@@ -97,12 +97,12 @@ class PowerTail:
 class Density:
     """A scalar probability density with optional analytic derivative.
 
-    ``pdf`` is vectorised: it maps a float or an array of floats of any
-    shape to values of the same shape (the positivity probe and the
-    sampler table call it on 1-D arrays, the Hellinger quadrature on
-    (panels, 21) and (panels, 21, shifts) arrays).  ``dpdf`` is only
-    called on floats; when it is absent, derivatives fall back to a
-    centered finite difference with step h = max(1e-6, 1e-6*|x|).
+    ``pdf`` and ``dpdf`` are vectorised: each maps a float or an array of
+    floats of any shape to values of the same shape (the positivity probe
+    and the sampler table call ``pdf`` on 1-D arrays, the quadratures on
+    (panels, 21) and (panels, 21, shifts) arrays).  When ``dpdf`` is
+    absent, derivatives fall back to a centered finite difference with
+    step h = max(1e-6, 1e-6*|x|).
     """
 
     pdf: Callable[[float], float]
@@ -116,17 +116,17 @@ class Density:
         if not lo < hi:
             raise ValueError("support must be a nonempty interval")
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x):
         if self.dpdf is not None:
-            return float(self.dpdf(x))
-        h = max(1e-6, 1e-6 * abs(x))
-        return (float(self.pdf(x + h)) - float(self.pdf(x - h))) / (2.0 * h)
+            return self.dpdf(x)
+        h = np.maximum(1e-6, 1e-6 * np.abs(x))
+        return (self.pdf(x + h) - self.pdf(x - h)) / (2.0 * h)
 
     def normalization_defect(self) -> float:
         """|integral of pdf - 1|, by adaptive quadrature."""
         lo, hi = self.support
-        total, _ = integrate.quad(self.pdf, lo, hi, limit=200)
-        return abs(total - 1.0)
+        total, _ = gauss_kronrod(self.pdf, lo, hi, what="normalization")
+        return abs(float(total) - 1.0)
 
     def validate(self, tol: float = 1e-8) -> None:
         defect = self.normalization_defect()
@@ -140,8 +140,8 @@ class Density:
             return 0.0
         if x >= hi:
             return 1.0
-        val, _ = integrate.quad(self.pdf, lo, x, limit=200)
-        return min(max(val, 0.0), 1.0)
+        val, _ = gauss_kronrod(self.pdf, lo, x, what="density-CDF")
+        return min(max(float(val), 0.0), 1.0)
 
 
 def normal_density() -> Density:
@@ -181,8 +181,8 @@ def uniform_density(lo: float = -1.0, hi: float = 1.0) -> Density:
         x = np.asarray(x, dtype=float)
         return np.where((x >= lo) & (x <= hi), h, 0.0)
 
-    return Density(pdf=pdf, dpdf=lambda x: 0.0, support=(lo, hi),
-                   symmetric=(lo == -hi), name="uniform")
+    return Density(pdf=pdf, dpdf=lambda x: np.zeros(np.shape(x)),
+                   support=(lo, hi), symmetric=(lo == -hi), name="uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +316,15 @@ def _check_scale(scale: float) -> None:
 @lru_cache(maxsize=64)
 def _density_moment(density: Density, order: int) -> float:
     lo, hi = density.support
-    val, _ = integrate.quad(lambda x: x ** order * density.pdf(x), lo, hi,
-                            limit=200)
-    return val
+    try:
+        val, _ = gauss_kronrod(lambda x: x ** order * density.pdf(x), lo, hi,
+                               what="density-moment")
+    except QuadratureError as exc:
+        # a heavy tail makes the integral diverge
+        raise MomentUnavailableError(
+            f"moment unavailable: the density's moment of order {order} "
+            f"does not converge ({exc})") from exc
+    return float(val)
 
 
 def gaussian_law(scale: float = 1.0) -> CoordinateLaw:
@@ -911,15 +917,53 @@ def _cms(p: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
             * (np.cos((1.0 - p) * v) / w) ** ((1.0 - p) / p))
 
 
+# log g at the stable integral's split points: the omission levels g = 50
+# and g = e^-50, first and last, and levels around g = 1, where the
+# integrand turns over, so that few panels need bisection
+_STABLE_LEVELS = np.array([math.log(50.0), 2.0, 1.0, 0.0, -1.0, -2.0, -4.0,
+                           -8.0, -16.0, -50.0])
+
+
+def _crossings(f, levels, lo: float, hi: float, outer) -> np.ndarray:
+    """For each level c, a point u of [lo, hi] next to where the monotone f
+    crosses c, from three rounds of 48 evenly spaced values: over [lo, hi],
+    then twice over each level's straddling pair, all levels at once.
+
+    A level beyond f's range sits at an end.  Of each final pair it
+    returns the end on the ``outer`` side of the level: with f(u) >= c
+    where outer is +1, f(u) <= c where it is -1, and either end where it
+    is 0."""
+    points = 48
+    step = np.linspace(0.0, 1.0, points)
+    u = lo + (hi - lo) * step
+    fu = f(u)
+    rising = fu[-1] > fu[0]
+    c = np.clip(levels, min(fu[0], fu[-1]), max(fu[0], fu[-1]))[:, None]
+    rows = np.arange(len(c))
+
+    def straddle(u, fu):
+        k = np.clip(((fu < c) == rising).sum(axis=1), 1, points - 1)
+        u = np.broadcast_to(u, (len(c), points))
+        return u[rows, k - 1], u[rows, k]
+
+    a, b = straddle(u, fu)
+    for _ in range(2):
+        u = a[:, None] + (b - a)[:, None] * step
+        a, b = straddle(u, f(u))
+    return np.where(outer * (1.0 if rising else -1.0) > 0.0,
+                    b, a)
+
+
 def stable_cdf(p: float, x: float) -> tuple[float, float]:
     """(P(S <= x), error bound) for the standard symmetric p-stable S.
 
     Closed forms at p in {1, 2}, x = 0 and x = +-inf.  Otherwise P(S > |x|)
     is 1/pi times Nolan's (1997, Comm. Statist. Stochastic Models 13:759)
     integral on (0, pi/2) of exp(-g) (p > 1) or 1 - exp(-g) (p < 1), g
-    monotone, taken from g = 50 to e^-50, split at g = 1: beyond, it is
-    within e^-50 of 0, or of 1 (near pi/2, added by length).  A bound
-    above 1e-8 raises ``QuadratureError``."""
+    monotone, taken by the shared Gauss-Kronrod rule from g = 50 to
+    e^-50, split where log g crosses 2, 1, 0, -1, -2, -4, -8 and -16:
+    beyond, it is within e^-50 of 0, or of 1 (near pi/2, added by length).
+    A bound above 1e-8 raises ``QuadratureError``."""
     if not 0.0 < p <= 2.0:
         raise ValueError("stability index must lie in (0, 2]")
     if p == 2.0:
@@ -930,30 +974,39 @@ def stable_cdf(p: float, x: float) -> tuple[float, float]:
         return (0.5 if x == 0.0 else float(x > 0.0)), 0.0
     half, m, logx = math.pi / 2, min(p, 2.0 - p) * math.pi / 2, math.log(abs(x))
 
-    # (log g, d theta / du) at u = logit(theta / half), from theta and
-    # half - theta each to full precision: narrow features at both ends resolve
+    # (log g, theta (half - theta) / half = d theta / du) at u = logit(theta
+    # / half), from theta and half - theta each to full precision: narrow
+    # features at both ends resolve
     def log_g(u):
-        t, d = half / (1.0 + math.exp(-u)), half / (1.0 + math.exp(u))
-        s = math.sin(p * t) if p * t <= half else math.sin(m + p * d)
-        return ((p * (logx - math.log(s)) + math.log(math.sin(d))) / (p - 1)
-                + math.log(math.sin(m + abs(p - 1.0) * d))), t * d / half
+        e = np.exp(u)
+        d = half / (1.0 + e)
+        t = e * d
+        s = np.sin(np.where(p * t <= half, p * t, m + p * d))
+        return ((p * (logx - np.log(s)) + np.log(np.sin(d))) / (p - 1)
+                + np.log(np.sin(m + abs(p - 1.0) * d))), t * d
 
     def integrand(u):
         lg, jac = log_g(u)
-        return (math.exp(-math.exp(lg)) if p > 1.0
-                else -math.expm1(-math.exp(lg))) * jac
+        g = np.exp(np.minimum(lg, 700.0))
+        return ((np.exp(-g) if p > 1.0 else -np.expm1(-g))
+                * (jac / (half * math.pi)))
 
-    ends = (-690.0, 690.0)  # the angles left out are below 1e-299
-    span = sorted(log_g(u)[0] for u in ends)  # levels beyond sit at an end
-    us = sorted(optimize.brentq(lambda u: log_g(u)[0] - c, *ends)
-                for c in np.clip([math.log(50.0), 0.0, -50.0], *span))
-    parts = [integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12,
-                            limit=200) for a, b in zip(us, us[1:]) if b > a]
-    tail = (half / (1.0 + math.exp(us[2])) + sum(v for v, _ in parts)) / math.pi
-    err = sum(e for _, e in parts) / math.pi + math.exp(-50.0)
-    if err > 1e-8:
-        raise QuadratureError(f"stable-CDF quadrature failed (err {err:.2e})",
-                              partial=tail)
+    # the angles left out at u = -+690 are below 1e-299; the g = 50 and
+    # g = e^-50 points are kept where the omitted integrand is below e^-50
+    outer = np.zeros(len(_STABLE_LEVELS))
+    outer[0], outer[-1] = 1.0, -1.0
+    us = np.sort(_crossings(lambda u: log_g(u)[0], _STABLE_LEVELS, -690.0,
+                            690.0, outer))
+    # epsabs sits below the e^-50 omission, so far tails keep their
+    # relative precision
+    part, err = 0.0, math.exp(-50.0)
+    if us[-1] > us[0]:
+        inner = us[1:-1][(us[1:-1] > us[0]) & (us[1:-1] < us[-1])]
+        part, part_err = gauss_kronrod(
+            integrand, us[0], us[-1], epsabs=1e-24,
+            gate=1e-8 - err, points=np.unique(inner), what="stable-CDF")
+        err += part_err
+    tail = half / (1.0 + math.exp(us[-1])) / math.pi + float(part)
     return (1.0 - tail if x > 0.0 else tail), err
 
 
@@ -971,7 +1024,9 @@ def _density_sampler_table(density: Density, gridsize: int = 4097):
         hi = hi if math.isfinite(hi) else bound
     xs = np.linspace(lo, hi, gridsize)
     ps = np.asarray(density.pdf(xs), dtype=float)
-    cdf = integrate.cumulative_trapezoid(ps, xs, initial=0.0)
+    # scipy's cumulative_trapezoid, term for term
+    cdf = np.concatenate(
+        ([0.0], np.cumsum(np.diff(xs) * (ps[1:] + ps[:-1]) / 2.0)))
     cdf /= cdf[-1]
     return xs, cdf
 

@@ -30,7 +30,6 @@ from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import BudgetExceededError
 from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
@@ -189,7 +188,7 @@ class UStatResult:
 
 
 def n_subsets(n: int, d: int) -> int:
-    return int(comb(n, d + 1, exact=True))
+    return math.comb(n, d + 1)
 
 
 def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray

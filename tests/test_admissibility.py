@@ -20,10 +20,10 @@ from depthlab import (
     uniform_density,
     uniform_model,
 )
-from depthlab import admissibility
+from depthlab import admissibility, quadrature
 from depthlab.admissibility import AI_AII, AIII
 from depthlab.errors import QuadratureError, UndecidedTailError
-from depthlab.models import _column_rng
+from depthlab.models import SequenceModel, _column_rng, density_law
 
 BASEL = math.pi ** 2 / 6.0
 
@@ -47,6 +47,71 @@ def test_fisher_information_rejects_interior_zero():
     assert bimodal.normalization_defect() < 1e-8
     with pytest.raises(ValueError, match="vanishes"):
         fisher_information(bimodal)
+
+
+def test_fisher_information_vectorised_derivatives():
+    # without dpdf the centered difference runs on the node arrays; the
+    # uniform density's dpdf returns zeros of its argument's shape
+    base = normal_density()
+    assert fisher_information(Density(pdf=base.pdf, symmetric=True)) == (
+        pytest.approx(1.0, abs=1e-6))
+    assert uniform_density().dpdf(np.ones((2, 21))).shape == (2, 21)
+    assert fisher_information(uniform_density()) == 0.0
+
+
+def test_fisher_information_quadrature_gate(monkeypatch):
+    # two panels do not resolve (phi')^2 / phi on the whole line to 1e-6;
+    # the positivity decision reports the failure as UNDECIDED
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    with pytest.raises(QuadratureError) as exc:
+        fisher_information(normal_density())
+    assert exc.value.partial > 0.0
+    dec = positivity_decision(Point.inverse_k(1.0), gaussian_model())
+    assert dec.decision == "UNDECIDED"
+    assert dec.reason.startswith("Fisher information")
+
+
+def test_fisher_information_error_bound_is_absolute(monkeypatch):
+    # the logistic density at scale 0.05 has information 1/(3 * 0.05^2) =
+    # 133.3; six panels leave an error of about 4e-5, inside 1e-6 * I but
+    # outside the absolute 1e-6
+    base = logistic_density()
+    s = 0.05
+    phi = Density(pdf=lambda x: base.pdf(x / s) / s,
+                  dpdf=lambda x: base.dpdf(x / s) / (s * s),
+                  symmetric=True, name="narrow logistic")
+    assert fisher_information(phi) == pytest.approx(1.0 / (3.0 * s * s),
+                                                    abs=1e-6)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 6)
+    with pytest.raises(QuadratureError) as exc:
+        fisher_information(phi)
+    assert exc.value.partial == pytest.approx(1.0 / (3.0 * s * s), rel=1e-9)
+
+
+def test_fisher_information_rejects_nan():
+    # the positivity probe reads [-20, 20] only; the NaN tail must still
+    # fail the quadrature rather than vanish from the integrand
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    base = normal_density()
+    phi = Density(pdf=lambda x: np.where(np.abs(x) > 30.0, np.nan,
+                                         c * np.exp(-0.5 * np.square(x))),
+                  dpdf=base.dpdf, symmetric=True, name="nan-tailed normal")
+    with pytest.raises(QuadratureError):
+        fisher_information(phi)
+
+
+def test_positivity_undecided_without_a_second_moment():
+    # the Cauchy density has finite Fisher information (1/2) but no
+    # variance: its moment quadrature diverges, so the series is unavailable
+    cauchy = Density(
+        pdf=lambda x: 1.0 / (math.pi * (1.0 + np.square(x))),
+        dpdf=lambda x: -2.0 * x / (math.pi * np.square(1.0 + np.square(x))),
+        symmetric=True, name="cauchy")
+    assert fisher_information(cauchy) == pytest.approx(0.5, abs=1e-6)
+    dec = positivity_decision(Point.inverse_k(1.0),
+                              SequenceModel.iid(density_law(cauchy)))
+    assert dec.decision == "UNDECIDED"
+    assert dec.reason.startswith("series unavailable: moment unavailable")
 
 
 def test_density_normalization_check():
@@ -160,6 +225,19 @@ def test_hellinger_affinities_closed_forms(family):
         assert (1.0 - v) / (x * x) == pytest.approx(defect_ratio(x), rel=1e-6)
 
 
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_hellinger_defects_closed_forms(family):
+    # the defect keeps the digits that 1 - H loses: (1 - H)/s^2 to 1e-12
+    # relative at the probes, where 1 - H read off H keeps only about 1e-6
+    make, exact, defect_ratio = CLOSED_FORMS[family]
+    # (the uniform shift 3 has no overlap: defect 1)
+    s = PROBES + [0.05, -0.3, 1.0, -1.5, 3.0]
+    d = admissibility.hellinger_defects(make(), s)
+    for v, x in zip(d, s):
+        want = defect_ratio(x) if abs(x) < 0.1 else (1.0 - exact(x)) / (x * x)
+        assert v / (x * x) == pytest.approx(want, rel=1e-12)
+
+
 def test_hellinger_reads_pdf_on_panel_arrays():
     base = normal_density()
     shapes = []
@@ -192,7 +270,7 @@ def test_hellinger_quadrature_gate(monkeypatch):
     # square-root edges of sqrt(phi(t) phi(t - s)) for the Epanechnikov
     # density 3/4 (1 - t^2) to 1e-8; its shift 3 has no overlap, so no
     # partial value
-    monkeypatch.setattr(admissibility, "MAX_PANELS", 2)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError) as exc:
         hellinger_affinities(normal_density(), [0.1, 0.2])
     assert exc.value.partial.shape == (2,)
@@ -211,15 +289,17 @@ def test_hellinger_quadrature_gate(monkeypatch):
 # -- Kakutani products -------------------------------------------------------------
 
 def test_kakutani_makes_two_quadratures(monkeypatch):
-    # one vector quadrature for the explicit shifts, one for the probes
+    # one vector quadrature for the explicit shifts, one for the defects at
+    # the probes
     calls = []
-    real = admissibility.hellinger_affinities
+    real = admissibility.gauss_kronrod
 
-    def counted(phi, shifts):
-        calls.append(np.shape(shifts))
-        return real(phi, shifts)
+    def counted(*args, **kwargs):
+        value, err = real(*args, **kwargs)
+        calls.append(np.shape(value))
+        return value, err
 
-    monkeypatch.setattr(admissibility, "hellinger_affinities", counted)
+    monkeypatch.setattr(admissibility, "gauss_kronrod", counted)
     shifts = Point(tuple(1.0 / k for k in range(1, 101)) + (0.0,),
                    tail=PowerTail(1.0, -1.0))
     res = kakutani_product(normal_density(), shifts)

@@ -25,7 +25,7 @@ from depthlab import (
     stable_model,
     weighted_series,
 )
-from depthlab import models
+from depthlab import models, quadrature
 from depthlab.cli import main as cli_main
 from depthlab.errors import (
     GridCoverageError,
@@ -171,8 +171,11 @@ def test_stable_cdf_jumps_at_p2():
 
 
 def test_stable_cdf_quadrature_gate(monkeypatch, tmp_path):
-    monkeypatch.setattr(models.integrate, "quad",
-                        lambda f, a, b, **kwargs: (0.25, 1e-7))
+    # split only at g = 50 and g = e^-50 and capped at two panels, the
+    # shared rule cannot bring the integral within 1e-8
+    monkeypatch.setattr(models, "_STABLE_LEVELS",
+                        np.array([math.log(50.0), -50.0]))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError) as exc:
         stable_cdf(1.5, 1.0)
     assert exc.value.partial > 0.0
@@ -182,18 +185,65 @@ def test_stable_cdf_quadrature_gate(monkeypatch, tmp_path):
                      "inverse-k", "--out", str(tmp_path / "x")]) == 3
 
 
-def test_package_import_leaves_scipy_stats_out():
-    # importing scipy.stats costs more than the stable-CDF quadrature, so
-    # neither the library nor the CLI may load it
+@pytest.mark.parametrize("rising", [True, False])
+def test_stable_crossings_keep_the_outer_side(rising):
+    # each point lies within one final bracket (1380 / 47^3) of its
+    # crossing, the first on the side where f >= level, the last where
+    # f <= level; a level beyond f's range sits at an end
+    def f(u):
+        v = np.sinh(u / 50.0) * 60.0
+        return v if rising else -v
+
+    levels = np.array([3.9, 0.0, -50.0, 1e9])
+    u = models._crossings(f, levels, -690.0, 690.0,
+                          np.array([1.0, 0.0, -1.0, 1.0]))
+    roots = 50.0 * np.arcsinh(levels[:3] / 60.0) * (1.0 if rising else -1.0)
+    assert np.all(np.abs(u[:3] - roots) <= 1380.0 / 47 ** 3)
+    assert f(u[0]) >= 3.9 and f(u[2]) <= -50.0
+    assert u[3] == (690.0 if rising else -690.0)
+
+
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+               "scipy.sparse")
+
+
+def _heavy_scipy_loaded(code):
+    """The modules of HEAVY_SCIPY loaded after running ``code`` in a fresh
+    interpreter, from the last line it prints."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, depthlab, depthlab.cli; "
-         "print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(m for m "
+         f"in {HEAVY_SCIPY!r} if m in sys.modules) or 'none')"],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0 and proc.stdout.split() == ["False"]
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_package_import_leaves_heavy_scipy_out():
+    # importing scipy.stats costs more than the stable-CDF quadrature, and
+    # scipy.integrate and scipy.optimize pull in scipy.sparse and a third
+    # of a second of start-up, so neither the library nor the CLI may load
+    # them
+    assert _heavy_scipy_loaded("import depthlab, depthlab.cli") == ["none"]
+
+
+def test_quadrature_commands_leave_heavy_scipy_out(tmp_path):
+    # the stable CDF, the Fisher information and the Hellinger affinities
+    # all run on the package's own Gauss-Kronrod rule
+    stable = tmp_path / "stable.json"
+    stable.write_text(json.dumps({"family": "stable", "p": 1.5}))
+    code = (
+        "from depthlab.cli import main\n"
+        f"assert main(['analytic', '--model', {str(stable)!r}, '--point', "
+        f"'inverse-k', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+        "assert main(['admissible', '--model', 'gaussian_unit', '--point', "
+        f"'inverse-k', '--out', {str(tmp_path / 'b')!r}]) == 0")
+    assert _heavy_scipy_loaded(code) == ["none"]
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["decision"] == "POSITIVE"
 
 
 # -- gaussian sequence depth --------------------------------------------------

@@ -23,6 +23,7 @@ from depthlab import (
     sample,
     stable_law,
     stable_model,
+    uniform_density,
     uniform_law,
     uniform_model,
 )
@@ -289,6 +290,43 @@ def test_marginal_ks_custom_density():
     m = SequenceModel.iid(density_law(logistic_density()), 1)
     draws = np.sort(sample(m, N_KS, 1, seed=33).data[:, 0])
     assert _ks(draws, stats.logistic.cdf(draws)) < KS_TOL
+
+
+def _scipy_density_table(density):
+    # the sampler table as scipy's cumulative_trapezoid builds it
+    from scipy.integrate import cumulative_trapezoid
+    xs, _ = models._density_sampler_table(density)
+    cdf = cumulative_trapezoid(np.asarray(density.pdf(xs), dtype=float), xs,
+                               initial=0.0)
+    return xs, cdf / cdf[-1]
+
+
+def test_density_table_matches_scipy_trapezoid(monkeypatch):
+    # the in-house running trapezoid is scipy's arithmetic term for term, so
+    # tables and density draws are bit-identical to scipy-built ones
+    for density in (logistic_density(), uniform_density(-1.0, 2.0)):
+        xs, cdf = models._density_sampler_table(density)
+        assert np.array_equal(cdf, _scipy_density_table(density)[1])
+    m = SequenceModel.iid(density_law(logistic_density()), 3)
+    ours = sample(m, 500, 3, seed=35).data
+    monkeypatch.setattr(models, "_cached_density_table", _scipy_density_table)
+    assert np.array_equal(sample(m, 500, 3, seed=35).data, ours)
+
+
+def test_density_quadratures_closed_forms():
+    # CDF, normalization and moments of the logistic density, whose
+    # variance is pi^2/3 and fourth moment 7 pi^4/15
+    phi = logistic_density()
+    for x in (-30.0, -2.5, -0.1, 0.0, 0.7, 4.0):
+        assert phi.cdf(x) == pytest.approx(1.0 / (1.0 + math.exp(-x)),
+                                           rel=1e-12, abs=1e-15)
+    assert phi.normalization_defect() < 1e-13
+    assert models._density_moment(phi, 2) == pytest.approx(math.pi ** 2 / 3,
+                                                           rel=1e-12)
+    assert models._density_moment(phi, 4) == pytest.approx(
+        7.0 * math.pi ** 4 / 15.0, rel=1e-12)
+    assert uniform_density(-1.0, 2.0).cdf(0.5) == pytest.approx(0.5,
+                                                                 abs=1e-15)
 
 
 def test_marginal_rademacher_frequency():
