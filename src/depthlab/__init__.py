@@ -44,7 +44,6 @@ from .analytic import (
     series_report,
     stable_cdf,
     stable_depth,
-    weighted_series,
 )
 from .bounds import (
     LowerBoundReport,
@@ -66,7 +65,6 @@ from .admissibility import (
     PositivityDecision,
     fisher_information,
     hellinger_affinities,
-    hellinger_affinity,
     kakutani_product,
     positivity_decision,
 )
@@ -80,7 +78,6 @@ from .simplicial import (
     BlockProjection,
     SimplicialRecord,
     empirical_block_depth,
-    point_in_open_simplex,
     block_depth_experiment,
     simplicial_depth_mc,
     u_statistic_depth,

@@ -42,6 +42,9 @@ from .quadrature import gauss_kronrod
 SHEPP_SERIES = "SHEPP-SERIES"
 KAKUTANI_NUMERIC = "KAKUTANI-NUMERIC"
 
+# absolute error bound of ``fisher_information``
+FISHER_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
@@ -75,6 +78,16 @@ class PositivityDecision:
 # ---------------------------------------------------------------------------
 
 def _positivity_probe(phi: Density, n: int = 201) -> None:
+    """Reject a density that is not positive at one of n grid points on
+    its support (clipped to [-20, 20]).
+
+    The Fisher quadrature does not catch such a zero: where phi' vanishes
+    with phi, (phi')^2 / phi can stay bounded and its integral converges.
+    For x^2 phi(x), zero at 0, the integrand is phi(x) (2 - x^2)^2 off 0,
+    and without this check the rule returns 3.0000000000097 (exactly
+    E(2 - X^2)^2 = 3), so a density the route does not cover would pass
+    as having finite information.
+    """
     lo, hi = phi.support
     lo_p = lo if math.isfinite(lo) else -20.0
     hi_p = hi if math.isfinite(hi) else 20.0
@@ -86,8 +99,8 @@ def _positivity_probe(phi: Density, n: int = 201) -> None:
         raise ValueError(f"phi vanishes inside its support (near x={bad:.4g})")
 
 
-def fisher_information(phi: Density, tol: float = 1e-6) -> float:
-    """integral of (phi')^2 / phi with absolute error <= tol.
+def fisher_information(phi: Density) -> float:
+    """integral of (phi')^2 / phi with absolute error <= ``FISHER_TOL``.
 
     The density must be positive on its support; a zero inside the support
     is rejected before quadrature.  ``phi.pdf`` and ``phi.derivative`` are
@@ -105,9 +118,9 @@ def fisher_information(phi: Density, tol: float = 1e-6) -> float:
                          where=~(p <= 0.0))
 
     lo, hi = phi.support
-    val, err = gauss_kronrod(integrand, lo, hi, gate=tol,
+    val, err = gauss_kronrod(integrand, lo, hi, gate=FISHER_TOL,
                              what="Fisher-information")
-    if err > tol:
+    if err > FISHER_TOL:
         # the shared gate is relative above 1; this bound is absolute
         raise QuadratureError(
             f"Fisher-information quadrature did not converge (err {err:.2e})",
@@ -213,21 +226,12 @@ def hellinger_defects(phi: Density, shifts) -> np.ndarray:
     return out
 
 
-def hellinger_affinity(phi: Density, shift: float) -> float:
-    """integral of sqrt(phi(t) phi(t - shift)) dt, within 1e-8."""
-    return float(hellinger_affinities(phi, [shift])[0])
-
-
 @dataclass(frozen=True)
 class KakutaniResult:
     product: float        # certified lower bound for the infinite product
     positive: bool        # sum (1 - H_k) < infinity
     explicit_terms: int
     tail_constant: Optional[float] = None  # quadratic bound 1-H <= C s^2
-
-    def __iter__(self):
-        yield self.product
-        yield self.positive
 
 
 def _quadratic_tail_constant(phi: Density, probe: float) -> float:
@@ -309,14 +313,16 @@ def positivity_decision(a: Point, model: SequenceModel,
     """Classify the half-space depth at a as POSITIVE, ZERO or UNDECIDED.
 
     ZERO requires the divergent weighted series; POSITIVE requires the
-    convergent series plus a validated assumption bundle.  Anything the
-    selected bundle cannot certify is UNDECIDED, never guessed.
+    convergent series plus a validated assumption bundle.  Both rest on
+    coordinate laws symmetric about 0, as the family or the density
+    declares it.  Anything the selected bundle cannot certify is UNDECIDED,
+    never guessed.
     """
     if assumptions not in (AI_AII, AIII):
         raise ValueError(f"unknown assumption bundle {assumptions!r}")
     shapes = model.shape_laws()
     if not all(law.is_symmetric for law in shapes):
-        raise ValueError("symmetry required: asymmetric coordinate law")
+        return PositivityDecision(UNDECIDED, "symmetry not declared")
 
     try:
         rep = series_report(a, model)
@@ -353,6 +359,10 @@ def positivity_decision(a: Point, model: SequenceModel,
         info = fisher_information(phi)
     except (ValueError, QuadratureError) as exc:
         return PositivityDecision(UNDECIDED, f"Fisher information: {exc}")
+    try:
+        phi.validate()
+    except (ValueError, QuadratureError) as exc:
+        return PositivityDecision(UNDECIDED, str(exc))
     from .models import _density_moment
     variance = (1.0 if phi.name == "normal"
                 else _density_moment(phi, 2) - _density_moment(phi, 1) ** 2)

@@ -109,6 +109,26 @@ def power_tail_sup(tail: Optional[PowerTail], start: int) -> float:
     return abs(tail.coef) * float(start) ** tail.exponent
 
 
+def _tail_square_sum(a: Point, r: int) -> float:
+    """sum_{k>r} t_k(a)^2: the explicit squares past r in order, then the
+    power tail (math.inf when the tail series diverges)."""
+    m = a.explicit_width
+    coords = np.asarray(a.coords)
+    head = float(np.sum(coords[r:] ** 2)) if r < m else 0.0
+    start = max(r, m) + 1
+    kind, tail = power_tail_sum(a.tail, start, 2.0)
+    if kind == DIVERGENT:
+        return math.inf
+    return head + tail
+
+
+def point_sup(a: Point) -> float:
+    """sup_k |t_k(a)| over the explicit prefix and the power tail."""
+    coords = np.asarray(a.coords)
+    explicit = float(np.max(np.abs(coords))) if coords.size else 0.0
+    return max(explicit, power_tail_sup(a.tail, a.explicit_width + 1))
+
+
 def _ratio_tail(point: Point, model: SequenceModel, start: int,
                 use_std: bool) -> Optional[PowerTail]:
     """Power tail of t_k(a)/sigma_k (or /c_k) beyond index start-1.
@@ -155,11 +175,6 @@ def series_report(a: Point, model: SequenceModel) -> SeriesReport:
         return SeriesReport(DIVERGENT, math.inf, explicit, math.inf, m,
                             detail="tail fails the integral test")
     return SeriesReport(FINITE, explicit + tail_sum, explicit, tail_sum, m)
-
-
-def weighted_series(a: Point, model: SequenceModel) -> float:
-    """sum_k t_k(a)^2 / sigma_k^2, math.inf when certified divergent."""
-    return series_report(a, model).value
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +358,13 @@ class RademacherClassification:
 
 def rademacher_classify(a: Point) -> RademacherClassification:
     """ZERO iff sum t_k(a)^2 diverges or sup |t_k(a)| > 1, else POSITIVE."""
-    coords = np.asarray(a.coords, dtype=float)
-    explicit_sq = float(np.sum(coords ** 2))
-    explicit_sup = float(np.max(np.abs(coords))) if coords.size else 0.0
-    start = a.explicit_width + 1
-    kind, tail_sq = power_tail_sum(a.tail, start, 2.0)
-    sup = max(explicit_sup, power_tail_sup(a.tail, start))
+    series, sup = _tail_square_sum(a, 0), point_sup(a)
     if sup > 1.0:
-        return RademacherClassification(
-            ZERO, "sup > 1", explicit_sq + tail_sq if kind == FINITE else math.inf,
-            sup)
-    if kind == DIVERGENT:
-        return RademacherClassification(ZERO, "series diverges", math.inf, sup)
+        return RademacherClassification(ZERO, "sup > 1", series, sup)
+    if math.isinf(series):
+        return RademacherClassification(ZERO, "series diverges", series, sup)
     return RademacherClassification(
-        POSITIVE, "series finite and sup <= 1", explicit_sq + tail_sq, sup)
+        POSITIVE, "series finite and sup <= 1", series, sup)
 
 
 # ---------------------------------------------------------------------------

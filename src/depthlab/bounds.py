@@ -15,13 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytic import (
-    DIVERGENT,
-    SeriesReport,
-    power_tail_sum,
-    power_tail_sup,
-    series_report,
-)
+from .analytic import SeriesReport, _tail_square_sum, point_sup, series_report
 from .errors import MomentUnavailableError
 from .models import Direction, Point, SequenceModel
 
@@ -177,24 +171,6 @@ def pz_lower_bound(delta: float, c: float) -> float:
 # The 3/32 bound for small Rademacher points
 # ---------------------------------------------------------------------------
 
-def _tail_square_sum(a: Point, r: int) -> float:
-    """sum_{k>r} t_k(a)^2 (math.inf when the tail series diverges)."""
-    m = a.explicit_width
-    coords = np.asarray(a.coords)
-    head = float(np.sum(coords[r:] ** 2)) if r < m else 0.0
-    start = max(r, m) + 1
-    kind, tail = power_tail_sum(a.tail, start, 2.0)
-    if kind == DIVERGENT:
-        return math.inf
-    return head + tail
-
-
-def point_sup(a: Point) -> float:
-    coords = np.asarray(a.coords)
-    explicit = float(np.max(np.abs(coords))) if coords.size else 0.0
-    return max(explicit, power_tail_sup(a.tail, a.explicit_width + 1))
-
-
 def small_point_lower_bound(a: Point) -> Optional[LowerBoundReport]:
     """3/32 whenever some (r, delta) satisfies the smallness conditions.
 
@@ -281,17 +257,8 @@ def j_functional(x, t: float) -> float:
     return max(float(np.max(np.abs(v))), t * float(np.linalg.norm(v)))
 
 
-def _point_l2(a: Point) -> float:
-    coords = np.asarray(a.coords)
-    head = float(np.sum(coords ** 2))
-    kind, tail = power_tail_sum(a.tail, a.explicit_width + 1, 2.0)
-    if kind == DIVERGENT:
-        return math.inf
-    return math.sqrt(head + tail)
-
-
-def rademacher_tail_lower_bound(a: Point, c: float, t0: float,
-                   check_suspect: bool = True) -> Optional[LowerBoundReport]:
+def rademacher_tail_lower_bound(a: Point, c: float, t0: float
+                                ) -> Optional[LowerBoundReport]:
     """Rademacher tail bound c^{-1} e^{-c t0^2} when the norms of tau(a) allow.
 
     Applicable when max(c ||tau||_inf, c ||tau||_2 / t0) <= 1.  The
@@ -302,7 +269,7 @@ def rademacher_tail_lower_bound(a: Point, c: float, t0: float,
     if c <= 0.0 or t0 <= 0.0:
         raise ValueError("c and t0 must be positive")
     sup = point_sup(a)
-    l2 = _point_l2(a)
+    l2 = math.sqrt(_tail_square_sum(a, 0))
     if math.isinf(l2):
         return None
     if max(c * sup, c * l2 / t0) > 1.0:
@@ -311,7 +278,7 @@ def rademacher_tail_lower_bound(a: Point, c: float, t0: float,
     suspect = False
     if value > 1.0:
         value, suspect = 1.0, True
-    if check_suspect and not suspect:
+    if not suspect:
         upper = _small_support_depth_upper(a)
         if upper is not None and value > upper + 1e-12:
             suspect = True

@@ -9,7 +9,7 @@ config reproduce outputs byte for byte.  The CSV dialect is part of that
 contract: the bytes of ``csv.writer``'s default dialect (comma separators,
 CRLF line ends, ints as ``str``, floats as ``repr``, an empty string as an
 empty field).  Each subcommand formats its rows as text lines, and
-``models.write_table`` writes them.
+``write_table`` writes them.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +32,6 @@ from . import admissibility, analytic, bounds, empirical, simplicial
 from .errors import DepthLabError
 from .models import (
     STREAM_VERSION,
-    TABLE_BATCH,
     Point,
     PowerTail,
     SequenceModel,
@@ -39,7 +39,6 @@ from .models import (
     rademacher_model,
     stable_model,
     uniform_model,
-    write_table,
 )
 
 
@@ -236,6 +235,26 @@ def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+
+
+# rows formatted and written per ``write`` call: bounds the text held at once
+TABLE_BATCH = 1024
+
+
+def write_table(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV table from pre-formatted rows, ``TABLE_BATCH`` at a time.
+
+    Each line is one row without its line end.  The bytes are those of
+    ``csv.writer``'s default dialect for the fields the package writes:
+    comma separators, ``\\r\\n`` line ends, ints as ``str``, floats as
+    ``repr`` and an empty string as an empty field; no field needs quoting.
+    """
+    lines = iter(lines)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while batch := list(islice(lines, TABLE_BATCH)):
+            batch.append("")
+            fh.write("\r\n".join(batch))
 
 
 def _echo_config(outdir: Path, cfg: dict) -> None:

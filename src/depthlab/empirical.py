@@ -22,9 +22,9 @@ support order, in float64), which computes t(a) and t(X_j) alike, so a
 sample row equal to the point ties with it.  The count is a filtered
 predicate (Shewchuk 1997): the support columns of each distinct support
 are rounded once into a float32 column-major array, and every direction
-on that support is screened by a float32 matrix-vector product, one row
-chunk at a time (``models._row_chunks``).  The screen is within a proven bound
-delta of the reference on every row, whatever summation order or fused
+on that support is screened by a float32 matrix-vector product, one
+chunk of ``PROJECT_CHUNK`` rows at a time.  The screen is within a proven
+bound delta of the reference on every row, whatever summation order or fused
 multiply-adds the BLAS uses (``_band``); a row above t(a) + delta counts,
 and a lower bound on the count suffices to stop counting a direction
 once it exceeds the least complete count so far: a count only grows, so
@@ -59,7 +59,6 @@ from .models import (
     _column_rng,
     _derive_seed,
     _random_subsets,
-    _row_chunks,
     _support_order_sum,
     sample_chunks,
 )
@@ -67,6 +66,9 @@ from .models import (
 # Most booleans one chunk of the coordinate family's comparison may hold
 # (1 MiB); a chunk is at least one column.
 COMPARE_CHUNK = 1 << 20
+# Rows of one chunk of the float32 screen (64 KiB of projections); read at
+# call time
+PROJECT_CHUNK = 1 << 14
 # Coefficient sums and column maxima past which a support group is out of
 # the float32 screen's range (2^128, less room for rounding): its band is
 # every row
@@ -157,14 +159,6 @@ class DirectionFamily:
                 f"width is {width}")
         return ptr, index, coeffs
 
-    def materialize(self, width: int, point: Optional[Point] = None,
-                    model: Optional[SequenceModel] = None) -> list[Direction]:
-        """Concrete direction list, all within the given sample width."""
-        ptr, index, coeffs = self.arrays(width, point, model)
-        bounds = ptr.tolist()
-        return [Direction(index[lo:hi], coeffs[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])]
-
 
 def _ragged(directions: Sequence[Direction]) -> Arrays:
     """The ragged arrays of the given directions, in their order."""
@@ -177,6 +171,13 @@ def _ragged(directions: Sequence[Direction]) -> Arrays:
 # ---------------------------------------------------------------------------
 # Empirical half-space depth
 # ---------------------------------------------------------------------------
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi) of ``PROJECT_CHUNK`` rows each, the last one
+    shorter, in which the screen reads an n-row sample."""
+    return [(lo, min(lo + PROJECT_CHUNK, n))
+            for lo in range(0, n, PROJECT_CHUNK)]
+
 
 def empirical_half_space_depth(a: Point, s: Sample,
                                family: DirectionFamily,

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -39,6 +38,9 @@ UNIFORM = "uniform"
 DENSITY = "density"
 
 _FAMILIES = (GAUSSIAN, STABLE, RADEMACHER, UNIFORM, DENSITY)
+
+# largest |integral of pdf - 1| that ``Density.validate`` accepts
+NORMALIZATION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,8 @@ class Density:
     and the sampler table call ``pdf`` on 1-D arrays, the quadratures on
     (panels, 21) and (panels, 21, shifts) arrays).  When ``dpdf`` is
     absent, derivatives fall back to a centered finite difference with
-    step h = max(1e-6, 1e-6*|x|).
+    step h = max(1e-6, 1e-6*|x|).  ``symmetric`` declares symmetry about
+    0; a density that leaves it None is treated as asymmetric.
     """
 
     pdf: Callable[[float], float]
@@ -128,9 +131,11 @@ class Density:
         total, _ = gauss_kronrod(self.pdf, lo, hi, what="normalization")
         return abs(float(total) - 1.0)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless the density integrates to 1 within
+        ``NORMALIZATION_TOL``."""
         defect = self.normalization_defect()
-        if defect > tol:
+        if defect > NORMALIZATION_TOL:
             raise ValueError(
                 f"density does not integrate to 1 (defect {defect:.3e})")
 
@@ -224,17 +229,13 @@ class CoordinateLaw:
 
     @property
     def is_symmetric(self) -> bool:
+        """Symmetry about 0 as the family or the density declares it; a
+        density with ``symmetric=None`` is not taken to be symmetric."""
         if self.family in (GAUSSIAN, STABLE, RADEMACHER):
             return True
         if self.family == UNIFORM:
             return self.lo == -self.hi
-        sym = self.density.symmetric
-        if sym is None:
-            probes = np.array([0.3, 0.7, 1.1, 1.9])
-            f = np.asarray(self.density.pdf(probes), dtype=float)
-            g = np.asarray(self.density.pdf(-probes), dtype=float)
-            return bool(np.allclose(f, g, rtol=1e-9, atol=1e-12))
-        return bool(sym)
+        return self.density.symmetric is True
 
     @property
     def std(self) -> float:
@@ -580,19 +581,6 @@ class Direction:
     def max_index(self) -> int:
         return self.support[-1]
 
-    def scaled(self, factor: float) -> "Direction":
-        return Direction(self.support, tuple(c * factor for c in self.coeffs))
-
-    def merged_with(self, other: "Direction") -> Optional["Direction"]:
-        """Coefficient-wise sum; None when everything cancels."""
-        acc: dict[int, float] = dict(zip(self.support, self.coeffs))
-        for k, c in zip(other.support, other.coeffs):
-            acc[k] = acc.get(k, 0.0) + c
-        acc = {k: v for k, v in acc.items() if v != 0.0}
-        if not acc:
-            return None
-        return Direction.from_mapping(acc)
-
     def to_dict(self) -> dict[str, list]:
         return {"support": list(self.support), "coeffs": list(self.coeffs)}
 
@@ -664,9 +652,6 @@ _WORD_CHUNK = 1 << 14
 # Most values one seed chunk of an experiment draws at once (512 KiB); a
 # chunk holds one seed at least
 DRAW_CHUNK = 1 << 16
-# Rows of one chunk of empirical depth's float32 screen (64 KiB of
-# projections); read at call time
-PROJECT_CHUNK = 1 << 14
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
@@ -1175,13 +1160,6 @@ def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
         yield lo, _draw(model, n, _column_keys(seeds[lo:lo + per], ks))
 
 
-def _row_chunks(n: int) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) of ``PROJECT_CHUNK`` rows each, the last one
-    shorter, in which empirical depth screens an n-row sample."""
-    return [(lo, min(lo + PROJECT_CHUNK, n))
-            for lo in range(0, n, PROJECT_CHUNK)]
-
-
 def _support_order_sum(columns: Sequence[np.ndarray], coeffs) -> np.ndarray:
     """c_1 x_1, then + c_j x_j in order, one float64 elementwise ufunc at a
     time: the reference arithmetic of a projection, with no BLAS and no
@@ -1206,30 +1184,3 @@ def project_sample(direction: Direction, sample: Sample) -> np.ndarray:
             f"sample width is {sample.K}")
     columns = [sample.data[:, k - 1] for k in direction.support]
     return _support_order_sum(columns, direction.coeffs)
-
-
-# rows formatted and written per ``write`` call: bounds the text held at once
-TABLE_BATCH = 1024
-
-
-def write_table(path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV table from pre-formatted rows, ``TABLE_BATCH`` at a time.
-
-    Each line is one row without its line end.  The bytes are those of
-    ``csv.writer``'s default dialect for the fields the package writes:
-    comma separators, ``\\r\\n`` line ends, ints as ``str``, floats as
-    ``repr`` and an empty string as an empty field; no field needs quoting.
-    """
-    lines = iter(lines)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        while batch := list(islice(lines, TABLE_BATCH)):
-            batch.append("")
-            fh.write("\r\n".join(batch))
-
-
-def sample_to_csv(s: Sample, path) -> None:
-    """Write the sample in long form with header j,k,value (1-based indices)."""
-    write_table(path, ("j", "k", "value"),
-                (f"{j},{k},{v!r}" for j, row in enumerate(s.data, start=1)
-                 for k, v in enumerate(row.tolist(), start=1)))

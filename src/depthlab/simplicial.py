@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -124,16 +124,6 @@ def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
     negative = np.logical_and.reduce([num < 0.0 for num in nums])
     inside = np.where(dets > 0.0, positive, negative) & ~degenerate
     return inside, degenerate
-
-
-def point_in_open_simplex(x, vertices) -> bool:
-    """True iff x lies strictly inside the open hull of the d+1 vertices.
-
-    Degenerate vertex sets (near-singular affine system) return False.
-    """
-    verts = np.asarray(vertices, dtype=float)[None, :, :]
-    inside, _ = _open_hull_mask(np.asarray(x, dtype=float), verts)
-    return bool(inside[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +262,6 @@ class SimplicialRecord:
     block_counts: tuple[int, ...]
     degenerate_counts: tuple[int, ...]
     depth: float                     # min_k Z_{n,k} / N_{n,d}
-    lambda_hat: Optional[float] = None
-    lambda_stderr: Optional[float] = None
 
 
 def _check_block_shape(n: int, K: int, d: int, k_max: int, budget: int

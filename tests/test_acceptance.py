@@ -24,7 +24,7 @@ from depthlab import (
     fourth_moment_ratio,
     gaussian_model,
     gaussian_sequence_depth,
-    hellinger_affinity,
+    hellinger_affinities,
     k_functional,
     kakutani_product,
     markov_bound_curve,
@@ -314,7 +314,7 @@ def test_criterion_8_admissibility_suite():
     phi = normal_density()
     fisher_ok = abs(fisher_information(phi) - 1.0) <= 1e-6
     hell_ok = all(
-        abs(hellinger_affinity(phi, m) - math.exp(-m * m / 8.0)) <= 1e-8
+        abs(hellinger_affinities(phi, [m])[0] - math.exp(-m * m / 8.0)) <= 1e-8
         for m in (0.5, 1.0, 2.0))
     conv = kakutani_product(phi, Point(tuple(1.0 / k for k in range(1, 101)),
                                        tail=PowerTail(1.0, -1.0)))

@@ -11,7 +11,6 @@ from depthlab import (
     gaussian_model,
     gaussian_sequence_depth,
     hellinger_affinities,
-    hellinger_affinity,
     kakutani_product,
     logistic_density,
     normal_density,
@@ -126,24 +125,24 @@ def test_density_normalization_check():
 
 def test_hellinger_examples():
     phi = normal_density()
-    assert hellinger_affinity(phi, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert hellinger_affinity(phi, 2.0) == pytest.approx(math.exp(-0.5),
-                                                         abs=1e-8)
-    assert hellinger_affinity(phi, 20.0) < 1e-10
+    assert hellinger_affinities(phi, [0.0])[0] == pytest.approx(1.0, abs=1e-10)
+    assert hellinger_affinities(phi, [2.0])[0] == pytest.approx(
+        math.exp(-0.5), abs=1e-8)
+    assert hellinger_affinities(phi, [20.0])[0] < 1e-10
 
 
 def test_hellinger_symmetry():
     for phi in (normal_density(), logistic_density()):
         for s in (0.3, 1.1, 2.7):
-            assert hellinger_affinity(phi, s) == pytest.approx(
-                hellinger_affinity(phi, -s), abs=1e-9)
+            assert hellinger_affinities(phi, [s])[0] == pytest.approx(
+                hellinger_affinities(phi, [-s])[0], abs=1e-9)
 
 
 def test_hellinger_quadratic_scaling():
     # 1 - H(s) ~ (I(phi)/8) s^2 for small s
     for phi, info in ((normal_density(), 1.0), (logistic_density(), 1.0 / 3.0)):
         for s in (1e-2, 1e-3):
-            defect = 1.0 - hellinger_affinity(phi, s)
+            defect = 1.0 - hellinger_affinities(phi, [s])[0]
             assert defect == pytest.approx(info / 8.0 * s * s, rel=0.05)
 
 
@@ -357,8 +356,36 @@ def test_positivity_examples():
 
 def test_positivity_requires_symmetry():
     asym = uniform_model(0.0, 1.0, K=3)
-    with pytest.raises(ValueError, match="symmetry"):
-        positivity_decision(Point.zero(), asym)
+    for assumptions in (AI_AII, AIII):
+        dec = positivity_decision(Point.zero(), asym, assumptions=assumptions)
+        assert (dec.decision, dec.reason) == ("UNDECIDED",
+                                              "symmetry not declared")
+
+
+def test_positivity_undeclared_symmetry_is_undecided():
+    # phi(x) (1 + sin(10 pi x) / 2) is positive, normalized and asymmetric,
+    # but equal to its mirror image at +-0.3, 0.7, 1.1 and 1.9; without a
+    # declaration the moment route must not certify it
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    wiggle = Density(pdf=lambda x: c * np.exp(-0.5 * np.square(x))
+                     * (1.0 + 0.5 * np.sin(10.0 * math.pi * np.asarray(x))))
+    assert wiggle.normalization_defect() < 1e-8
+    model = SequenceModel.iid(density_law(wiggle))
+    for assumptions in (AI_AII, AIII):
+        dec = positivity_decision(Point.inverse_k(1.0), model,
+                                  assumptions=assumptions)
+        assert (dec.decision, dec.reason) == ("UNDECIDED",
+                                              "symmetry not declared")
+
+
+def test_positivity_undecided_for_an_unnormalized_density():
+    bad = Density(pdf=lambda x: np.exp(-0.5 * np.square(x)),  # missing constant
+                  symmetric=True)
+    dec = positivity_decision(Point.inverse_k(1.0),
+                              SequenceModel.iid(density_law(bad)),
+                              assumptions=AIII)
+    assert dec.decision == "UNDECIDED"
+    assert dec.reason.startswith("density does not integrate to 1")
 
 
 def test_positivity_ai_aii_routes():

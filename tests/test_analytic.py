@@ -20,10 +20,10 @@ from depthlab import (
     gaussian_sequence_depth,
     modified_band_depth,
     rademacher_classify,
+    series_report,
     stable_cdf,
     stable_depth,
     stable_model,
-    weighted_series,
 )
 from depthlab import models, quadrature
 from depthlab.cli import main as cli_main
@@ -398,8 +398,8 @@ def test_modified_band_depth_converges_to_analytic_integral():
 
 def test_weighted_series_examples():
     g = gaussian_model()
-    assert weighted_series(Point.zero(), g) == 0.0
-    assert weighted_series(Point.inverse_k(1.0), g) == pytest.approx(
+    assert series_report(Point.zero(), g).value == 0.0
+    assert series_report(Point.inverse_k(1.0), g).value == pytest.approx(
         BASEL, abs=1e-6)
-    assert weighted_series(Point((1.0,) * 4), g) == 4.0
-    assert weighted_series(Point.inverse_k(0.5), g) == math.inf
+    assert series_report(Point((1.0,) * 4), g).value == 4.0
+    assert series_report(Point.inverse_k(0.5), g).value == math.inf

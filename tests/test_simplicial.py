@@ -11,7 +11,6 @@ from depthlab import (
     Sample,
     empirical_block_depth,
     gaussian_model,
-    point_in_open_simplex,
     block_depth_experiment,
     sample,
     simplicial_depth_mc,
@@ -74,23 +73,29 @@ def _barycentric_mask(x, vertex_sets):
     return np.all(weights > 0.0, axis=1) & ~degenerate, degenerate
 
 
+def _inside(x, vertices) -> bool:
+    """The open-hull verdict for one vertex set, through the batched test."""
+    inside, _ = _open_hull_mask(np.asarray(x, dtype=float),
+                                np.asarray(vertices, dtype=float)[None])
+    return bool(inside[0])
+
+
 def test_point_in_open_simplex_examples():
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    assert point_in_open_simplex([0.25, 0.25], tri)
-    assert not point_in_open_simplex([0.5, 0.0], tri)  # edge is excluded
-    assert not point_in_open_simplex([0.1, 0.1], [[0, 0], [1, 1], [2, 2]])
+    assert _inside([0.25, 0.25], tri)
+    assert not _inside([0.5, 0.0], tri)  # edge is excluded
+    assert not _inside([0.1, 0.1], [[0, 0], [1, 1], [2, 2]])
 
 
 def test_point_in_open_simplex_1d():
-    assert point_in_open_simplex([0.5], [[0.0], [1.0]])
-    assert not point_in_open_simplex([1.0], [[0.0], [1.0]])
-    assert not point_in_open_simplex([1.5], [[0.0], [1.0]])
+    assert _inside([0.5], [[0.0], [1.0]])
+    assert not _inside([1.0], [[0.0], [1.0]])
+    assert not _inside([1.5], [[0.0], [1.0]])
 
 
 def test_point_on_edge_is_outside():
     # the barycentric solve leaves a weight of +1.1e-16 on this edge
-    assert not point_in_open_simplex([0.5, 0.5],
-                                     [[0.5, 0.0], [0.25, 0.25], [0.5, 0.75]])
+    assert not _inside([0.5, 0.5], [[0.5, 0.0], [0.25, 0.25], [0.5, 0.75]])
 
 
 @pytest.mark.parametrize("targets", ["shared", "per-system"])

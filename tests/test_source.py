@@ -26,7 +26,7 @@ def test_no_broad_exception_handlers():
 
 
 def test_tables_are_written_by_write_table_only():
-    # every CSV table goes through models.write_table, so no second
+    # every CSV table goes through cli.write_table, so no second
     # table-writing path with its own dialect comes back
     root = Path(depthlab.__file__).parent
     found = []
