@@ -323,6 +323,14 @@ def positivity_decision(a: Point, model: SequenceModel,
     shapes = model.shape_laws()
     if not all(law.is_symmetric for law in shapes):
         return PositivityDecision(UNDECIDED, "symmetry not declared")
+    # the series and both bundles read a density's moments and symmetry
+    # as given, so an unnormalized or asymmetric one settles nothing
+    for law in shapes:
+        if law.family == DENSITY:
+            try:
+                law.density.validate()
+            except (ValueError, QuadratureError) as exc:
+                return PositivityDecision(UNDECIDED, str(exc))
 
     try:
         rep = series_report(a, model)
@@ -338,6 +346,10 @@ def positivity_decision(a: Point, model: SequenceModel,
             c = kurtosis_bound(model)
         except MomentUnavailableError as exc:
             return PositivityDecision(UNDECIDED, f"fourth moment missing: {exc}")
+        if not c >= 1.0:
+            # E t^4 >= (E t^2)^2 for every law
+            return PositivityDecision(
+                UNDECIDED, f"moment-ratio constant c={c:.6g} is below 1")
         if not all(law.has_positive_density_on_r() for law in shapes):
             return PositivityDecision(
                 UNDECIDED,
@@ -359,10 +371,6 @@ def positivity_decision(a: Point, model: SequenceModel,
         info = fisher_information(phi)
     except (ValueError, QuadratureError) as exc:
         return PositivityDecision(UNDECIDED, f"Fisher information: {exc}")
-    try:
-        phi.validate()
-    except (ValueError, QuadratureError) as exc:
-        return PositivityDecision(UNDECIDED, str(exc))
     from .models import _density_moment
     variance = (1.0 if phi.name == "normal"
                 else _density_moment(phi, 2) - _density_moment(phi, 1) ** 2)

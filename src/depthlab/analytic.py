@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, zeta
 
 from .errors import (
     GridCoverageError,
@@ -29,6 +28,7 @@ from .models import (
     SequenceModel,
     stable_cdf,
 )
+from .special import ndtr, zeta
 
 FINITE = "finite"
 DIVERGENT = "divergent"
@@ -97,7 +97,7 @@ def power_tail_sum(tail: Optional[PowerTail], start: int, power: float
     s = -power * tail.exponent
     if s <= 1.0:
         return DIVERGENT, math.inf
-    return FINITE, abs(tail.coef) ** power * float(zeta(s, start))
+    return FINITE, abs(tail.coef) ** power * zeta(s, float(start))
 
 
 def power_tail_sup(tail: Optional[PowerTail], start: int) -> float:
@@ -272,7 +272,7 @@ def gaussian_sequence_depth(a: Point, model: SequenceModel) -> DepthReport:
     norm = math.sqrt(rep.value)
     cert = Certificate("closed-form", {
         "formula": "1 - Phi(||a||_mu)", "cm_norm": norm, "series": rep.value})
-    return DepthReport(float(ndtr(-norm)), cert)
+    return DepthReport(ndtr(-norm), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +333,14 @@ def brownian_depths(a: GridFunction, k_max: int = 64) -> tuple[float, float]:
     if missing:
         raise GridCoverageError(
             f"grid misses required points: {missing[:5]}...", missing=missing)
-    eval_depth = float(np.min(ndtr(-a.values / np.sqrt(1.0 + a.grid))))
+    eval_depth = min(map(ndtr, (-a.values / np.sqrt(1.0 + a.grid)).tolist()))
     sup = -math.inf
     for k in range(1, k_max + 1):
         theta = a.value_at(1.0 / k) - a.value_at(1.0 / (k + 1))
         sup = max(sup, math.sqrt(k * (k + 1)) * theta)
     if sup >= OVERFLOW_THRESHOLD:
         return eval_depth, 0.0
-    diff_depth = float(ndtr(-sup))
+    diff_depth = ndtr(-sup)
     return eval_depth, diff_depth
 
 

@@ -21,8 +21,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import special
 from .errors import (
     DirectionRangeError,
     LawUnavailableError,
@@ -41,6 +41,8 @@ _FAMILIES = (GAUSSIAN, STABLE, RADEMACHER, UNIFORM, DENSITY)
 
 # largest |integral of pdf - 1| that ``Density.validate`` accepts
 NORMALIZATION_TOL = 1e-8
+# largest integral of |pdf(x) - pdf(-x)| that a declared symmetry admits
+SYMMETRY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +133,32 @@ class Density:
         total, _ = gauss_kronrod(self.pdf, lo, hi, what="normalization")
         return abs(float(total) - 1.0)
 
+    def asymmetry(self) -> float:
+        """Integral of |pdf(x) - pdf(-x)| over the line, by adaptive
+        quadrature on the half line (infinite when the support is not
+        symmetric about 0)."""
+        lo, hi = self.support
+        if lo != -hi:
+            return math.inf
+        total, _ = gauss_kronrod(
+            lambda x: np.abs(self.pdf(x) - self.pdf(-x)), 0.0, hi,
+            what="symmetry")
+        return 2.0 * float(total)
+
     def validate(self) -> None:
         """Raise ``ValueError`` unless the density integrates to 1 within
-        ``NORMALIZATION_TOL``."""
+        ``NORMALIZATION_TOL`` and, where it is declared symmetric, is its
+        own mirror image within ``SYMMETRY_TOL``."""
         defect = self.normalization_defect()
         if defect > NORMALIZATION_TOL:
             raise ValueError(
                 f"density does not integrate to 1 (defect {defect:.3e})")
+        if self.symmetric is True:
+            asymmetry = self.asymmetry()
+            if asymmetry > SYMMETRY_TOL:
+                raise ValueError(
+                    "declared symmetry does not hold (integral of "
+                    f"|pdf(x) - pdf(-x)| {asymmetry:.3e})")
 
     def cdf(self, x: float) -> float:
         lo, hi = self.support
@@ -286,7 +307,7 @@ class CoordinateLaw:
         """P(scale*base < x), with atoms handled strictly."""
         z = x / self.scale
         if self.family == GAUSSIAN:
-            return float(ndtr(z))
+            return special.ndtr(z)
         if self.family == RADEMACHER:
             if z <= -1.0:
                 return 0.0
@@ -641,7 +662,7 @@ class Sample:
 
 # The sampling stream: how a (seed, column, row) maps to a value.  Any
 # change to it is a declared output change that bumps this number.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # Columns of fewer words than this are enciphered by the array Philox,
 # vectorised over (column, block); longer ones by numpy's C Philox.
@@ -818,15 +839,30 @@ def _random_subsets(rng: np.random.Generator, n: int, size: int, rows: int
 # numbers: as easy as 1, 2, 3"), as numpy's Philox uses them
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# the 32-bit mask and shift as uint64 scalars, which numpy applies without
+# converting a Python int on every call
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products a * m."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    m_lo, m_hi = m & _MASK32, m >> 32
-    t = a_hi * m_lo + (a_lo * m_lo >> 32)
-    u = (t & _MASK32) + a_lo * m_hi
-    return a_hi * m_hi + (t >> 32) + (u >> 32), a * m
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
+             t: np.ndarray, u: np.ndarray) -> None:
+    """High and low 64-bit halves of the 128-bit products a * m, into
+    ``hi`` and ``lo``, from 32-bit halves; ``t`` and ``u`` are scratch of
+    a's shape, and no output aliases ``a``."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    np.bitwise_and(a, _LOW32, out=u)
+    np.multiply(u, m_lo, out=t)
+    t >>= _SHIFT32
+    np.right_shift(a, _SHIFT32, out=hi)
+    t += np.multiply(hi, m_lo, out=lo)  # a_hi m_lo + (a_lo m_lo >> 32)
+    u *= m_hi
+    u += np.bitwise_and(t, _LOW32, out=lo)  # (t mod 2^32) + a_lo m_hi
+    u >>= _SHIFT32
+    t >>= _SHIFT32
+    hi *= m_hi
+    hi += t
+    hi += u
+    np.multiply(a, np.uint64(m), out=lo)
 
 
 def _philox_blocks(keys: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -834,18 +870,33 @@ def _philox_blocks(keys: np.ndarray, n_blocks: int) -> np.ndarray:
     shape (len(keys), n_blocks, 4), vectorised over (key, block).
 
     Block b is the cipher of counter b + 1: numpy's Philox increments its
-    counter before each block, starting from 0.
+    counter before each block, starting from 0.  The first round reads
+    that counter, which every key shares, and three zero words, so its
+    products are taken once, on the counter row.  The rounds run in
+    place on ten (key, block) buffers.
     """
     k0, k1 = keys[:, :1], keys[:, 1:]
-    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
-                         (len(keys), n_blocks))
-    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    shape = (len(keys), n_blocks)
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t, u = (
+        np.empty(shape, dtype=np.uint64) for _ in range(10))
+    row = [np.empty(n_blocks, dtype=np.uint64) for _ in range(4)]
+    _mulhilo(np.arange(1, n_blocks + 1, dtype=np.uint64), _PHILOX_M0, *row)
+    c0[:] = k0
+    c1[:] = 0
+    np.bitwise_xor(row[0], k1, out=c2)
+    c3[:] = row[1]
+    for _ in range(9):
+        k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        _mulhilo(c0, _PHILOX_M0, hi0, lo0, t, u)
+        _mulhilo(c2, _PHILOX_M1, hi1, lo1, t, u)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
+        # old state's buffers take the next round's products
+        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = (hi1, lo1, hi0, lo0,
+                                              c0, c1, c2, c3)
     return np.stack([c0, c1, c2, c3], axis=-1)
 
 
@@ -888,18 +939,24 @@ def _closed_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _cms(p: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chambers-Mallows-Stuck: a standard symmetric p-stable value from a
-    uniform angle v in (-pi/2, pi/2) and a standard exponential w.
+    uniform angle v in (-pi/2, pi/2) and a standard exponential w, on the
+    kernels of ``special``.
 
-    Box-Muller at p = 2 (variance-one normalization), the Cauchy
-    inverse-CDF at p = 1; elsewhere ``w`` is overwritten.
+    sqrt(2 w) sin v at p = 2 (variance-one normalization), tan v at p = 1;
+    elsewhere sin(p v) exp(((1 - p) (log cos((1 - p) v) - log w) - log cos
+    v) / p), which is sin(p v) / cos(v)^(1/p) (cos((1 - p) v) / w)^((1 -
+    p) / p) with one exponential.
     """
     if p == 2.0:
-        return np.sqrt(2.0 * w) * np.sin(v)
+        return np.sqrt(2.0 * w) * special.sin(v)
     if p == 1.0:
-        return np.tan(v)
-    np.maximum(w, 1e-300, out=w)
-    return (np.sin(p * v) / np.cos(v) ** (1.0 / p)
-            * (np.cos((1.0 - p) * v) / w) ** ((1.0 - p) / p))
+        return special.tan(v)
+    lw = special.log(special.cos((1.0 - p) * v))
+    lw -= special.log(w)
+    lw *= 1.0 - p
+    lw -= special.log(special.cos(v))
+    lw /= p
+    return special.sin(p * v) * special.exp(lw)
 
 
 # log g at the stable integral's split points: the omission levels g = 50
@@ -952,7 +1009,7 @@ def stable_cdf(p: float, x: float) -> tuple[float, float]:
     if not 0.0 < p <= 2.0:
         raise ValueError("stability index must lie in (0, 2]")
     if p == 2.0:
-        return float(ndtr(x)), 0.0
+        return special.ndtr(x), 0.0
     if p == 1.0:
         return 0.5 + math.atan(x) / math.pi, 0.0
     if x == 0.0 or math.isinf(x):
@@ -1031,11 +1088,12 @@ def _transform(law: CoordinateLaw, words: np.ndarray, out: np.ndarray
     (``law.scale`` is ignored).
 
     Draw j reads word j, or words 2j and 2j+1 for a stable law, along the
-    last axis.  ``out`` may be ``words``'s memory viewed as float64 (one
-    word per draw); ``words`` is overwritten either way.
+    last axis.  Both arrays are C-contiguous; ``out`` may be ``words``'s
+    memory viewed as float64 (one word per draw); ``words`` is overwritten
+    either way.
     """
     if law.family == GAUSSIAN:
-        ndtri(_open_unit(words, out), out=out)
+        special.ndtri(_open_unit(words, out), out=out)
     elif law.family == RADEMACHER:
         np.right_shift(words, 63, out=words)
         np.multiply(words, 2.0, out=out)
@@ -1046,16 +1104,22 @@ def _transform(law: CoordinateLaw, words: np.ndarray, out: np.ndarray
         out *= law.hi - law.lo
         out += law.lo
     elif law.family == STABLE:
-        v = _open_unit(words[..., 0::2], np.empty(out.shape))
-        v -= 0.5
-        v *= math.pi
-        w = _open_unit(words[..., 1::2], out)
-        np.log(w, out=w)
-        np.negative(w, out=w)
-        out[...] = _cms(law.p, v, w)
+        # _WORD_CHUNK words at a time keep the kernels' temporaries small
+        pairs, flat = words.reshape(-1, 2), out.reshape(-1)
+        step = _WORD_CHUNK // 2
+        for lo in range(0, len(flat), step):
+            pair, dest = pairs[lo:lo + step], flat[lo:lo + step]
+            v = _open_unit(pair[:, 0], np.empty(len(dest)))
+            v -= 0.5
+            v *= math.pi
+            w = -special.log(_open_unit(pair[:, 1], dest))
+            dest[:] = _cms(law.p, v, w)
     else:
         xs, cdf = _cached_density_table(law.density)
-        out[...] = np.interp(_closed_unit(words, out), cdf, xs)
+        flat = _closed_unit(words, out).reshape(-1)
+        for lo in range(0, len(flat), _WORD_CHUNK):
+            part = flat[lo:lo + _WORD_CHUNK]
+            part[:] = np.interp(part, cdf, xs)
 
 
 def _sample_column(law: CoordinateLaw, n: int, rng: np.random.Generator
@@ -1105,10 +1169,12 @@ def _draw(model: SequenceModel, n: int, keys: np.ndarray) -> np.ndarray:
     (K, S, 2): entry [k - 1, i, j] of the (K, S, n) result is value j of
     column k of sample i.
 
-    Each run of columns with one law shape is drawn in passes of at most
-    ``_WORD_CHUNK`` words: the words are written into the output (or, for
-    two words per draw, a pass-sized buffer) and transformed there; the
-    scale row multiplies the result once.
+    Each run of columns with one law shape is enciphered in passes of at
+    most ``_WORD_CHUNK`` words.  One word per draw: the words land in the
+    output, and one transform maps the whole run there (each transform
+    bounds its own scratch).  Two words per draw: each pass fills a
+    pass-sized buffer, transformed into the output.  The scale row
+    multiplies the result once.
     """
     K, S = keys.shape[:2]
     runs, scales = _column_plan(model, K)
@@ -1117,13 +1183,17 @@ def _draw(model: SequenceModel, n: int, keys: np.ndarray) -> np.ndarray:
     for lo, hi, law in runs:
         m = n * _words_per_draw(law)
         step = max(1, _WORD_CHUNK // m)
-        for a in range(lo * S, hi * S, step):
-            b = min(a + step, hi * S)
-            dest = flat[a:b]
-            words = (dest.view(np.uint64) if m == n
-                     else np.empty((b - a, m), dtype=np.uint64))
-            _philox_words(flat_keys[a:b], words)
-            _transform(law, words, dest)
+        run, run_keys = flat[lo * S:hi * S], flat_keys[lo * S:hi * S]
+        for a in range(0, len(run), step):
+            dest = run[a:a + step]
+            if m == n:
+                _philox_words(run_keys[a:a + step], dest.view(np.uint64))
+            else:
+                words = np.empty((len(dest), m), dtype=np.uint64)
+                _philox_words(run_keys[a:a + step], words)
+                _transform(law, words, dest)
+        if m == n:
+            _transform(law, run.view(np.uint64), run)
     out *= scales[:, None, None]
     return out
 
@@ -1134,7 +1204,7 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     Value j of column k is a fixed transform of word j (stable: words 2j
     and 2j+1) of the Philox4x64-10 stream keyed by (seed, k), so it
     depends on (seed, k, j) alone, not on n, K or evaluation order
-    (``STREAM_VERSION`` 2).  The matrix is column-major: each column is
+    (``STREAM_VERSION`` 3).  The matrix is column-major: each column is
     written, and later read, contiguously.
     """
     if n < 1 or K < 1:

@@ -19,7 +19,7 @@ from depthlab import (
     uniform_density,
     uniform_model,
 )
-from depthlab import admissibility, quadrature
+from depthlab import admissibility, bounds, quadrature
 from depthlab.admissibility import AI_AII, AIII
 from depthlab.errors import QuadratureError, UndecidedTailError
 from depthlab.models import SequenceModel, _column_rng, density_law
@@ -386,6 +386,48 @@ def test_positivity_undecided_for_an_unnormalized_density():
                               assumptions=AIII)
     assert dec.decision == "UNDECIDED"
     assert dec.reason.startswith("density does not integrate to 1")
+
+
+def test_positivity_ai_aii_validates_the_density():
+    # 3 exp(-x^2/2) has defect 6.52; its moment ratio 0.398942 is below 1,
+    # which no law has, and once read as a constant it certified POSITIVE
+    bad = Density(pdf=lambda x: 3.0 * np.exp(-0.5 * np.square(x)),
+                  symmetric=True)
+    dec = positivity_decision(Point.inverse_k(1.0),
+                              SequenceModel.iid(density_law(bad)),
+                              assumptions=AI_AII)
+    assert dec.decision == "UNDECIDED"
+    assert dec.reason.startswith("density does not integrate to 1")
+
+
+def test_positivity_ai_aii_rejects_a_moment_ratio_below_one(monkeypatch):
+    monkeypatch.setattr(bounds, "kurtosis_bound", lambda model: 0.75)
+    dec = positivity_decision(Point.inverse_k(1.0), gaussian_model(),
+                              assumptions=AI_AII)
+    assert (dec.decision, dec.reason) == (
+        "UNDECIDED", "moment-ratio constant c=0.75 is below 1")
+
+
+def test_declared_symmetry_is_checked():
+    # phi(x) (1 + sin(x) / 2) integrates to 1, so only the mirror check
+    # can refuse its declaration
+    c = 1.0 / math.sqrt(2.0 * math.pi)
+    tilted = Density(pdf=lambda x: c * np.exp(-0.5 * np.square(x))
+                     * (1.0 + 0.5 * np.sin(x)), symmetric=True)
+    assert tilted.normalization_defect() < 1e-8
+    # the integral of phi(x) |sin x| over the line, by mpmath
+    assert tilted.asymmetry() == pytest.approx(0.5791532187230360, rel=1e-9)
+    with pytest.raises(ValueError, match="declared symmetry does not hold"):
+        tilted.validate()
+    assert normal_density().asymmetry() == 0.0
+    assert Density(pdf=lambda x: np.ones(np.shape(x)), support=(0.0, 1.0),
+                   symmetric=True).asymmetry() == math.inf
+    model = SequenceModel.iid(density_law(tilted))
+    for assumptions in (AI_AII, AIII):
+        dec = positivity_decision(Point.inverse_k(1.0), model,
+                                  assumptions=assumptions)
+        assert dec.decision == "UNDECIDED"
+        assert dec.reason.startswith("declared symmetry does not hold")
 
 
 def test_positivity_ai_aii_routes():

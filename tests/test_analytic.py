@@ -25,7 +25,7 @@ from depthlab import (
     stable_depth,
     stable_model,
 )
-from depthlab import models, quadrature
+from depthlab import models, quadrature, special
 from depthlab.cli import main as cli_main
 from depthlab.errors import (
     GridCoverageError,
@@ -167,7 +167,8 @@ def test_stable_cdf_jumps_at_p2():
     # exp(-|t|^p) tends to N(0, 2) as p -> 2, while p = 2 is N(0, 1)
     for x in (-3.0, -1.0, 0.3, 1.0, 2.0, 4.0):
         assert abs(stable_cdf(1.9999, x)[0] - ndtr(x / math.sqrt(2.0))) < 1e-5
-        assert stable_cdf(2.0, x) == (float(ndtr(x)), 0.0)
+        assert stable_cdf(2.0, x) == (special.ndtr(x), 0.0)
+        assert special.ndtr(x) == pytest.approx(float(ndtr(x)), rel=1e-15)
 
 
 def test_stable_cdf_quadrature_gate(monkeypatch, tmp_path):
@@ -203,46 +204,50 @@ def test_stable_crossings_keep_the_outer_side(rising):
     assert u[3] == (690.0 if rising else -690.0)
 
 
-HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
-               "scipy.sparse")
-
-
-def _heavy_scipy_loaded(code):
-    """The modules of HEAVY_SCIPY loaded after running ``code`` in a fresh
+def _scipy_loaded(code):
+    """The scipy modules loaded after running ``code`` in a fresh
     interpreter, from the last line it prints."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(m for m "
-         f"in {HEAVY_SCIPY!r} if m in sys.modules) or 'none')"],
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sorted("
+         "m for m in sys.modules if m.startswith('scipy'))) or 'none')"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
 
-def test_package_import_leaves_heavy_scipy_out():
-    # importing scipy.stats costs more than the stable-CDF quadrature, and
-    # scipy.integrate and scipy.optimize pull in scipy.sparse and a third
-    # of a second of start-up, so neither the library nor the CLI may load
-    # them
-    assert _heavy_scipy_loaded("import depthlab, depthlab.cli") == ["none"]
+def test_package_import_leaves_scipy_out():
+    # the package's special functions and quadrature are its own, so
+    # neither the library nor the CLI loads any part of scipy, whose
+    # special-function module alone took over half of the start-up
+    assert _scipy_loaded("import depthlab, depthlab.cli") == ["none"]
 
 
-def test_quadrature_commands_leave_heavy_scipy_out(tmp_path):
-    # the stable CDF, the Fisher information and the Hellinger affinities
-    # all run on the package's own Gauss-Kronrod rule
+def test_commands_leave_scipy_out(tmp_path):
+    # the stable CDF, the Fisher information, the Hellinger affinities, the
+    # normal CDF and zeta sums, and every sampler run on the package's own
+    # code
     stable = tmp_path / "stable.json"
     stable.write_text(json.dumps({"family": "stable", "p": 1.5}))
-    code = (
-        "from depthlab.cli import main\n"
-        f"assert main(['analytic', '--model', {str(stable)!r}, '--point', "
-        f"'inverse-k', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
-        "assert main(['admissible', '--model', 'gaussian_unit', '--point', "
-        f"'inverse-k', '--out', {str(tmp_path / 'b')!r}]) == 0")
-    assert _heavy_scipy_loaded(code) == ["none"]
-    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    calls = [
+        ["analytic", "--model", str(stable), "--point", "inverse-k"],
+        ["analytic", "--model", "gaussian_unit", "--point", "inverse-k"],
+        ["bounds", "--model", "gaussian_unit", "--point", "inverse-k"],
+        ["admissible", "--model", "gaussian_unit", "--point", "inverse-k"],
+        ["empirical", "--model", "gaussian_unit", "--point", "inverse-k",
+         "--n", "3", "--K", "20", "--seeds", "4", "--seed", "1"],
+        ["simplicial", "--model", "uniform_unit", "--point", "zero",
+         "--n", "4", "--d", "2", "--kmax", "3", "--seeds", "2", "--seed",
+         "1", "--mc-draws", "100"],
+    ]
+    code = "from depthlab.cli import main\n" + "".join(
+        f"assert main({args + ['--out', str(tmp_path / str(i))]!r}) == 0\n"
+        for i, args in enumerate(calls))
+    assert _scipy_loaded(code) == ["none"]
+    summary = json.loads((tmp_path / "3" / "summary.json").read_text())
     assert summary["decision"] == "POSITIVE"
 
 

@@ -391,7 +391,7 @@ def test_simplicial_n_below_d_plus_one_is_config_error(tmp_path, capsys):
 def test_stochastic_config_records_stream_version(tmp_path, args):
     assert run(args + ["--out", tmp_path / "a"]) == 0
     echo = json.loads((tmp_path / "a" / "config.json").read_text())
-    assert echo["stream_version"] == STREAM_VERSION == 2
+    assert echo["stream_version"] == STREAM_VERSION == 3
     echo["stream_version"] = 1
     old = tmp_path / "old.json"
     old.write_text(json.dumps(echo))

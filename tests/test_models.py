@@ -1,14 +1,19 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtri
 
 from depthlab import (
+    Density,
     Direction,
     Point,
     PowerTail,
@@ -32,7 +37,7 @@ from depthlab.errors import (
     LawUnavailableError,
     MomentUnavailableError,
 )
-from depthlab import models
+from depthlab import models, special
 from depthlab.models import (
     DENSITY,
     LAMBDA_SEED,
@@ -91,14 +96,15 @@ def _oracle_rng(seed, k):
 
 
 def _oracle_column(law, n, seed, k):
-    """Column k of sample(., n, ., seed) as stream version 2 defines it:
+    """Column k of sample(., n, ., seed) as stream version 3 defines it:
     numpy's Philox4x64-10 words under the SeedSequence key of (seed, k),
-    each family's fixed transform, times the scale."""
+    each family's fixed transform on the kernels of ``depthlab.special``,
+    times the scale."""
     key = _oracle_rng(seed, k).bit_generator.state["state"]["key"]
     w = np.random.Philox(key=key).random_raw(2 * n if law.family == STABLE
                                              else n)
     if law.family == GAUSSIAN:
-        x = ndtri(((w >> 12) + 0.5) * 2.0 ** -52)
+        x = special.ndtri(((w >> 12) + 0.5) * 2.0 ** -52)
     elif law.family == RADEMACHER:
         x = np.where(w >> 63 == 1, 1.0, -1.0)
     elif law.family == UNIFORM:
@@ -109,10 +115,11 @@ def _oracle_column(law, n, seed, k):
     else:
         p = law.p
         v = (((w[0::2] >> 12) + 0.5) * 2.0 ** -52 - 0.5) * math.pi
-        e = -np.log(((w[1::2] >> 12) + 0.5) * 2.0 ** -52)
-        x = (np.sin(p * v) / np.cos(v) ** (1.0 / p)
-             * (np.cos((1.0 - p) * v) / np.maximum(e, 1e-300))
-             ** ((1.0 - p) / p))
+        e = -special.log(((w[1::2] >> 12) + 0.5) * 2.0 ** -52)
+        x = special.sin(p * v) * special.exp(
+            ((1.0 - p) * (special.log(special.cos((1.0 - p) * v))
+                          - special.log(e))
+             - special.log(special.cos(v))) / p)
     return law.scale * x
 
 
@@ -426,12 +433,69 @@ def test_sample_is_column_major_and_read_only():
         s.data[0, 0] = 1.0
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one density whose table is built from +, -, * and / alone (the logistic
+# density's table follows the CPU's np.exp kernel)
+EPANECHNIKOV = Density(
+    pdf=lambda x: np.where(np.abs(x) <= 1.0, 0.75 * (1.0 - x * x), 0.0),
+    support=(-1.0, 1.0), symmetric=True, name="epanechnikov")
+
+# one model per family and stable index, drawn through every transform
+FAMILY_MODELS = {
+    "gaussian": gaussian_model(),
+    "stable0.5": stable_model(0.5),
+    "stable1": stable_model(1.0),
+    "stable1.5": stable_model(1.5),
+    "stable2": stable_model(2.0),
+    "uniform": uniform_model(-1.0, 3.0),
+    "rademacher": rademacher_model(),
+    "density": SequenceModel.iid(density_law(EPANECHNIKOV)),
+}
+
+
+def _family_digests(n, K):
+    """The first 128 bits of the SHA-256 of one sample of every family."""
+    return {name: hashlib.sha256(
+        sample(model, n, K, seed=20131001).data.tobytes()).hexdigest()[:32]
+        for name, model in FAMILY_MODELS.items()}
+
+
 def test_sample_stream_pinned():
-    # the sampling stream at a fixed seed; a change here must be declared
-    # (README, Determinism)
-    s = sample(gaussian_model(), 4, 8, seed=20131001)
-    assert hashlib.sha256(s.data.tobytes()).hexdigest() == (
-        "62fef03bf634a233b72dadcbf643ffda962f5cda15b4af75b41bf09aa817cab6")
+    # the sampling stream at a fixed seed, one pin per family; a change
+    # here must be declared (README, Determinism)
+    assert _family_digests(4, 8) == {
+        "gaussian": "7677fafb1d08702dd852419ba80da5f2",
+        "stable0.5": "2e844737af09ec29c7ff284374b05f66",
+        "stable1": "069f908b593365afd922a7a69969bf32",
+        "stable1.5": "f9aa255c08165149f184dc9775bdc745",
+        "stable2": "deb3150495c6e0ed4f3ac82ca0327c72",
+        "uniform": "339ea079f0a90a0d40bd0bd18ac7ea7b",
+        "rademacher": "9fa062413ecf37c66d1043c2b0616aad",
+        "density": "96afb8ae6708f44fdda7a1ce902672c0",
+    }
+
+
+def test_sample_stream_does_not_follow_cpu_dispatch():
+    # numpy picks its SIMD kernels by CPU at run time; with the widest ones
+    # turned off in a child process (nothing else changed), every family's
+    # sample must keep its bits.  On a CPU without those features both
+    # children run the same kernels.
+    code = ("import json, sys\n"
+            f"sys.path[:0] = {[str(SRC), str(Path(__file__).parent)]!r}\n"
+            "from test_models import _family_digests\n"
+            "print(json.dumps(_family_digests(1000, 50)))")
+    digests = []
+    for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert digests[0] == digests[1]
 
 
 def test_point_tail_values():
@@ -464,7 +528,7 @@ def test_power_tail_overflow_is_infinite():
                                                       for k in range(1, 11)]
 
 
-# -- sampling stream version 2 -------------------------------------------------
+# -- sampling stream version 3 -------------------------------------------------
 
 PHILOX_KEYS = np.array([[0, 0], [2 ** 64 - 1, 2 ** 64 - 1],
                         [2 ** 63 + 5, 2 ** 63 + 1234567],
@@ -504,7 +568,7 @@ def test_transforms_are_finite_at_extreme_words(law):
         assert out[0] < 0.0 < out[1]
 
 
-MODELS_V2 = {
+STREAM_MODELS = {
     "gaussian": gaussian_model([2.0, 0.5], tail=PowerTail(0.7, -1.3)),
     "stable1.5": stable_model(1.5, tail=PowerTail(2.0, -0.5)),
     "rademacher": rademacher_model(),
@@ -518,11 +582,11 @@ MODELS_V2 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MODELS_V2))
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
 def test_column_is_a_prefix_of_longer_and_wider_samples(name):
     # value j of column k depends on (seed, k, j) alone: rows 40 and 100
     # straddle VECTOR_WORDS, so the two word paths must agree
-    model = MODELS_V2[name]
+    model = STREAM_MODELS[name]
     small = sample(model, 40, 5, seed=2 ** 40 + 3).data
     large = sample(model, 100, 9, seed=2 ** 40 + 3).data
     assert np.array_equal(small, large[:40, :5])
@@ -530,9 +594,9 @@ def test_column_is_a_prefix_of_longer_and_wider_samples(name):
                           large[:1])
 
 
-@pytest.mark.parametrize("name", sorted(MODELS_V2))
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
 def test_seed_chunks_match_single_samples(monkeypatch, name):
-    model = MODELS_V2[name]
+    model = STREAM_MODELS[name]
     seeds = np.asarray(_derive_seed(9, RECORD_SEEDS, np.arange(7)))
     for chunk in (None, 1, 3 * 6 * 4):  # default, one seed, four seeds
         if chunk is not None:
