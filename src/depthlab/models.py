@@ -108,6 +108,12 @@ class Density:
     absent, derivatives fall back to a centered finite difference with
     step h = max(1e-6, 1e-6*|x|).  ``symmetric`` declares symmetry about
     0; a density that leaves it None is treated as asymmetric.
+
+    Draws come from a table of ``pdf``, so they are byte-identical across
+    machines only when ``pdf`` is built from arithmetic or from
+    ``depthlab.special``: numpy's ``exp`` and ``log`` pick their kernels
+    by CPU, and a pdf that calls them (``logistic_density``) gives draws
+    that follow that choice.
     """
 
     pdf: Callable[[float], float]

@@ -1,25 +1,28 @@
 """Simplicial depth in R^d, the block-projection depth on sequence space,
 its U-statistic estimator, and the associated consistency-failure experiment.
 
-Open-hull membership goes through one batched test.  A vertex set is
-degenerate, and counts as "outside" and in a diagnostic counter, when the
-determinant of its (d+1)x(d+1) affine system (vertices as columns over a
-ones-row) is at most 1e-12 times the product of the column norms.  For
-d <= 2 the target is inside iff every barycentric numerator, an
-orientation determinant of the vertices translated by the target, has the
-strict sign of that determinant (Shewchuk 1997); no system is solved, and
-on lattices where the products are exact, such as the quarter grid, the
+Open-hull membership goes through one batched test, on vertex sets held
+as coordinate planes (d, d+1, *batch).  A vertex set is degenerate, and
+counts as "outside" and in a diagnostic counter, when the determinant
+of its (d+1)x(d+1) affine system (vertices as columns over a ones-row)
+is at most 1e-12 times the product of the column norms.  For d <= 2 the
+target is inside iff every barycentric numerator, an orientation
+determinant of the vertices translated by the target, has the strict
+sign of that determinant (Shewchuk 1997); no system is solved, and on
+lattices where the products are exact, such as the quarter grid, the
 verdict is exact, so a target on an edge is outside.  For d >= 3 the
 barycentric weights come from a batched linear solve and must all be
 strictly positive.
 
 The exact block counts of one sample, or of every sample in a seed chunk
-of the experiment, go through one batched test: the (d+1)-subsets are
-enumerated once for all blocks and each block's target is broadcast
-against its own vertex sets, so every verdict is the one-subset verdict.
-Every hull-test batch, and the subset enumeration feeding it, holds at
-most ``HULL_CHUNK`` vertex sets, so memory stays bounded at any subset
-budget.
+of the experiment, go through one batched test: the blocks are copied
+once into plane-major (d, n, blocks) order, the (d+1)-subsets are
+enumerated once for all blocks, and one gather puts a chunk of subsets
+for a run of blocks straight into plane layout, each block's target
+broadcast against its own vertex sets, so every verdict is the one-subset
+verdict.  Every hull-test batch, and the subset enumeration feeding it,
+holds at most ``HULL_CHUNK`` = 2^14 vertex sets, so its working set is a
+few MiB whatever the subset budget or the number of Monte Carlo draws.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
                      _sample_column, sample_chunks)
 
 DEFAULT_BUDGET = 10 ** 7
-HULL_CHUNK = 200_000    # vertex sets per hull-test batch
+HULL_CHUNK = 1 << 14    # vertex sets per hull-test batch
 _PIVOT_TOL = 1e-12
 
 
@@ -77,45 +80,46 @@ class BlockProjection:
 # Open-simplex membership
 # ---------------------------------------------------------------------------
 
-def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, degenerate) masks for batched vertex sets: by orientation
-    signs for d <= 2, by a barycentric solve for d >= 3.
+def _hull_planes(v: np.ndarray, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, degenerate) masks for batched vertex sets held as
+    coordinate planes: by orientation signs for d <= 2, by a barycentric
+    solve for d >= 3.
 
-    ``vertex_sets`` has shape (..., d+1, d), one vertex per row.  The
-    target ``x`` broadcasts against the batch: one shared point of shape
-    (d,), or one per vertex set, shape (..., d).
+    ``v`` has shape (d, d+1, *batch), v[j][i] coordinate j of vertex i,
+    each plane C-contiguous; it is overwritten.  The target ``x`` has
+    shape (d, 1, *t) with t broadcasting against batch: x[j] is
+    coordinate j of one shared point (t all ones) or of one per set.
     """
-    *batch, dp1, d = vertex_sets.shape
-    x = np.asarray(x, dtype=float)
-    # v[j][i] is coordinate j of vertex i, one contiguous plane each
-    v = np.ascontiguousarray(np.moveaxis(vertex_sets, (-1, -2), (0, 1)))
-    hadamard = np.prod(np.sqrt(np.einsum("j...,j...->...", v, v) + 1.0),
-                       axis=0)
+    d, dp1, *batch = v.shape
+    # vertex by vertex, so that no temporary holds more than one plane
+    hadamard = np.ones(batch)
+    for vertex in v.swapaxes(0, 1):
+        hadamard *= np.sqrt(np.einsum("j...,j...->...", vertex, vertex) + 1.0)
     if d == 1:
         (x0, x1), = v
-        t = x[..., 0]
+        t = x[0, 0]
         dets, nums = x1 - x0, (x1 - t, t - x0)
     elif d == 2:
         (x0, x1, x2), (y0, y1, y2) = v
         dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         # translate in place: v[j][i] becomes coordinate j of v_i - x
-        v -= np.moveaxis(np.broadcast_to(x, (*batch, d)), -1, 0)[:, None]
+        v -= x
         (ex0, ex1, ex2), (ey0, ey1, ey2) = v
         nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
                 ex0 * ey1 - ey0 * ex1)
     else:
         mats = np.empty((*batch, dp1, dp1))
-        mats[..., :d, :] = np.swapaxes(vertex_sets, -1, -2)
+        mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
         mats[..., d, :] = 1.0
         dets = np.linalg.det(mats)
         degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
-        safe = np.where(degenerate[..., None, None], np.eye(dp1), mats)
-        rhs = np.ones(x.shape[:-1] + (dp1,))
-        rhs[..., :d] = x
+        mats[degenerate] = np.eye(dp1)
+        rhs = np.ones(x.shape[2:] + (dp1,))
+        rhs[..., :d] = np.moveaxis(x[:, 0], 0, -1)
         # a shared target stays one broadcast vector, not a copy per system
         rhs_stack = np.broadcast_to(rhs[..., None], (*batch, dp1, 1))
-        weights = np.linalg.solve(safe, rhs_stack)[..., 0]
+        weights = np.linalg.solve(mats, rhs_stack)[..., 0]
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
     # d <= 2: inside iff every numerator has the strict sign of dets
@@ -126,6 +130,19 @@ def _open_hull_mask(x: np.ndarray, vertex_sets: np.ndarray
     return inside, degenerate
 
 
+def _open_hull_mask(x, vertex_sets: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, degenerate) masks for vertex sets of shape (..., d+1, d),
+    one vertex per row, copied once into coordinate planes for
+    ``_hull_planes``.  The target ``x`` broadcasts against the batch: one
+    shared point of shape (d,), or one per vertex set, shape (..., d).
+    """
+    *batch, _, d = vertex_sets.shape
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    x = x.reshape(d, 1, *(1,) * (len(batch) + 1 - x.ndim), *x.shape[1:])
+    return _hull_planes(np.moveaxis(vertex_sets, (-1, -2), (0, 1)).copy(), x)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo simplicial depth in R^d
 # ---------------------------------------------------------------------------
@@ -134,8 +151,15 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
                         draws: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(x in open hull of d+1 iid draws).
 
-    ``sampler(rng, m)`` must return an (m, d) array.  Returns the estimate
-    and its binomial standard error.
+    ``sampler(rng, m)`` must return an (m, d) array; each call asks for
+    the d+1 points of each of at most ``HULL_CHUNK`` simplices.  The
+    estimate is independent of that batch size only when a call for m
+    points returns the next m points of one stream, so that the points do
+    not depend on how they are split into calls, as for
+    ``iid_block_sampler``.  A sampler that draws m of one variate and then
+    m of another within a call (m radii, then m angles) gives another
+    estimate, equally valid, for another batch size.  Returns the
+    estimate and its binomial standard error.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -186,29 +210,41 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
     """Open-hull hit and degenerate counts over all (d+1)-subsets of rows,
     per block.
 
-    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  Subsets
-    are enumerated in chunks and every block is tested against each chunk
-    in one batch of at most ``HULL_CHUNK`` vertex sets (a single block per
-    batch when B alone exceeds it), each block's target broadcast against
-    its own vertex sets.
+    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  The
+    blocks are copied once into plane-major (d, n, B) order, in runs of
+    blocks when B alone exceeds ``HULL_CHUNK``.  Subsets are enumerated in
+    chunks, and one ``take`` gathers a chunk's vertex sets for a run of
+    blocks already in the kernel's plane layout, (d, d+1, subsets,
+    blocks), with each block's target a (d, 1, 1, blocks) plane.  A batch
+    holds at most ``HULL_CHUNK`` vertex sets (a single subset per batch
+    when B alone exceeds it).
     """
     n_blocks, n, d = blocks.shape
     counts = np.zeros(n_blocks, dtype=np.int64)
     degens = np.zeros(n_blocks, dtype=np.int64)
     per_chunk = max(1, HULL_CHUNK // n_blocks)
     block_step = max(1, HULL_CHUNK // per_chunk)
+    runs = [(slice(lo, lo + block_step),
+             np.ascontiguousarray(blocks[lo:lo + block_step].transpose(2, 1, 0)),
+             targets[lo:lo + block_step].T[:, None, None])
+            for lo in range(0, n_blocks, block_step)]
+    # every batch is gathered into this one buffer: fresh memory per batch
+    # would cost a page fault per 4 KiB once the allocator trims its heap
+    buffer = np.empty(d * (d + 1) * per_chunk * min(block_step, n_blocks))
     subsets = combinations(range(n), d + 1)
     while True:
         combos = np.fromiter(chain.from_iterable(islice(subsets, per_chunk)),
-                             dtype=np.intp).reshape(-1, d + 1)
-        if not len(combos):
+                             dtype=np.intp).reshape(-1, d + 1).T
+        if not combos.size:
             return counts, degens
-        for lo in range(0, n_blocks, block_step):
-            hi = min(lo + block_step, n_blocks)
-            inside, degen = _open_hull_mask(targets[lo:hi, None],
-                                            blocks[lo:hi, combos])
-            counts[lo:hi] += inside.sum(axis=1)
-            degens[lo:hi] += degen.sum(axis=1)
+        for run, planes, aims in runs:
+            shape = (d, d + 1, combos.shape[1], planes.shape[2])
+            v = buffer[:math.prod(shape)].reshape(shape)
+            # every index is in range; "raise" would gather into a copy
+            np.take(planes, combos, axis=1, out=v, mode="wrap")
+            inside, degen = _hull_planes(v, aims)
+            counts[run] += inside.sum(axis=0)
+            degens[run] += degen.sum(axis=0)
 
 
 def u_statistic_depth(a: Point, s: Sample, d: int, k: int,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from depthlab import (
     empirical_block_depth,
     gaussian_model,
     block_depth_experiment,
+    stable_model,
     sample,
     simplicial_depth_mc,
     u_statistic_depth,
@@ -25,7 +27,7 @@ from depthlab.errors import BudgetExceededError
 from depthlab.models import RECORD_SEEDS, _column_rng, _derive_seed
 from depthlab.simplicial import (_PIVOT_TOL, BlockProjection,
                                  _open_hull_mask, iid_block_sampler, n_subsets)
-from depthlab.models import uniform_law
+from depthlab.models import gaussian_law, stable_law, uniform_law
 
 
 # -- reference open-hull tests ----------------------------------------------------
@@ -375,6 +377,69 @@ def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
     assert sum(sum(rec.degenerate_counts) for rec in default) > 0
     assert u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10,
                                 seed=5) == mc
+
+
+LAWS = {"uniform": (uniform_law(0.0, 1.0), uniform_model(0.0, 1.0), 0.5),
+        "gaussian": (gaussian_law(), gaussian_model(), 0.2),
+        "stable1.5": (stable_law(1.5), stable_model(1.5), 0.3)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("law", list(LAWS))
+def test_simplicial_mc_independent_of_chunk_size(monkeypatch, law, d):
+    # a call for m draws returns the next m of one stream (the stable law
+    # reads two words per draw), so the batch size moves no bit
+    marginal, _, x = LAWS[law]
+    sampler = iid_block_sampler(marginal, d)
+    default = simplicial_depth_mc([x] * d, sampler, 1000, seed=61)
+    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
+    assert simplicial_depth_mc([x] * d, sampler, 1000, seed=61) == default
+    assert 0.0 < default[0] < 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("law", list(LAWS))
+def test_block_experiment_independent_of_chunk_size(monkeypatch, law, d):
+    _, model, x = LAWS[law]
+    a = Point.periodic([x] * d, repeats=2)
+
+    def run():
+        return block_depth_experiment(model, a, n=5, d=d, k_max=2, seeds=3,
+                                      master_seed=62, mc_draws=1000)
+
+    default = run()
+    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
+    assert run() == default  # lambda_hat and its stderr included
+    assert 0.0 < default.lambda_hat < 1.0
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("draws", [2 * 10 ** 5, 4 * 10 ** 5])
+def test_simplicial_mc_working_set_is_bounded(draws):
+    # numpy's buffers are traced: a batch of HULL_CHUNK simplices, not
+    # the whole run, sets the peak
+    sampler = iid_block_sampler(uniform_law(0.0, 1.0), 3)
+    peak = _traced_peak(
+        lambda: simplicial_depth_mc([0.5] * 3, sampler, draws, seed=63))
+    assert peak < 16 * 2 ** 20
+
+
+def test_block_counts_working_set_is_bounded():
+    # 67 rows and 200 blocks of dimension 2: about 10^7 hull tests, the
+    # default subset budget
+    s = sample(uniform_model(0.0, 1.0), 67, 400, seed=64)
+    a = Point.periodic([0.5, 0.5], repeats=200)
+    assert n_subsets(67, 2) * 200 <= simplicial.DEFAULT_BUDGET
+    peak = _traced_peak(lambda: empirical_block_depth(a, s, 2, 200))
+    assert peak < 16 * 2 ** 20
 
 
 def test_block_depth_argument_errors():
