@@ -44,10 +44,15 @@ KAKUTANI_NUMERIC = "KAKUTANI-NUMERIC"
 
 # absolute error bound of ``fisher_information``
 FISHER_TOL = 1e-6
+# grid points at which ``fisher_information`` checks that phi is positive
+_PROBE_POINTS = 201
 
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
+    """Whether the translate by tau(a) is admissible, from the certified
+    Kakutani product bound and the Fisher information, and by which route."""
+
     admissible: bool
     kakutani_product: float  # certified lower bound on the infinite product
     fisher_information: float
@@ -68,6 +73,9 @@ class AdmissibilityVerdict:
 
 @dataclass(frozen=True)
 class PositivityDecision:
+    """A POSITIVE, ZERO or UNDECIDED depth verdict, its reason, and the
+    admissibility verdict it rests on, if any."""
+
     decision: str  # POSITIVE | ZERO | UNDECIDED
     reason: str
     verdict: Optional[AdmissibilityVerdict] = None
@@ -77,9 +85,9 @@ class PositivityDecision:
 # Fisher information
 # ---------------------------------------------------------------------------
 
-def _positivity_probe(phi: Density, n: int = 201) -> None:
-    """Reject a density that is not positive at one of n grid points on
-    its support (clipped to [-20, 20]).
+def _positivity_probe(phi: Density) -> None:
+    """Reject a density that is not positive at one of ``_PROBE_POINTS``
+    grid points on its support (clipped to [-20, 20]).
 
     The Fisher quadrature does not catch such a zero: where phi' vanishes
     with phi, (phi')^2 / phi can stay bounded and its integral converges.
@@ -92,7 +100,7 @@ def _positivity_probe(phi: Density, n: int = 201) -> None:
     lo_p = lo if math.isfinite(lo) else -20.0
     hi_p = hi if math.isfinite(hi) else 20.0
     pad = 1e-9 * (hi_p - lo_p)
-    xs = np.linspace(lo_p + pad, hi_p - pad, n)
+    xs = np.linspace(lo_p + pad, hi_p - pad, _PROBE_POINTS)
     vals = np.asarray(phi.pdf(xs), dtype=float)
     if np.any(vals <= 0.0):
         bad = xs[np.argmin(vals)]
@@ -228,6 +236,9 @@ def hellinger_defects(phi: Density, shifts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KakutaniResult:
+    """A certified lower bound on a product of Hellinger affinities, the
+    Kakutani verdict, and the constant C of the quadratic tail bound."""
+
     product: float        # certified lower bound for the infinite product
     positive: bool        # sum (1 - H_k) < infinity
     explicit_terms: int

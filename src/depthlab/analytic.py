@@ -55,6 +55,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DepthReport:
+    """A depth value in [0, 1] with the certificate it rests on."""
+
     value: float
     certificate: Certificate
     zero_certified: bool = False
@@ -350,6 +352,8 @@ def brownian_depths(a: GridFunction, k_max: int = 64) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RademacherClassification:
+    """ZERO or POSITIVE Rademacher depth, from sum t_k^2 and sup |t_k|."""
+
     label: str  # ZERO | POSITIVE
     reason: str
     series: float

@@ -19,6 +19,9 @@ from .analytic import SeriesReport, _tail_square_sum, point_sup, series_report
 from .errors import MomentUnavailableError
 from .models import Direction, Point, SequenceModel
 
+# most nonzero coordinates whose 2^m sign patterns bound a Rademacher depth
+_SMALL_SUPPORT = 10
+
 # ---------------------------------------------------------------------------
 # Report types
 # ---------------------------------------------------------------------------
@@ -321,11 +324,11 @@ def rademacher_depth_over(a: Point, directions: Iterable[Direction]) -> float:
     return min(exact_rademacher_probability(d, a) for d in directions)
 
 
-def _small_support_depth_upper(a: Point, limit: int = 10) -> Optional[float]:
+def _small_support_depth_upper(a: Point) -> Optional[float]:
     if a.tail is not None and not a.tail.is_zero:
         return None
     nz = [k for k in range(1, a.explicit_width + 1) if a.value_at(k) != 0.0]
-    if len(nz) > limit:
+    if len(nz) > _SMALL_SUPPORT:
         return None
     support = nz if nz else [1]
     dirs = [Direction.coordinate(k) for k in support]

@@ -48,6 +48,7 @@ class ConfigError(Exception):
 
 MODEL_PRESETS = ("gaussian_unit", "rademacher", "cauchy_unit", "uniform_unit")
 POINT_PRESETS = ("zero", "inverse-k", "inverse-sqrt-k")
+ASSUMPTIONS = (admissibility.AI_AII, admissibility.AIII)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,17 @@ def _int_at_least(name: str, value, least: int) -> int:
     return number
 
 
+def _positive_float(name: str, value) -> float:
+    """``value`` as a finite float > 0; a boolean is an error."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0.0):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return number
+
+
 def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
     """File config overlaid by CLI flags; a master seed is mandatory for
     stochastic runs."""
@@ -287,15 +299,14 @@ def _curve_lines(curve: np.ndarray) -> Iterator[str]:
                        curve[rows].tolist())
 
 
-def _block_lines(records) -> Iterator[str]:
-    """Rows seed,k,Z,N,ratio; a record's seed prefix and each distinct
-    count's Z,N,ratio tail are formatted once."""
-    for r in records:
-        N = r.n_subsets
-        tails = {z: f"{z},{N},{z / N!r}" for z in set(r.block_counts)}
-        head = f"{r.seed},"
-        yield from [f"{head}{k},{tails[z]}"
-                    for k, z in enumerate(r.block_counts, start=1)]
+def _block_lines(result) -> Iterator[str]:
+    """Rows seed,k,Z,N,ratio; each distinct count's Z,N,ratio tail is
+    formatted once."""
+    N = result.n_subsets
+    tails = {z: f"{z},{N},{z / N!r}"
+             for z in np.unique(result.block_counts).tolist()}
+    for seed, row in zip(result.seeds.tolist(), result.block_counts.tolist()):
+        yield from [f"{seed},{k},{tails[z]}" for k, z in enumerate(row, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +357,8 @@ def cmd_bounds(args) -> int:
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
     depths = _depths(cfg.get("depths", "4,16,64"))
+    tail_c = _positive_float("tail_c", cfg.get("tail_c", 1.0))
+    tail_t0 = _positive_float("tail_t0", cfg.get("tail_t0", 1.0))
     curve_max = int(cfg.get("curve_max", max(depths)))
     cfg["depths"] = ",".join(str(m) for m in depths)
     cfg["curve_max"] = curve_max
@@ -363,9 +376,7 @@ def cmd_bounds(args) -> int:
         if small is not None:
             lower.append({"kind": small.kind, "value": small.value,
                           "params": _json_dict(small.params)})
-        tail = bounds.rademacher_tail_lower_bound(
-            point, float(cfg.get("tail_c", 1.0)),
-            float(cfg.get("tail_t0", 1.0)))
+        tail = bounds.rademacher_tail_lower_bound(point, tail_c, tail_t0)
         if tail is not None:
             lower.append({"kind": tail.kind, "value": tail.value,
                           "params": _json_dict(tail.params),
@@ -392,7 +403,10 @@ def cmd_admissible(args) -> int:
     _require(cfg, "model", "point")
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
-    cfg["assumptions"] = cfg.get("assumptions", "AIII")
+    cfg["assumptions"] = cfg.get("assumptions", admissibility.AIII)
+    if cfg["assumptions"] not in ASSUMPTIONS:
+        raise ConfigError(f"assumptions must be one of {', '.join(ASSUMPTIONS)}"
+                          f", got {cfg['assumptions']!r}")
     decision = admissibility.positivity_decision(
         point, model, assumptions=cfg["assumptions"])
     summary = {"decision": decision.decision, "reason": decision.reason}
@@ -424,10 +438,11 @@ def cmd_empirical(args) -> int:
         "consistency_failure": result.consistency_failure,
         "ratio_vanishes": result.ratio_vanishes,
         "family": result.family,
-        "n": int(cfg["n"]), "K": int(cfg["K"]), "seeds": int(cfg["seeds"]),
+        "n": result.n, "K": result.K, "seeds": int(cfg["seeds"]),
     }
-    lines = (f"{r.seed},{r.n},{r.K},{r.empirical_depth!r},{int(r.zero_hit)}"
-             for r in result.records)
+    shape, depths = f",{result.n},{result.K},", result.counts / result.n
+    lines = (f"{seed}{shape}{depth!r},{int(depth == 0.0)}"
+             for seed, depth in zip(result.seeds.tolist(), depths.tolist()))
     print(write_outputs(Path(cfg["out"]), cfg, summary, csv_lines=lines,
                         csv_header=["seed", "n", "K", "empirical_depth",
                                     "zero_hit"],
@@ -459,7 +474,7 @@ def cmd_simplicial(args) -> int:
         "n": result.n, "d": result.d, "k_max": result.k_max,
     }
     print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        csv_lines=_block_lines(result.records),
+                        csv_lines=_block_lines(result),
                         csv_header=["seed", "k", "Z", "N", "ratio"],
                         csv_name="simplicial.csv"))
     return 0
@@ -549,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("admissible", help="admissibility / positivity verdict")
     common(p)
-    p.add_argument("--assumptions", choices=["AI_AII", "AIII"])
+    p.add_argument("--assumptions", choices=ASSUMPTIONS)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("empirical", help="empirical-depth zero experiment")

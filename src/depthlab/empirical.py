@@ -34,6 +34,9 @@ reference arithmetic.  The counts are therefore those of a loop over
 ``project_sample``, bit for bit, under every BLAS build and thread count.
 Ties go to the first direction in family order, whichever support group
 is counted first.
+
+The consistency-failure experiment compares a seed chunk of samples with
+the point at once and keeps its rows as arrays, one entry per seed.
 """
 
 from __future__ import annotations
@@ -199,6 +202,11 @@ def empirical_half_space_depth(a: Point, s: Sample,
         support = tuple(indices[bounds[i]:bounds[i + 1]])
         by_support.setdefault(support, []).append(i)
     point = a.values(s.K)
+    # max |x| of every support column, taken once whatever the groups
+    peaks = np.empty(s.K)
+    for k in np.unique(index - 1).tolist():
+        column = s.data[:, k]
+        peaks[k] = np.maximum(column.max(), -column.min())
     chunks = _row_chunks(s.n)
     width = max(len(support) for support in by_support)
     cols = np.empty((s.n, width), dtype=np.float32, order="F")
@@ -213,13 +221,10 @@ def empirical_half_space_depth(a: Point, s: Sample,
             group = coeffs[ptr[members][:, None] + np.arange(m)]
             # t(a) as apply_direction sums it
             thresholds = _support_order_sum(group.T, point[idx])
-            col_max = np.empty(m)
             for j, k in enumerate(idx):
-                column = s.data[:, k]
-                cols[:, j] = column
-                col_max[j] = np.maximum(column.max(), -column.min())
+                cols[:, j] = s.data[:, k]
             screen = cols[:, :m]
-            highs, lows = _band(group, col_max, thresholds)
+            highs, lows = _band(group, peaks[idx], thresholds)
             blocks = [(lo, screen[lo:hi], proj[:hi - lo], above[:hi - lo])
                       for lo, hi in chunks]
             for i, c, c32, t, high, low in zip(
@@ -341,22 +346,22 @@ def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Experiment records
+# Experiment results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeedRecord:
-    seed: int
+@dataclass(frozen=True, eq=False)
+class ExperimentResult:
+    """The coordinate experiment's summary and its rows, arrays of shape
+    (seeds,): ``seeds`` (uint64), ``counts``, the least number of rows at
+    or above the point over coordinates 1..K, so the empirical depth is
+    ``counts / n``, and ``argmin``, the first minimizing coordinate, 1-based
+    (int64)."""
+
     n: int
     K: int
-    empirical_depth: float
-    argmin: Direction
-    zero_hit: bool
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    records: tuple[SeedRecord, ...]
+    seeds: np.ndarray
+    counts: np.ndarray
+    argmin: np.ndarray
     fraction_zero: float
     fraction_zero_stderr: float
     mean_depth: float
@@ -408,18 +413,16 @@ def _analytic_floor(a: Point, model: SequenceModel, n: int, K: int
 
 
 def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
-                          seeds: int, master_seed: int = 0,
-                          true_depth: Optional[float] = None
-                          ) -> ExperimentResult:
+                          seeds: int, master_seed: int = 0) -> ExperimentResult:
     """Per-seed empirical depth under the coordinate family, with summary.
 
     Reports the fraction of seeds whose empirical depth is exactly zero,
     its binomial standard error, the analytic floor on the zero
     probability, and a consistency-failure flag when the true depth is
-    positive while the empirical depth collapses.  Record i holds seed
-    ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the depth of
-    ``sample(model, n, K, seed)``; the samples are drawn and compared a
-    seed chunk at a time.
+    positive while the empirical depth collapses.  Row i holds seed
+    ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the least count and
+    first minimizer of ``sample(model, n, K, seed)``; the samples are
+    drawn and compared a seed chunk at a time.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
@@ -430,24 +433,17 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     for lo, block in sample_chunks(model, n, K, seed_row):
         counts = np.count_nonzero(block >= thresholds[:, None, None], axis=2)
         least[lo:lo + counts.shape[1]] = counts.min(axis=0)
-        first[lo:lo + counts.shape[1]] = counts.argmin(axis=0)
-    records = [SeedRecord(seed=seed, n=n, K=K, empirical_depth=low / n,
-                          argmin=Direction.coordinate(k + 1),
-                          zero_hit=(low == 0))
-               for seed, low, k in zip(seed_row.tolist(), least.tolist(),
-                                       first.tolist())]
-    zeros = sum(r.zero_hit for r in records)
-    frac = zeros / seeds
+        first[lo:lo + counts.shape[1]] = counts.argmin(axis=0) + 1
+    frac = int(np.count_nonzero(least == 0)) / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
-    mean_depth = float(np.mean([r.empirical_depth for r in records]))
-    if true_depth is None:
-        true_depth = reference_depth(a, model)
+    true_depth = reference_depth(a, model)
     failure = None
     if true_depth is not None:
         failure = bool(true_depth > 0.0 and frac >= 0.5)
     return ExperimentResult(
-        records=tuple(records), fraction_zero=frac,
-        fraction_zero_stderr=stderr, mean_depth=mean_depth,
+        n=n, K=K, seeds=seed_row, counts=least, argmin=first,
+        fraction_zero=frac, fraction_zero_stderr=stderr,
+        mean_depth=float(np.mean(least / n)),
         true_depth_reference=true_depth,
         analytic_floor=_analytic_floor(a, model, n, K),
         consistency_failure=failure,

@@ -676,6 +676,8 @@ VECTOR_WORDS = 64
 # Most words one drawing pass holds (128 KiB), which bounds the cipher's
 # temporaries; a pass holds one column at least
 _WORD_CHUNK = 1 << 14
+# Grid points of a custom density's inverse-CDF table
+_DENSITY_GRID = 4097
 # Most values one seed chunk of an experiment draws at once (512 KiB); a
 # chunk holds one seed at least
 DRAW_CHUNK = 1 << 16
@@ -1058,7 +1060,7 @@ def stable_cdf(p: float, x: float) -> tuple[float, float]:
     return (1.0 - tail if x > 0.0 else tail), err
 
 
-def _density_sampler_table(density: Density, gridsize: int = 4097):
+def _density_sampler_table(density: Density):
     lo, hi = density.support
     if math.isinf(lo) or math.isinf(hi):
         # expand a symmetric window until the pdf mass outside is negligible
@@ -1070,7 +1072,7 @@ def _density_sampler_table(density: Density, gridsize: int = 4097):
             bound *= 2.0
         lo = lo if math.isfinite(lo) else -bound
         hi = hi if math.isfinite(hi) else bound
-    xs = np.linspace(lo, hi, gridsize)
+    xs = np.linspace(lo, hi, _DENSITY_GRID)
     ps = np.asarray(density.pdf(xs), dtype=float)
     # scipy's cumulative_trapezoid, term for term
     cdf = np.concatenate(

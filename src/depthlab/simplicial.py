@@ -23,6 +23,7 @@ broadcast against its own vertex sets, so every verdict is the one-subset
 verdict.  Every hull-test batch, and the subset enumeration feeding it,
 holds at most ``HULL_CHUNK`` = 2^14 vertex sets, so its working set is a
 few MiB whatever the subset budget or the number of Monte Carlo draws.
+The experiment keeps the (seeds, k_max) counts as its per-seed rows.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def iid_block_sampler(law: CoordinateLaw, d: int
 
 @dataclass(frozen=True)
 class UStatResult:
+    """Z_{n,k} open-hull hits of one block's N_{n,d} vertex sets."""
+
     count: int          # Z_{n,k}
     n_subsets: int      # N_{n,d}
     ratio: float
@@ -292,6 +295,8 @@ def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
 
 @dataclass(frozen=True)
 class SimplicialRecord:
+    """The block counts of one sample and its empirical block depth."""
+
     n: int
     d: int
     n_subsets: int
@@ -338,20 +343,17 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
 # The consistency-failure experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockSeedRecord:
-    seed: int
-    depth: float
-    zero_hit: bool
-    min_block: int
-    block_counts: tuple[int, ...]
-    degenerate_counts: tuple[int, ...]
-    n_subsets: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockExperimentResult:
-    records: tuple[BlockSeedRecord, ...]
+    """The block experiment's summary and its rows: ``seeds``, shape
+    (seeds,), uint64, and the hit counts Z_{n,k} ``block_counts`` and
+    ``degenerate_counts`` of blocks k = 1..k_max, shape (seeds, k_max),
+    int64, each out of ``n_subsets`` = N_{n,d} vertex sets."""
+
+    seeds: np.ndarray
+    block_counts: np.ndarray
+    degenerate_counts: np.ndarray
+    n_subsets: int
     fraction_zero: float
     fraction_zero_stderr: float
     lambda_hat: float
@@ -404,17 +406,11 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
                                         np.tile(targets, (S, 1)))
         counts[lo:lo + S] = hit.reshape(S, k_max)
         degens[lo:lo + S] = degen.reshape(S, k_max)
-    records = [BlockSeedRecord(
-        seed=seed, depth=min(row) / total, zero_hit=(min(row) == 0),
-        min_block=row.index(min(row)) + 1, block_counts=tuple(row),
-        degenerate_counts=tuple(degen), n_subsets=total)
-        for seed, row, degen in zip(seed_row.tolist(), counts.tolist(),
-                                    degens.tolist())]
-    zeros = sum(r.zero_hit for r in records)
-    frac = zeros / seeds
+    least = counts.min(axis=1)
+    frac = int(np.count_nonzero(least == 0)) / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
-    gap = lam if zeros else float(
-        np.mean([abs(r.depth - lam) for r in records]))
-    return BlockExperimentResult(records=tuple(records), fraction_zero=frac,
-                       fraction_zero_stderr=stderr, lambda_hat=lam,
-                       lambda_stderr=lam_se, gap=gap, n=n, d=d, k_max=k_max)
+    gap = lam if frac else float(np.mean(np.abs(least / total - lam)))
+    return BlockExperimentResult(
+        seeds=seed_row, block_counts=counts, degenerate_counts=degens,
+        n_subsets=total, fraction_zero=frac, fraction_zero_stderr=stderr,
+        lambda_hat=lam, lambda_stderr=lam_se, gap=gap, n=n, d=d, k_max=k_max)

@@ -222,6 +222,35 @@ def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
     assert not (tmp_path / "x").exists()
 
 
+ADMISSIBLE = ["admissible", "--model", "gaussian_unit", "--point", "inverse-k"]
+RADEMACHER_BOUNDS = ["bounds", "--model", "rademacher", "--point", "zero"]
+
+
+@pytest.mark.parametrize("args, settings", [
+    (BOUNDS, {"tail_c": "abc"}),
+    (BOUNDS, {"tail_c": -1}),
+    (BOUNDS, {"tail_t0": 0}),
+    (BOUNDS, {"tail_t0": True}),
+    (BOUNDS, {"tail_c": [1.0]}),
+    (RADEMACHER_BOUNDS, {"tail_c": "inf"}),
+    (RADEMACHER_BOUNDS + ["--ms-c", -1], {}),
+    (RADEMACHER_BOUNDS + ["--ms-c", "nan"], {}),
+    (RADEMACHER_BOUNDS + ["--ms-t0", 0], {}),
+    (RADEMACHER_BOUNDS + ["--ms-t0", "inf"], {}),
+    (ADMISSIBLE, {"assumptions": "XYZ"}),
+    (ADMISSIBLE, {"assumptions": ["AIII"]}),
+], ids=["tail-c-text", "tail-c-negative", "tail-t0-zero", "tail-t0-boolean",
+        "tail-c-list", "tail-c-infinite", "ms-c-negative", "ms-c-nan",
+        "ms-t0-zero", "ms-t0-infinite", "assumptions-unknown",
+        "assumptions-list"])
+def test_bad_settings_are_config_errors(tmp_path, capsys, args, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run(args + ["--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x").exists()
+
+
 def test_counts_from_config_file_are_checked(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "rademacher", "point": "zero",
@@ -463,9 +492,11 @@ def test_empirical_table_matches_csv_writer(tmp_path):
     result = empirical.zero_depth_experiment(
         rademacher_model(), Point.zero(), n=3, K=5, seeds=seeds,
         master_seed=6)
-    rows = [[r.seed, r.n, r.K, r.empirical_depth, int(r.zero_hit)]
-            for r in result.records]
-    assert any(r.seed >= 2 ** 63 for r in result.records)
+    rows = [[seed, 3, 5, count / 3, int(count == 0)]
+            for seed, count in zip(result.seeds.tolist(),
+                                   result.counts.tolist())]
+    assert (result.n, result.K) == (3, 5)
+    assert (result.seeds >= 2 ** 63).any()
     assert ((out / "empirical.csv").read_bytes()
             == csv_oracle(["seed", "n", "K", "empirical_depth", "zero_hit"],
                           rows))
@@ -489,11 +520,13 @@ def test_simplicial_table_matches_csv_writer(tmp_path):
     result = simplicial.block_depth_experiment(
         uniform_model(-1.0, 1.0), Point.zero(), n=6, d=2, k_max=kmax,
         seeds=seeds, master_seed=11, mc_draws=1000)
-    rows = [[r.seed, k, z, r.n_subsets, z / r.n_subsets]
-            for r in result.records
-            for k, z in enumerate(r.block_counts, start=1)]
+    N = result.n_subsets
+    rows = [[seed, k, z, N, z / N]
+            for seed, counts in zip(result.seeds.tolist(),
+                                    result.block_counts.tolist())
+            for k, z in enumerate(counts, start=1)]
     assert len(rows) > TABLE_BATCH
-    assert any(r.seed >= 2 ** 63 for r in result.records)
+    assert (result.seeds >= 2 ** 63).any()
     assert len({row[2] for row in rows}) > 2
     assert ((out / "simplicial.csv").read_bytes()
             == csv_oracle(["seed", "k", "Z", "N", "ratio"], rows))

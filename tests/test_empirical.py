@@ -191,7 +191,8 @@ def test_experiment_records_independent_of_seed_count():
                                   master_seed=5)
     res40 = zero_depth_experiment(gaussian_model(), a, n=2, K=50, seeds=40,
                                   master_seed=5)
-    assert res20.records == res40.records[:20]
+    for name in ("seeds", "counts", "argmin"):
+        assert np.array_equal(getattr(res20, name), getattr(res40, name)[:20])
 
 
 def test_analytic_floor_none_past_model_width():
@@ -542,10 +543,11 @@ def test_zero_depth_experiment_records_match_loop():
     res = zero_depth_experiment(gaussian_model(), a, n=3, K=40, seeds=30,
                                 master_seed=11)
     family = DirectionFamily.coordinates(40)
-    for r in res.records:
-        expected = _loop_depth(a, sample(gaussian_model(), 3, 40, r.seed),
+    for seed, count, k in zip(res.seeds.tolist(), res.counts.tolist(),
+                              res.argmin.tolist()):
+        expected = _loop_depth(a, sample(gaussian_model(), 3, 40, seed),
                                family)
-        assert (r.empirical_depth, r.argmin) == expected
+        assert (count / 3, Direction.coordinate(k)) == expected
 
 
 @pytest.mark.parametrize("n", [1, 7, 300])
@@ -596,14 +598,19 @@ def test_zero_depth_records_match_per_seed_recompute(monkeypatch, chunk):
         res = zero_depth_experiment(model, a, n=3, K=40, seeds=30,
                                     master_seed=2 ** 33 + 11)
         seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, np.arange(30))
-        assert [r.seed for r in res.records] == seeds.tolist()
-        for r in res.records:
-            s = sample(model, 3, 40, r.seed)
+        assert res.seeds.dtype == np.uint64
+        assert res.seeds.tolist() == seeds.tolist()
+        assert res.counts.dtype == res.argmin.dtype == np.int64
+        assert res.counts.shape == res.argmin.shape == (30,)
+        for seed, count, depth, k in zip(
+                res.seeds.tolist(), res.counts.tolist(),
+                (res.counts / res.n).tolist(), res.argmin.tolist()):
+            s = sample(model, 3, 40, seed)
             value, argmin = empirical_half_space_depth(
                 a, s, DirectionFamily.coordinates(40))
-            assert (r.empirical_depth, r.argmin) == (value, argmin)
-            assert type(r.empirical_depth) is float
-            assert r.zero_hit is (value == 0.0)
+            assert (depth, Direction.coordinate(k)) == (value, argmin)
+            assert type(depth) is float
+            assert (count == 0) is (value == 0.0)
 
 
 def test_random_sparse_draws_sorted_distinct_supports():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -397,6 +398,19 @@ def test_simplicial_mc_independent_of_chunk_size(monkeypatch, law, d):
     assert 0.0 < default[0] < 1.0
 
 
+def _same_result(x, y) -> bool:
+    """Two experiment results equal field by field, arrays in dtype and
+    value."""
+    for field in dataclasses.fields(x):
+        u, v = getattr(x, field.name), getattr(y, field.name)
+        if isinstance(u, np.ndarray):
+            if u.dtype != v.dtype or not np.array_equal(u, v):
+                return False
+        elif u != v:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("law", list(LAWS))
 def test_block_experiment_independent_of_chunk_size(monkeypatch, law, d):
@@ -409,7 +423,7 @@ def test_block_experiment_independent_of_chunk_size(monkeypatch, law, d):
 
     default = run()
     monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
-    assert run() == default  # lambda_hat and its stderr included
+    assert _same_result(run(), default)  # lambda_hat and its stderr included
     assert 0.0 < default.lambda_hat < 1.0
 
 
@@ -478,17 +492,19 @@ def test_block_experiment_point_outside_support():
 
 def test_block_experiment_records_degenerate_counts():
     # near 10^6 the pivot tolerance marks close pairs degenerate, so the
-    # records carry nonzero counts
+    # rows carry nonzero counts
     model = uniform_model(1e6, 1e6 + 2.0)
     a = Point.periodic([1e6 + 1.0], repeats=4)
     res = block_depth_experiment(model, a, n=5, d=1, k_max=4, seeds=3,
                                  master_seed=20, mc_draws=2_000)
-    for r in res.records:
-        rec = empirical_block_depth(a, sample(model, 5, 4, r.seed), d=1,
+    for seed, counts, degens in zip(res.seeds.tolist(),
+                                    res.block_counts.tolist(),
+                                    res.degenerate_counts.tolist()):
+        rec = empirical_block_depth(a, sample(model, 5, 4, seed), d=1,
                                     k_max=4)
-        assert r.degenerate_counts == rec.degenerate_counts
-        assert r.block_counts == rec.block_counts
-    assert sum(sum(r.degenerate_counts) for r in res.records) > 0
+        assert tuple(degens) == rec.degenerate_counts
+        assert tuple(counts) == rec.block_counts
+    assert res.degenerate_counts.sum() > 0
 
 
 def test_block_experiment_requires_continuous_iid():
@@ -521,7 +537,8 @@ def test_n_subsets_formula():
     assert n_subsets(60, 2) == math.comb(60, 3)
 
 
-@pytest.mark.parametrize("chunk", [None, 1], ids=["default", "one-seed"])
+@pytest.mark.parametrize("chunk", [None, 1, 6 * 6 * 7],
+                         ids=["default", "one-seed", "seven-seeds"])
 def test_block_experiment_records_match_per_seed_recompute(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
@@ -530,13 +547,33 @@ def test_block_experiment_records_match_per_seed_recompute(monkeypatch, chunk):
     res = block_depth_experiment(model, a, n=6, d=2, k_max=3, seeds=12,
                                  master_seed=41, mc_draws=2_000)
     seeds = _derive_seed(41, RECORD_SEEDS, np.arange(12))
-    assert [r.seed for r in res.records] == seeds.tolist()
-    for r in res.records:
-        rec = empirical_block_depth(a, sample(model, 6, 6, r.seed), d=2,
+    assert res.seeds.dtype == np.uint64
+    assert res.seeds.tolist() == seeds.tolist()
+    assert res.block_counts.dtype == res.degenerate_counts.dtype == np.int64
+    assert res.block_counts.shape == res.degenerate_counts.shape == (12, 3)
+    depths = res.block_counts.min(axis=1) / res.n_subsets
+    for seed, counts, degens, depth in zip(
+            res.seeds.tolist(), res.block_counts.tolist(),
+            res.degenerate_counts.tolist(), depths.tolist()):
+        rec = empirical_block_depth(a, sample(model, 6, 6, seed), d=2,
                                     k_max=3)
-        assert r.block_counts == rec.block_counts
-        assert r.degenerate_counts == rec.degenerate_counts
-        assert (r.depth, r.n_subsets) == (rec.depth, rec.n_subsets)
-        assert r.min_block == rec.block_counts.index(min(rec.block_counts)) + 1
-    assert any(r.zero_hit for r in res.records)
-    assert not all(r.zero_hit for r in res.records)
+        assert tuple(counts) == rec.block_counts
+        assert tuple(degens) == rec.degenerate_counts
+        assert (depth, res.n_subsets) == (rec.depth, rec.n_subsets)
+    assert 0 < np.count_nonzero(depths == 0.0) < 12
+
+
+def test_block_experiment_records_independent_of_seed_count():
+    model = uniform_model(0.0, 1.0)
+    a = Point.periodic([0.5, 0.4], repeats=3)
+
+    def run(seeds):
+        return block_depth_experiment(model, a, n=6, d=2, k_max=3,
+                                      seeds=seeds, master_seed=43,
+                                      mc_draws=2_000)
+
+    res20, res40 = run(20), run(40)
+    for name in ("seeds", "block_counts", "degenerate_counts"):
+        assert np.array_equal(getattr(res20, name), getattr(res40, name)[:20])
+    assert (res20.n_subsets, res20.lambda_hat) == (res40.n_subsets,
+                                                  res40.lambda_hat)

@@ -40,3 +40,22 @@ def test_tables_are_written_by_write_table_only():
                   and any(a.name == "writer" for a in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_has_a_docstring():
+    # without one, dataclasses builds __doc__ from inspect.signature at
+    # import, and the reader is left to guess what the fields mean
+    root = Path(depthlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass, node.decorator_list))
+                    and ast.get_docstring(node) is None):
+                found.append(f"{path.name}:{node.name}")
+    assert found == []
