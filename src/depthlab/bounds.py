@@ -19,7 +19,8 @@ from .analytic import SeriesReport, _tail_square_sum, point_sup, series_report
 from .errors import MomentUnavailableError
 from .models import Direction, Point, SequenceModel
 
-# most nonzero coordinates whose 2^m sign patterns bound a Rademacher depth
+# most nonzero coordinates of a point whose depth is bounded over all 2^m
+# sign patterns of its support
 _SMALL_SUPPORT = 10
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ def test_tables_are_written_by_write_table_only():
 
 
 def _is_dataclass(decorator) -> bool:
+    """``@dataclass``, ``@dataclasses.dataclass``, or either called."""
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
 def test_every_dataclass_has_a_docstring():
