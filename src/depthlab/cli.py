@@ -64,10 +64,7 @@ def load_model(spec: str) -> SequenceModel:
         return stable_model(1.0)
     if spec == "uniform_unit":
         return uniform_model(-1.0, 1.0)
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"model spec {spec!r} is neither a preset "
-                          f"({', '.join(MODEL_PRESETS)}) nor a file")
+    path = _spec_file("model", spec, MODEL_PRESETS)
     try:
         doc = json.loads(path.read_text())
         return model_from_document(doc)
@@ -117,16 +114,24 @@ def load_point(spec: str) -> Point:
         return Point.inverse_k(1.0)
     if spec == "inverse-sqrt-k":
         return Point.inverse_k(0.5)
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"point spec {spec!r} is neither a preset "
-                          f"({', '.join(POINT_PRESETS)}) nor a file")
+    path = _spec_file("point", spec, POINT_PRESETS)
     try:
         if path.suffix.lower() == ".json":
             return _point_from_document(json.loads(path.read_text()))
         return _point_from_csv(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid point file {spec}: {_reason(exc)}") from exc
+
+
+def _spec_file(kind: str, spec, presets) -> Path:
+    """The existing file that a model or point spec, not a preset, names."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"{kind} spec must be a string, not {spec!r}")
+    path = Path(spec)
+    if not path.exists():
+        raise ConfigError(f"{kind} spec {spec!r} is neither a preset "
+                          f"({', '.join(presets)}) nor a file")
+    return path
 
 
 def _reason(exc: Exception) -> str:

@@ -35,8 +35,9 @@ reference arithmetic.  The counts are therefore those of a loop over
 Ties go to the first direction in family order, whichever support group
 is counted first.
 
-The consistency-failure experiment compares a seed chunk of samples with
-the point at once and keeps its rows as arrays, one entry per seed.
+The consistency-failure experiment compares column windows of a seed
+chunk with the point at once, stops drawing a seed at its first zero
+count, and keeps its rows as arrays, one entry per seed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import models
 from .analytic import gaussian_sequence_depth, rademacher_classify, stable_depth
 from .errors import DirectionRangeError, LawUnavailableError
 from .models import (
@@ -58,12 +60,13 @@ from .models import (
     Point,
     Sample,
     SequenceModel,
+    _column_keys,
     _column_plan,
     _column_rng,
     _derive_seed,
+    _draw,
     _random_subsets,
     _support_order_sum,
-    sample_chunks,
 )
 
 # Most booleans one chunk of the coordinate family's comparison may hold
@@ -421,19 +424,44 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     probability, and a consistency-failure flag when the true depth is
     positive while the empirical depth collapses.  Row i holds seed
     ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the least count and
-    first minimizer of ``sample(model, n, K, seed)``; the samples are
-    drawn and compared a seed chunk at a time.
+    first minimizer of ``sample(model, n, K, seed)``.
+
+    Seeds are taken in chunks of at most ``DRAW_CHUNK // n``, and a chunk's
+    columns in windows that double from one column, each drawn for the
+    seeds still live and holding at most ``DRAW_CHUNK`` values (one column
+    of one seed at least).  A seed leaves at its first zero count: no later
+    column can lower it, and a tie keeps the earlier column.  Value j of
+    column k depends on (seed, k, j) alone, so the rows are those of the
+    whole samples, bit for bit, and a draw never holds a whole sample.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     thresholds = a.values(K)
+    if n < 1 or K < 1:
+        raise ValueError("n and K must be >= 1")
+    plan = _column_plan(model, K)
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
-    least = np.empty(seeds, dtype=np.int64)
-    first = np.empty(seeds, dtype=np.int64)
-    for lo, block in sample_chunks(model, n, K, seed_row):
-        counts = np.count_nonzero(block >= thresholds[:, None, None], axis=2)
-        least[lo:lo + counts.shape[1]] = counts.min(axis=0)
-        first[lo:lo + counts.shape[1]] = counts.argmin(axis=0) + 1
+    # above every count, so a seed's first window sets its row
+    least = np.full(seeds, n + 1, dtype=np.int64)
+    first = np.zeros(seeds, dtype=np.int64)
+    per = max(1, models.DRAW_CHUNK // n)
+    for lo in range(0, seeds, per):
+        live = np.arange(lo, min(lo + per, seeds))
+        start, width = 0, 1
+        while live.size and start < K:
+            end = min(start + width, K,
+                      start + max(1, models.DRAW_CHUNK // (n * live.size)))
+            keys = _column_keys(seed_row[live],
+                                np.arange(start + 1, end + 1)[:, None])
+            block = _draw(plan, n, keys, start)
+            counts = np.count_nonzero(
+                block >= thresholds[start:end, None, None], axis=2)
+            low = counts.min(axis=0)
+            better = low < least[live]
+            least[live[better]] = low[better]
+            first[live[better]] = counts.argmin(axis=0)[better] + start + 1
+            live = live[least[live] > 0]
+            start, width = end, 2 * width
     frac = int(np.count_nonzero(least == 0)) / seeds
     stderr = math.sqrt(frac * (1.0 - frac) / seeds)
     true_depth = reference_depth(a, model)

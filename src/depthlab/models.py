@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -81,12 +82,16 @@ class PowerTail:
         scalar formula: a model's scales and a point's coordinates then
         read the same wherever they are taken.
         """
-        coef, exponent = self.coef, self.exponent
         ks = np.asarray(ks, dtype=float).tolist()
         try:
-            return np.array([coef * k ** exponent for k in ks], dtype=float)
+            row = np.fromiter(map(math.pow, ks, repeat(self.exponent)),
+                              float, len(ks))
         except OverflowError:
             return np.array([self.value(k) for k in ks], dtype=float)
+        # a product past the float range is infinite, as in ``value``
+        with np.errstate(over="ignore"):
+            row *= self.coef
+        return row
 
     @property
     def is_zero(self) -> bool:
@@ -678,8 +683,9 @@ VECTOR_WORDS = 64
 _WORD_CHUNK = 1 << 14
 # Grid points of a custom density's inverse-CDF table
 _DENSITY_GRID = 4097
-# Most values one seed chunk of an experiment draws at once (512 KiB); a
-# chunk holds one seed at least
+# Most values one experiment draw holds (512 KiB), read at call time: a
+# seed chunk of ``sample_chunks`` holds one whole sample at least, a column
+# window of ``zero_depth_experiment`` one column of one seed at least
 DRAW_CHUNK = 1 << 16
 
 
@@ -1172,23 +1178,31 @@ def _column_plan(model: SequenceModel, K: int
     return runs, scales
 
 
-def _draw(model: SequenceModel, n: int, keys: np.ndarray) -> np.ndarray:
-    """Columns 1..K of the samples whose column keys are ``keys``, shape
-    (K, S, 2): entry [k - 1, i, j] of the (K, S, n) result is value j of
-    column k of sample i.
+def _draw(plan: tuple[list[list], np.ndarray], n: int, keys: np.ndarray,
+          first: int = 0) -> np.ndarray:
+    """Columns first+1..first+w of the samples whose column keys are
+    ``keys``, shape (w, S, 2), under ``plan = _column_plan(model, K)`` for
+    some K >= first + w: entry [k - first - 1, i, j] of the (w, S, n)
+    result is value j of column k of sample i.
 
     Each run of columns with one law shape is enciphered in passes of at
     most ``_WORD_CHUNK`` words.  One word per draw: the words land in the
     output, and one transform maps the whole run there (each transform
     bounds its own scratch).  Two words per draw: each pass fills a
-    pass-sized buffer, transformed into the output.  The scale row
-    multiplies the result once.
+    pass-sized buffer, transformed into the output.  The plan's scale row,
+    sliced to the window, multiplies the result once.
     """
-    K, S = keys.shape[:2]
-    runs, scales = _column_plan(model, K)
-    out = np.empty((K, S, n))
-    flat, flat_keys = out.reshape(K * S, n), keys.reshape(K * S, 2)
+    runs, scales = plan
+    w, S = keys.shape[:2]
+    end = first + w
+    out = np.empty((w, S, n))
+    flat, flat_keys = out.reshape(w * S, n), keys.reshape(w * S, 2)
     for lo, hi, law in runs:
+        if hi <= first:
+            continue
+        if lo >= end:
+            break
+        lo, hi = max(lo, first) - first, min(hi, end) - first
         m = n * _words_per_draw(law)
         step = max(1, _WORD_CHUNK // m)
         run, run_keys = flat[lo * S:hi * S], flat_keys[lo * S:hi * S]
@@ -1202,7 +1216,7 @@ def _draw(model: SequenceModel, n: int, keys: np.ndarray) -> np.ndarray:
                 _transform(law, words, dest)
         if m == n:
             _transform(law, run.view(np.uint64), run)
-    out *= scales[:, None, None]
+    out *= scales[first:end, None, None]
     return out
 
 
@@ -1218,7 +1232,8 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
     keys = _column_keys(seed, np.arange(1, K + 1))
-    return Sample(data=_draw(model, n, keys[:, None])[:, 0].T, seed=int(seed))
+    return Sample(data=_draw(_column_plan(model, K), n, keys[:, None])[:, 0].T,
+                  seed=int(seed))
 
 
 def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
@@ -1232,10 +1247,11 @@ def sample_chunks(model: SequenceModel, n: int, K: int, seeds: np.ndarray
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
+    plan = _column_plan(model, K)
     per = max(1, DRAW_CHUNK // (n * K))
     ks = np.arange(1, K + 1)[:, None]
     for lo in range(0, len(seeds), per):
-        yield lo, _draw(model, n, _column_keys(seeds[lo:lo + per], ks))
+        yield lo, _draw(plan, n, _column_keys(seeds[lo:lo + per], ks))
 
 
 def _support_order_sum(columns: Sequence[np.ndarray], coeffs) -> np.ndarray:

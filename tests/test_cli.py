@@ -239,10 +239,12 @@ RADEMACHER_BOUNDS = ["bounds", "--model", "rademacher", "--point", "zero"]
     (RADEMACHER_BOUNDS + ["--ms-t0", "inf"], {}),
     (ADMISSIBLE, {"assumptions": "XYZ"}),
     (ADMISSIBLE, {"assumptions": ["AIII"]}),
+    (["analytic"], {"model": ["x"], "point": "zero"}),
+    (["analytic"], {"model": "gaussian_unit", "point": 7}),
 ], ids=["tail-c-text", "tail-c-negative", "tail-t0-zero", "tail-t0-boolean",
         "tail-c-list", "tail-c-infinite", "ms-c-negative", "ms-c-nan",
         "ms-t0-zero", "ms-t0-infinite", "assumptions-unknown",
-        "assumptions-list"])
+        "assumptions-list", "model-list", "point-number"])
 def test_bad_settings_are_config_errors(tmp_path, capsys, args, settings):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from depthlab import (
 from depthlab import empirical, models
 from depthlab.bounds import markov_zero_certificate
 from depthlab.empirical import _analytic_floor, _coordinate_depth
-from depthlab.errors import DirectionRangeError
+from depthlab.errors import DirectionRangeError, LawUnavailableError
 from depthlab.models import (
     RECORD_SEEDS,
     Density,
@@ -32,6 +33,7 @@ from depthlab.models import (
     density_law,
     gaussian_law,
     rademacher_law,
+    stable_law,
     stable_model,
     uniform_law,
 )
@@ -588,29 +590,104 @@ def test_coordinate_compare_stops_after_first_zero_chunk(monkeypatch):
 
 # -- batched experiment draws --------------------------------------------------
 
+# explicit laws whose runs of one shape cross the doubling column windows,
+# then a stable tail
+MIXED = SequenceModel(
+    laws=(gaussian_law(1.0), uniform_law(-1.0, 1.0, 2.0),
+          uniform_law(-1.0, 1.0), rademacher_law(0.4), gaussian_law(2.0),
+          gaussian_law(0.5), gaussian_law(1.0), stable_law(0.5),
+          uniform_law(0.0, 1.0), gaussian_law(3.0)),
+    tail=LawTail(stable_law(1.5), PowerTail(1.0, -0.5)))
+NEVER_ZERO = Point((), tail=PowerTail(-3.0, 0.0))
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 3 * 40 * 7],
                          ids=["default", "one-seed", "seven-seeds"])
 def test_zero_depth_records_match_per_seed_recompute(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
     a = Point((0.3, -0.2), tail=PowerTail(0.5, -1.0))
-    for model in (gaussian_model(), rademacher_model()):
-        res = zero_depth_experiment(model, a, n=3, K=40, seeds=30,
+    for model, point, count in ((gaussian_model(), a, 30),
+                                (rademacher_model(), a, 30),
+                                (gaussian_model(), NEVER_ZERO, 10),
+                                (MIXED, a, 10), (MIXED, NEVER_ZERO, 10)):
+        res = zero_depth_experiment(model, point, n=3, K=40, seeds=count,
                                     master_seed=2 ** 33 + 11)
-        seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, np.arange(30))
+        if point is NEVER_ZERO:  # every column of every seed is compared
+            assert res.counts.min() > 0
+        seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, np.arange(count))
         assert res.seeds.dtype == np.uint64
         assert res.seeds.tolist() == seeds.tolist()
         assert res.counts.dtype == res.argmin.dtype == np.int64
-        assert res.counts.shape == res.argmin.shape == (30,)
-        for seed, count, depth, k in zip(
+        assert res.counts.shape == res.argmin.shape == (count,)
+        for seed, least, depth, k in zip(
                 res.seeds.tolist(), res.counts.tolist(),
                 (res.counts / res.n).tolist(), res.argmin.tolist()):
             s = sample(model, 3, 40, seed)
             value, argmin = empirical_half_space_depth(
-                a, s, DirectionFamily.coordinates(40))
+                point, s, DirectionFamily.coordinates(40))
             assert (depth, Direction.coordinate(k)) == (value, argmin)
             assert type(depth) is float
-            assert (count == 0) is (value == 0.0)
+            assert (least == 0) is (value == 0.0)
+
+
+def _logged_draws(monkeypatch) -> list:
+    """Route the experiment's draws through a wrapper that records the
+    (columns, seeds) shape of every draw."""
+    shapes = []
+
+    def draw(plan, n, keys, first=0):
+        shapes.append(keys.shape[:2])
+        return models._draw(plan, n, keys, first)
+
+    monkeypatch.setattr(empirical, "_draw", draw)
+    return shapes
+
+
+def test_zero_depth_draws_split_at_one_value(monkeypatch):
+    monkeypatch.setattr(models, "DRAW_CHUNK", 1)
+    shapes = _logged_draws(monkeypatch)
+    res = zero_depth_experiment(gaussian_model(),
+                                Point((), tail=PowerTail(-0.5, 0.0)), n=3,
+                                K=40, seeds=30, master_seed=4)
+    assert set(shapes) == {(1, 1)}
+    # every seed draws up to its first zero count, or all K columns
+    assert len(shapes) == np.where(res.counts == 0, res.argmin, 40).sum()
+    assert 0 < np.count_nonzero(res.counts == 0) < 30
+
+
+def test_zero_depth_law_checked_before_any_draw(monkeypatch):
+    shapes = _logged_draws(monkeypatch)
+    model = SequenceModel(laws=(gaussian_law(1.0),) * 3)
+    far = Point((50.0,) * 3)  # every column-1 count is 0
+    with pytest.raises(LawUnavailableError):
+        zero_depth_experiment(model, far, n=2, K=4, seeds=5)
+    assert shapes == []
+    assert zero_depth_experiment(model, far, n=2, K=3, seeds=5).argmin.tolist() \
+        == [1] * 5
+
+
+def test_zero_depth_collapse_draws_few_columns(monkeypatch):
+    shapes = _logged_draws(monkeypatch)
+    res = zero_depth_experiment(gaussian_model(), Point.inverse_k(1.0), n=2,
+                                K=200, seeds=100, master_seed=31)
+    assert res.fraction_zero == 1.0
+    assert sum(k * s for k, s in shapes) < 0.05 * 100 * 200
+
+
+@pytest.mark.parametrize("a", [Point((), tail=PowerTail(3.0, 0.0)),
+                               NEVER_ZERO], ids=["zero-hit", "never-zero"])
+def test_zero_depth_working_set_is_bounded(a):
+    tracemalloc.start()
+    try:
+        res = zero_depth_experiment(gaussian_model(), a, n=400, K=5000,
+                                    seeds=3, master_seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole sample is 400 * 5000 * 8 bytes, 15.3 MiB
+    assert peak < 8 * 2 ** 20
+    assert bool((res.counts == 0).all()) is (a is not NEVER_ZERO)
 
 
 def test_random_sparse_draws_sorted_distinct_supports():

@@ -498,12 +498,22 @@ def test_sample_stream_does_not_follow_cpu_dispatch():
     assert digests[0] == digests[1]
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
 def test_point_tail_values():
     a = Point((2.0,), tail=PowerTail(1.0, -2.0))
     assert a.value_at(1) == 2.0
     assert a.value_at(4) == pytest.approx(1.0 / 16.0)
     assert a.values(4) == pytest.approx([2.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
     assert Point((1.0, 0.0)).value_at(3) == 0.0
+    ks = np.arange(1, 10_001)
+    for coef, exponent in ((1.0, -1.0), (1.0, -0.25), (0.7, -0.5),
+                           (2.5, 1.3)):
+        tail = PowerTail(coef, exponent)
+        assert _bits(tail.values(ks)) == _bits([tail.value(k)
+                                                for k in ks.tolist()])
 
 
 @pytest.mark.parametrize("point", [
@@ -524,8 +534,15 @@ def test_power_tail_overflow_is_infinite():
     assert tail.value(2) == 2.0 ** 400
     assert tail.value(10) == math.inf
     assert PowerTail(-3.0, 400.0).value(10) == -math.inf
-    assert tail.values(np.arange(1, 11)).tolist() == [tail.value(k)
-                                                      for k in range(1, 11)]
+    ks = np.arange(1, 11)
+    for tail in (tail, PowerTail(-3.0, 400.0), PowerTail(1e300, 30.0),
+                 PowerTail(-1e300, 30.0), PowerTail(0.0, 400.0),
+                 PowerTail(1.0, -1.0), PowerTail(1.0, -0.25),
+                 PowerTail(0.7, -0.5), PowerTail(2.5, 1.3)):
+        assert _bits(tail.values(ks)) == _bits([tail.value(k)
+                                                for k in range(1, 11)])
+    # k**30 is finite at k = 10 and the product with 1e300 is not
+    assert PowerTail(1e300, 30.0).values(ks)[-1] == math.inf
 
 
 # -- sampling stream version 3 -------------------------------------------------
