@@ -370,7 +370,7 @@ def cmd_bounds(args) -> int:
     cert = bounds.markov_zero_certificate(point, model, depths)
     curve = bounds.markov_bound_curve(point, model, curve_max)
     lower: list[dict] = []
-    rep = analytic.series_report(point, model)
+    rep = cert.series
     if rep.finite and rep.value < 1.0:
         c = bounds.kurtosis_bound(model)
         delta = 1.0 - math.sqrt(rep.value) if rep.value > 0 else 1.0 - 1e-12

@@ -35,9 +35,10 @@ reference arithmetic.  The counts are therefore those of a loop over
 Ties go to the first direction in family order, whichever support group
 is counted first.
 
-The consistency-failure experiment compares column windows of a seed
-chunk with the point at once, stops drawing a seed at its first zero
-count, and keeps its rows as arrays, one entry per seed.
+The consistency-failure experiment hashes each seed chunk's SeedSequence
+pool once, compares column windows of at least ``_WINDOW_FLOOR`` values
+with the point at once, stops drawing a seed at its first zero count, and
+keeps its rows as arrays, one entry per seed.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ from .models import (
     Point,
     Sample,
     SequenceModel,
-    _column_keys,
     _column_plan,
     _column_rng,
     _derive_seed,
     _draw,
+    _pool_keys,
     _random_subsets,
+    _seed_pool,
     _support_order_sum,
 )
 
@@ -79,6 +81,10 @@ PROJECT_CHUNK = 1 << 14
 # the float32 screen's range (2^128, less room for rounding): its band is
 # every row
 _SCREEN_LIMIT = 2.0 ** 120
+# Fewest values a column window of ``zero_depth_experiment`` draws (4 KiB),
+# unless fewer columns remain: below it a draw costs about the same
+# whatever its size
+_WINDOW_FLOOR = 512
 
 # (ptr, index, coeffs): direction i is index[ptr[i]:ptr[i + 1]], 1-based
 # and increasing, with coefficients coeffs[ptr[i]:ptr[i + 1]]
@@ -426,19 +432,24 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the least count and
     first minimizer of ``sample(model, n, K, seed)``.
 
-    Seeds are taken in chunks of at most ``DRAW_CHUNK // n``, and a chunk's
-    columns in windows that double from one column, each drawn for the
-    seeds still live and holding at most ``DRAW_CHUNK`` values (one column
-    of one seed at least).  A seed leaves at its first zero count: no later
-    column can lower it, and a tie keeps the earlier column.  Value j of
-    column k depends on (seed, k, j) alone, so the rows are those of the
-    whole samples, bit for bit, and a draw never holds a whole sample.
+    Seeds are taken in chunks of at most ``DRAW_CHUNK // n``; a chunk's
+    SeedSequence pool is hashed once (``_seed_pool``), so a window only
+    indexes it by its live seeds and mixes in its column words.  A chunk's
+    columns are drawn in windows for the live seeds.
+    A window holds at least ``_WINDOW_FLOOR`` values, or the chunk's
+    remaining columns, and at most ``DRAW_CHUNK`` values (one column of
+    one seed at least); its width doubles from one column, or from the
+    floor's width where that is wider.  A seed leaves at its first zero
+    count: no later column can lower it, and a tie keeps the earlier
+    column.  Value j of column k depends on (seed, k, j) alone, so the rows
+    are those of the whole samples, bit for bit, and a draw never holds a
+    whole sample.
     """
+    if n < 1 or K < 1:
+        raise ValueError("n and K must be >= 1")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     thresholds = a.values(K)
-    if n < 1 or K < 1:
-        raise ValueError("n and K must be >= 1")
     plan = _column_plan(model, K)
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
     # above every count, so a seed's first window sets its row
@@ -446,13 +457,16 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     first = np.zeros(seeds, dtype=np.int64)
     per = max(1, models.DRAW_CHUNK // n)
     for lo in range(0, seeds, per):
+        pool, const = _seed_pool(seed_row[lo:lo + per])
         live = np.arange(lo, min(lo + per, seeds))
         start, width = 0, 1
         while live.size and start < K:
+            values = n * live.size
+            width = max(width, -(-_WINDOW_FLOOR // values))
             end = min(start + width, K,
-                      start + max(1, models.DRAW_CHUNK // (n * live.size)))
-            keys = _column_keys(seed_row[live],
-                                np.arange(start + 1, end + 1)[:, None])
+                      start + max(1, models.DRAW_CHUNK // values))
+            keys = _pool_keys([p[live - lo] for p in pool], const,
+                              np.arange(start + 1, end + 1)[:, None])
             block = _draw(plan, n, keys, start)
             counts = np.count_nonzero(
                 block >= thresholds[start:end, None, None], axis=2)

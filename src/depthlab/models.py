@@ -685,7 +685,9 @@ _WORD_CHUNK = 1 << 14
 _DENSITY_GRID = 4097
 # Most values one experiment draw holds (512 KiB), read at call time: a
 # seed chunk of ``sample_chunks`` holds one whole sample at least, a column
-# window of ``zero_depth_experiment`` one column of one seed at least
+# window of ``zero_depth_experiment`` one column of one seed at least.  The
+# cap binds after that experiment's window floor (``_WINDOW_FLOOR``, 512
+# values), and its windows key their columns from one seed pool per chunk
 DRAW_CHUNK = 1 << 16
 
 
@@ -711,13 +713,14 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _seed_sequence_state(entropy: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` for a
-    list of 32-bit entropy words, each an int or a uint64 array.
+def _entropy_pool(entropy: list) -> tuple[list, int]:
+    """SeedSequence's mixed entropy pool of a list of 32-bit entropy words,
+    each an int or a uint64 array, and the next hash constant, from which
+    ``_mix_words`` goes on.
 
-    Arrays broadcast against each other, so one pass derives the state of
-    every combination of their entries; int words stay Python ints, so
-    the words every combination shares are hashed once.
+    Arrays broadcast against each other, so one pass hashes every
+    combination of their entries; int words stay Python ints, so the
+    words every combination shares are hashed once.
     """
     const = _INIT_A
     pool = []
@@ -729,10 +732,23 @@ def _seed_sequence_state(entropy: list, n_words: int) -> list:
             if src != dst:
                 h, const = _hash(pool[src], const, _MULT_A)
                 pool[dst] = _mix(pool[dst], h)
-    for word in entropy[_POOL_SIZE:]:
+    return _mix_words(pool, const, entropy[_POOL_SIZE:])
+
+
+def _mix_words(pool: list, const: int, words: list) -> tuple[list, int]:
+    """A new pool with the entropy words past the pool size mixed into
+    ``pool``, and the next hash constant."""
+    pool = list(pool)
+    for word in words:
         for dst in range(_POOL_SIZE):
             h, const = _hash(word, const, _MULT_A)
             pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)``, from
+    the pool of ``pool, _ = _entropy_pool(entropy)``."""
     const = _INIT_B
     state = []
     for i in range(n_words):
@@ -759,6 +775,28 @@ def _seed_words(seed) -> list:
     return words
 
 
+def _seed_pool(seed) -> tuple[list, int]:
+    """The column-independent half of ``_column_keys``: the SeedSequence
+    pool of ``seed``'s entropy words, padded to the pool size, and the
+    next hash constant.  ``seed`` is one integer of any size or a uint64
+    array of seeds; for an array, the pool is four arrays of its shape,
+    which a subset of the seeds may index."""
+    entropy = _seed_words(seed)
+    return _entropy_pool(entropy + [0] * (_POOL_SIZE - len(entropy)))
+
+
+def _pool_keys(pool: list, const: int, ks) -> np.ndarray:
+    """Philox keys of columns ``ks`` under the seeds of ``pool, const =
+    _seed_pool(seed)``, of shape ``np.broadcast(pool[0], ks).shape + (2,)``:
+    mixes in the spawn word k and generates the key."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
+        raise ValueError("column indices must lie in [0, 2**32)")
+    pool, _ = _mix_words(pool, const, [ks.astype(np.uint64)])
+    s = _generate_state(pool, 4)
+    return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=-1)
+
+
 def _column_keys(seed, ks) -> np.ndarray:
     """Philox keys of columns ``ks`` under ``seed``, of shape
     ``np.broadcast(seed, ks).shape + (2,)``.
@@ -767,14 +805,7 @@ def _column_keys(seed, ks) -> np.ndarray:
     ``SeedSequence(entropy=s, spawn_key=(k,))``.  ``seed`` is one integer
     of any size or a uint64 array of seeds; one pass derives every key.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
-        raise ValueError("column indices must lie in [0, 2**32)")
-    entropy = _seed_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy.append(ks.astype(np.uint64))
-    s = _seed_sequence_state(entropy, 4)
-    return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=-1)
+    return _pool_keys(*_seed_pool(seed), ks)
 
 
 # Domain words of derived seeds, so that experiment records and the lambda
@@ -801,7 +832,8 @@ def _derive_seed(master_seed: int, *path):
         if index.size and (index.min() < 0 or index.max() > _MASK32):
             raise ValueError("seed path entries must lie in [0, 2**32)")
         entropy.append(index.astype(np.uint64) if index.ndim else int(index))
-    s = _seed_sequence_state(entropy + _seed_words(master_seed), 2)
+    pool, _ = _entropy_pool(entropy + _seed_words(master_seed))
+    s = _generate_state(pool, 2)
     return s[0] | s[1] << 32
 
 

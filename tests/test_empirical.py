@@ -667,6 +667,29 @@ def test_zero_depth_law_checked_before_any_draw(monkeypatch):
         == [1] * 5
 
 
+def test_zero_depth_collapse_draws_in_two_windows(monkeypatch):
+    shapes = _logged_draws(monkeypatch)
+    zero_depth_experiment(gaussian_model(), Point.inverse_k(1.0), n=2, K=200,
+                          seeds=100, master_seed=31)
+    assert len(shapes) <= 2
+    # every window holds at least _WINDOW_FLOOR values
+    assert all(2 * k * s >= empirical._WINDOW_FLOOR for k, s in shapes)
+
+
+@pytest.mark.parametrize("n, K, seeds, message", [
+    (0, 5, 3, "n and K must be >= 1"),
+    (2, 0, 3, "n and K must be >= 1"),
+    (2, -1, 3, "n and K must be >= 1"),
+    (2, 5, 0, "seeds must be >= 1"),
+], ids=["n0", "K0", "K-1", "seeds0"])
+def test_zero_depth_checks_arguments_first(monkeypatch, n, K, seeds, message):
+    shapes = _logged_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        zero_depth_experiment(gaussian_model(), Point.inverse_k(1.0), n=n,
+                              K=K, seeds=seeds)
+    assert shapes == []
+
+
 def test_zero_depth_collapse_draws_few_columns(monkeypatch):
     shapes = _logged_draws(monkeypatch)
     res = zero_depth_experiment(gaussian_model(), Point.inverse_k(1.0), n=2,

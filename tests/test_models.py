@@ -53,7 +53,9 @@ from depthlab.models import (
     _column_rng,
     _derive_seed,
     _philox_words,
+    _pool_keys,
     _random_subsets,
+    _seed_pool,
     _transform,
     density_law,
     rademacher_law,
@@ -637,6 +639,23 @@ def test_column_keys_of_seed_arrays_match_single_seeds():
     assert keys.shape == (len(ks), len(seeds), 2)
     for i, seed in enumerate(seeds.tolist()):
         assert np.array_equal(keys[:, i], _column_keys(seed, ks))
+
+
+def test_seed_pool_indexed_by_live_seeds_gives_column_keys():
+    seeds = np.array([3, 2 ** 32 - 1, 2 ** 32, 77, 2 ** 64 - 1, 12],
+                     dtype=np.uint64)
+    pool, const = _seed_pool(seeds)
+    live = np.array([1, 3, 4])
+    window = np.arange(9, 14)[:, None]  # a later column window
+    keys = _pool_keys([p[live] for p in pool], const, window)
+    assert keys.shape == (5, 3, 2)
+    assert np.array_equal(keys, _column_keys(seeds[live], window))
+    # five words: the fifth is mixed in after the pool, before the column
+    big = 2 ** 130 + 987654321
+    ks = [0, 1, 2, 40, 2 ** 32 - 1]
+    expected = [_oracle_rng(big, k).bit_generator.state["state"]["key"]
+                for k in ks]
+    assert np.array_equal(_pool_keys(*_seed_pool(big), ks), np.array(expected))
 
 
 @pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
