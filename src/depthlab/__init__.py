@@ -75,12 +75,10 @@ from .empirical import (
     zero_depth_experiment,
 )
 from .simplicial import (
-    BlockProjection,
     SimplicialRecord,
     empirical_block_depth,
     block_depth_experiment,
     simplicial_depth_mc,
-    u_statistic_depth,
     u_statistic_depth_mc,
 )
 

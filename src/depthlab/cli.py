@@ -462,6 +462,10 @@ def cmd_simplicial(args) -> int:
         raise ConfigError(f"n must be >= d+1 = {int(cfg['d']) + 1}, "
                           f"got {cfg['n']!r}")
     model = load_model(cfg["model"])
+    try:
+        simplicial.require_iid_continuous(model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     point = load_point(cfg["point"])
     cfg["mc_draws"] = int(cfg.get("mc_draws", 10 ** 5))
     cfg["budget"] = int(cfg.get("budget", simplicial.DEFAULT_BUDGET))

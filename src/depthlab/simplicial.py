@@ -1,5 +1,5 @@
 """Simplicial depth in R^d, the block-projection depth on sequence space,
-its U-statistic estimator, and the associated consistency-failure experiment.
+and the associated consistency-failure experiment.
 
 Open-hull membership goes through one batched test, on vertex sets held
 as coordinate planes (d, d+1, *batch).  A vertex set is degenerate, and
@@ -14,7 +14,9 @@ verdict is exact, so a target on an edge is outside.  For d >= 3 the
 barycentric weights come from a batched linear solve and must all be
 strictly positive.
 
-The exact block counts of one sample, or of every sample in a seed chunk
+The exact block counts of one sample (``empirical_block_depth``, the one
+exact entry point: block k's U-statistic ratio Z_{n,k}/N_{n,d} is
+``block_counts[k - 1] / n_subsets``), or of every sample in a seed chunk
 of the experiment, go through one batched test: the blocks are copied
 once into plane-major (d, n, blocks) order, the (d+1)-subsets are
 enumerated once for all blocks, and one gather puts a chunk of subsets
@@ -43,38 +45,6 @@ from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
 DEFAULT_BUDGET = 10 ** 7
 HULL_CHUNK = 1 << 14    # vertex sets per hull-test batch
 _PIVOT_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Block projections
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockProjection:
-    """theta_k: x -> (x_{(k-1)d+1}, ..., x_{kd})."""
-
-    d: int
-    k: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.k < 1:
-            raise ValueError("block dimension and index must be >= 1")
-
-    @property
-    def columns(self) -> slice:
-        start = (self.k - 1) * self.d
-        return slice(start, start + self.d)
-
-    def of_point(self, a: Point) -> np.ndarray:
-        start = (self.k - 1) * self.d
-        return np.array([a.value_at(start + i) for i in range(1, self.d + 1)])
-
-    def of_rows(self, data: np.ndarray) -> np.ndarray:
-        if data.shape[1] < self.k * self.d:
-            raise ValueError(
-                f"sample width {data.shape[1]} cannot host block "
-                f"k={self.k} of dimension {self.d}")
-        return data[:, self.columns]
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +164,6 @@ def iid_block_sampler(law: CoordinateLaw, d: int
 # U-statistic block counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UStatResult:
-    """Z_{n,k} open-hull hits of one block's N_{n,d} vertex sets."""
-
-    count: int          # Z_{n,k}
-    n_subsets: int      # N_{n,d}
-    ratio: float
-    degenerate: int
-
-
 def n_subsets(n: int, d: int) -> int:
     return math.comb(n, d + 1)
 
@@ -250,45 +210,6 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
             degens[run] += degen.sum(axis=0)
 
 
-def u_statistic_depth(a: Point, s: Sample, d: int, k: int,
-                      budget: int = DEFAULT_BUDGET) -> UStatResult:
-    """Exact enumeration of open-hull hits over all (d+1)-subsets of rows."""
-    if s.n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} rows, sample has {s.n}")
-    total = n_subsets(s.n, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} subsets exceed the budget {budget}; "
-            "use u_statistic_depth_mc for subset subsampling")
-    proj = BlockProjection(d=d, k=k)
-    counts, degens = _block_hull_counts(proj.of_rows(s.data)[None],
-                                        proj.of_point(a)[None])
-    count = int(counts[0])
-    return UStatResult(count=count, n_subsets=total, ratio=count / total,
-                       degenerate=int(degens[0]))
-
-
-def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
-                         seed: int) -> tuple[float, float]:
-    """Subset-subsampled estimate of Z_{n,k}/N_{n,d} with standard error."""
-    if subsets < 1:
-        raise ValueError("subsets must be >= 1")
-    if s.n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} rows, sample has {s.n}")
-    proj = BlockProjection(d=d, k=k)
-    block = proj.of_rows(s.data)
-    target = proj.of_point(a)
-    rng = _column_rng(seed, 0x5B5)
-    hits = 0
-    for lo in range(0, subsets, HULL_CHUNK):
-        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
-        inside, _ = _open_hull_mask(target, block[picks])
-        hits += int(np.count_nonzero(inside))
-    est = hits / subsets
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / subsets)
-    return est, stderr
-
-
 # ---------------------------------------------------------------------------
 # Empirical block-projection depth
 # ---------------------------------------------------------------------------
@@ -305,8 +226,8 @@ class SimplicialRecord:
     depth: float                     # min_k Z_{n,k} / N_{n,d}
 
 
-def _check_block_shape(n: int, K: int, d: int, k_max: int, budget: int
-                       ) -> int:
+def _check_block_shape(n: int, K: int, d: int, k_max: int,
+                       budget: float) -> int:
     """N_{n,d} for k_max blocks of dimension d in an n x K sample, after
     checking the shape and the membership-test budget."""
     if d < 1 or k_max < 1:
@@ -325,8 +246,7 @@ def _check_block_shape(n: int, K: int, d: int, k_max: int, budget: int
 
 
 def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
-                               budget: int = DEFAULT_BUDGET
-                               ) -> SimplicialRecord:
+                          budget: int = DEFAULT_BUDGET) -> SimplicialRecord:
     """min over blocks k <= k_max of the per-block U-statistic ratio."""
     total = _check_block_shape(s.n, s.K, d, k_max, budget)
     blocks = s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(1, 0, 2)
@@ -337,6 +257,26 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                             block_counts=tuple(counts.tolist()),
                             degenerate_counts=tuple(degens.tolist()),
                             depth=depth)
+
+
+def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
+                         seed: int) -> tuple[float, float]:
+    """Subset-subsampled estimate of block k's Z_{n,k}/N_{n,d}, with its
+    standard error."""
+    if subsets < 1:
+        raise ValueError("subsets must be >= 1")
+    _check_block_shape(s.n, s.K, d, k, budget=math.inf)
+    block = s.data[:, (k - 1) * d:k * d]
+    target = a.values(k * d)[-d:]
+    rng = _column_rng(seed, 0x5B5)
+    hits = 0
+    for lo in range(0, subsets, HULL_CHUNK):
+        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
+        inside, _ = _open_hull_mask(target, block[picks])
+        hits += int(np.count_nonzero(inside))
+    est = hits / subsets
+    stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / subsets)
+    return est, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +304,14 @@ class BlockExperimentResult:
     k_max: int
 
 
-def _require_iid_continuous(model: SequenceModel) -> CoordinateLaw:
+def require_iid_continuous(model: SequenceModel) -> CoordinateLaw:
+    """The one continuous law of every coordinate, or a ValueError: a tail
+    is iid only when its scale exponent is 0."""
     laws = set(model.laws)
-    if model.tail is not None:
-        laws.add(model.tail.law(model.explicit_width + 1))
-    if len(laws) != 1:
+    tail = model.tail
+    if tail is not None:
+        laws.add(tail.law(model.explicit_width + 1))
+    if len(laws) != 1 or (tail is not None and tail.scale.exponent != 0.0):
         raise ValueError("the experiment requires iid coordinates")
     law = laws.pop()
     if law.family == "rademacher":
@@ -388,7 +331,7 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    law = _require_iid_continuous(model)
+    law = require_iid_continuous(model)
     width = k_max * d
     total = _check_block_shape(n, width, d, k_max, budget)
     targets = a.values(k_max * d).reshape(k_max, d)

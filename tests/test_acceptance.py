@@ -19,6 +19,7 @@ from depthlab import (
     DirectionFamily,
     Point,
     PowerTail,
+    empirical_block_depth,
     empirical_half_space_depth,
     fisher_information,
     fourth_moment_ratio,
@@ -35,7 +36,6 @@ from depthlab import (
     rademacher_model,
     sample,
     stable_depth,
-    u_statistic_depth,
     uniform_model,
     zero_depth_experiment,
 )
@@ -186,7 +186,8 @@ def test_criterion_5_simplicial_failure_demo():
     ratios = []
     for i in range(10):
         s = sample(model, 60, 2, seed=62000 + i)
-        ratios.append(u_statistic_depth(Point((0.5, 0.5)), s, d=2, k=1).ratio)
+        ratios.append(empirical_block_depth(Point((0.5, 0.5)), s, d=2,
+                                            k_max=1).depth)
     mean_ratio = float(np.mean(ratios))
     combined = math.sqrt(np.var(ratios, ddof=1) / len(ratios)
                          + res.lambda_stderr ** 2)

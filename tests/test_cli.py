@@ -214,9 +214,23 @@ BOUNDS = ["bounds", "--model", "gaussian_unit", "--point", "inverse-k"]
     BOUNDS + ["--curve-max", 0],
     BOUNDS + ["--depths", "4,x"],
     BOUNDS + ["--depths", "0,4"],
+    SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--model", "rademacher"],
 ], ids=["seeds-0", "simplicial-seeds-0", "n-0", "K-0", "seed-negative",
-        "mc-draws-0", "budget-0", "curve-max-0", "depth-not-int", "depth-0"])
+        "mc-draws-0", "budget-0", "curve-max-0", "depth-not-int", "depth-0",
+        "simplicial-atomic"])
 def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x").exists()
+
+
+def test_simplicial_power_scale_model_is_config_error(tmp_path, capsys):
+    # scales k^-1/4: the coordinates are not identically distributed
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "family": "gaussian",
+        "scale_rule": {"kind": "power", "coef": 1.0, "exponent": -0.25}}))
+    args = SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--model", model]
     assert run(args + ["--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "x").exists()

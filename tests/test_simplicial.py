@@ -10,6 +10,7 @@ from scipy import stats
 
 from depthlab import (
     Point,
+    PowerTail,
     Sample,
     empirical_block_depth,
     gaussian_model,
@@ -17,7 +18,6 @@ from depthlab import (
     stable_model,
     sample,
     simplicial_depth_mc,
-    u_statistic_depth,
     u_statistic_depth_mc,
     rademacher_model,
     uniform_model,
@@ -26,8 +26,8 @@ from depthlab import (
 from depthlab import models, simplicial
 from depthlab.errors import BudgetExceededError
 from depthlab.models import RECORD_SEEDS, _column_rng, _derive_seed
-from depthlab.simplicial import (_PIVOT_TOL, BlockProjection,
-                                 _open_hull_mask, iid_block_sampler, n_subsets)
+from depthlab.simplicial import (_PIVOT_TOL, _open_hull_mask,
+                                 iid_block_sampler, n_subsets)
 from depthlab.models import gaussian_law, stable_law, uniform_law
 
 
@@ -178,9 +178,9 @@ def test_simplicial_depth_mc_far_point():
 
 def test_u_statistic_single_subset():
     s = sample(uniform_model(0.0, 1.0), 3, 2, seed=4)
-    res = u_statistic_depth(Point((0.5, 0.5)), s, d=2, k=1)
-    assert res.n_subsets == 1
-    assert res.count in (0, 1)
+    rec = empirical_block_depth(Point((0.5, 0.5)), s, d=2, k_max=1)
+    assert rec.n_subsets == 1
+    assert rec.block_counts[0] in (0, 1)
 
 
 def test_u_statistic_d1_product_identity():
@@ -188,32 +188,32 @@ def test_u_statistic_d1_product_identity():
     for i in range(100):
         s = sample(m, 14, 1, seed=5000 + i)
         b = float(_column_rng(6000 + i, 0).random())
-        res = u_statistic_depth(Point((b,)), s, d=1, k=1)
+        rec = empirical_block_depth(Point((b,)), s, d=1, k_max=1)
         col = s.data[:, 0]
         below = int(np.sum(col < b))
         above = int(np.sum(col > b))
-        assert res.count == below * above
+        assert rec.block_counts == (below * above,)
 
 
 def test_u_statistic_permutation_invariance():
     s = sample(uniform_model(0.0, 1.0), 10, 2, seed=6)
-    res = u_statistic_depth(Point((0.4, 0.6)), s, d=2, k=1)
+    rec = empirical_block_depth(Point((0.4, 0.6)), s, d=2, k_max=1)
     rng = _column_rng(7, 0)
     shuffled = Sample(s.data[rng.permutation(10)], seed=0)
-    res2 = u_statistic_depth(Point((0.4, 0.6)), shuffled, d=2, k=1)
-    assert res.count == res2.count
+    rec2 = empirical_block_depth(Point((0.4, 0.6)), shuffled, d=2, k_max=1)
+    assert rec.block_counts == rec2.block_counts
 
 
 def test_u_statistic_affine_invariance():
     s = sample(uniform_model(0.0, 1.0), 12, 2, seed=8)
     a = Point((0.5, 0.5))
-    res = u_statistic_depth(a, s, d=2, k=1)
+    rec = empirical_block_depth(a, s, d=2, k_max=1)
     A = np.array([[2.0, 1.0], [-0.5, 3.0]])
     b = np.array([1.0, -2.0])
     mapped = Sample(s.data @ A.T + b, seed=0)
     target = np.array([0.5, 0.5]) @ A.T + b
-    res2 = u_statistic_depth(Point(tuple(target)), mapped, d=2, k=1)
-    assert res.count == res2.count
+    rec2 = empirical_block_depth(Point(tuple(target)), mapped, d=2, k_max=1)
+    assert rec.block_counts == rec2.block_counts
 
 
 def test_u_statistic_lln_against_lambda_hat():
@@ -225,7 +225,7 @@ def test_u_statistic_lln_against_lambda_hat():
     ratios = []
     for i in range(30):
         s = sample(m, 20, 2, seed=9000 + i)
-        ratios.append(u_statistic_depth(a, s, d=2, k=1).ratio)
+        ratios.append(empirical_block_depth(a, s, d=2, k_max=1).depth)
     mean_ratio = float(np.mean(ratios))
     se = math.sqrt(np.var(ratios, ddof=1) / len(ratios) + lam_se ** 2)
     assert mean_ratio == pytest.approx(lam, abs=3.0 * se)
@@ -234,20 +234,26 @@ def test_u_statistic_lln_against_lambda_hat():
 def test_budget_guard_and_subset_mc():
     s = sample(uniform_model(0.0, 1.0), 120, 2, seed=10)
     with pytest.raises(BudgetExceededError):
-        u_statistic_depth(Point((0.5, 0.5)), s, d=2, k=1, budget=1000)
-    exact = u_statistic_depth(Point((0.5, 0.5)), s, d=2, k=1)
+        empirical_block_depth(Point((0.5, 0.5)), s, d=2, k_max=1, budget=1000)
+    exact = empirical_block_depth(Point((0.5, 0.5)), s, d=2, k_max=1)
     est, se = u_statistic_depth_mc(Point((0.5, 0.5)), s, d=2, k=1,
                                    subsets=4000, seed=11)
-    assert est == pytest.approx(exact.ratio, abs=3.0 * se)
+    assert est == pytest.approx(exact.depth, abs=3.0 * se)
 
 
-def test_u_statistic_width_errors():
-    s = sample(uniform_model(0.0, 1.0), 6, 2, seed=12)
+@pytest.mark.parametrize("count", [
+    lambda a, s, d, k: empirical_block_depth(a, s, d=d, k_max=k),
+    lambda a, s, d, k: u_statistic_depth_mc(a, s, d=d, k=k, subsets=10,
+                                            seed=2),
+], ids=["exact", "mc"])
+@pytest.mark.parametrize("n, d, k", [(6, 2, 2),   # block 2 needs 4 columns
+                                     (2, 2, 1),   # n < d+1
+                                     (6, 0, 1), (6, 2, 0)],
+                         ids=["width", "rows", "d-0", "k-0"])
+def test_u_statistic_width_errors(count, n, d, k):
+    s = sample(uniform_model(0.0, 1.0), n, 2, seed=12 if n == 6 else 13)
     with pytest.raises(ValueError):
-        u_statistic_depth(Point((0.5, 0.5)), s, d=2, k=2)  # block 2 needs 4 cols
-    small = sample(uniform_model(0.0, 1.0), 2, 2, seed=13)
-    with pytest.raises(ValueError):
-        u_statistic_depth(Point((0.5, 0.5)), small, d=2, k=1)
+        count(Point((0.5, 0.5)), s, d, k)
 
 
 # -- block-projection depth ---------------------------------------------------
@@ -256,18 +262,20 @@ def test_block_depth_k1_reduces_to_u_statistic():
     s = sample(uniform_model(0.0, 1.0), 8, 2, seed=14)
     a = Point((0.3, 0.3))
     rec = empirical_block_depth(a, s, d=2, k_max=1)
-    res = u_statistic_depth(a, s, d=2, k=1)
-    assert rec.block_counts == (res.count,)
-    assert rec.depth == res.ratio
+    counts, _ = _oracle_counts(a, s, d=2, k_max=1)
+    assert rec.block_counts == counts
+    assert rec.depth == counts[0] / n_subsets(8, 2)
 
 
 def test_block_depth_periodic_blocks():
     a = Point.periodic([0.4, 0.7], repeats=3)
-    proj = BlockProjection(d=2, k=3)
-    assert proj.of_point(a) == pytest.approx([0.4, 0.7])
     s = sample(uniform_model(0.0, 1.0), 6, 6, seed=15)
     rec = empirical_block_depth(a, s, d=2, k_max=3)
     assert rec.depth == min(rec.block_counts) / rec.n_subsets
+    # the subsampled estimate reads block 3, columns 5-6, at (0.4, 0.7)
+    est, se = u_statistic_depth_mc(a, s, d=2, k=3, subsets=4000, seed=16)
+    assert est == pytest.approx(rec.block_counts[2] / rec.n_subsets,
+                                abs=3.0 * se)
     with pytest.raises(ValueError):
         empirical_block_depth(a, s, d=2, k_max=4)
 
@@ -293,8 +301,9 @@ def _oracle_counts(a, s, d, k_max, exact=True):
     barycentric solve."""
     counts, degens = [], []
     for k in range(1, k_max + 1):
-        proj = BlockProjection(d=d, k=k)
-        block, target = proj.of_rows(s.data), proj.of_point(a)
+        block = s.data[:, (k - 1) * d:k * d]
+        target = np.array([a.value_at((k - 1) * d + i)
+                           for i in range(1, d + 1)])
         hits = degenerate = 0
         for combo in itertools.combinations(range(s.n), d + 1):
             verts = block[list(combo)]
@@ -332,9 +341,6 @@ def test_block_counts_match_subset_oracle(case, d, n):
     rec = empirical_block_depth(a, s, d=d, k_max=K_MAX)
     assert rec.block_counts == counts
     assert rec.degenerate_counts == degens
-    for k in range(1, K_MAX + 1):
-        res = u_statistic_depth(a, s, d=d, k=k)
-        assert (res.count, res.degenerate) == (counts[k - 1], degens[k - 1])
     if case == "rademacher" and n == 9:
         assert sum(degens) > 0
 
@@ -356,9 +362,6 @@ def test_degenerate_counts_match_barycentric(case):
     assert _oracle_counts(a, s, d, k_max, exact=False)[1] == degens
     rec = empirical_block_depth(a, s, d=d, k_max=k_max)
     assert (rec.block_counts, rec.degenerate_counts) == (counts, degens)
-    for k in range(1, k_max + 1):
-        res = u_statistic_depth(a, s, d=d, k=k)
-        assert (res.count, res.degenerate) == (counts[k - 1], degens[k - 1])
     assert min(degens) > 0
 
 
@@ -508,10 +511,13 @@ def test_block_experiment_records_degenerate_counts():
 
 
 def test_block_experiment_requires_continuous_iid():
-    from depthlab import rademacher_model
-    with pytest.raises(ValueError):
-        block_depth_experiment(rademacher_model(), Point.zero(), n=4, d=2, k_max=5,
-                         seeds=2, master_seed=1)
+    # an atomic marginal, and Gaussian scales k^-1/4 whose law at the first
+    # tail index alone would read as iid
+    for model in (rademacher_model(),
+                  gaussian_model(tail=PowerTail(1.0, -0.25))):
+        with pytest.raises(ValueError):
+            block_depth_experiment(model, Point.zero(), n=4, d=2, k_max=5,
+                                   seeds=2, master_seed=1)
 
 
 @pytest.mark.parametrize("run", [
