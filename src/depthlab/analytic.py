@@ -37,9 +37,6 @@ ZERO = "ZERO"
 POSITIVE = "POSITIVE"
 UNDECIDED = "UNDECIDED"
 
-# sup values beyond this are treated as an overflow; the depth is reported 0
-OVERFLOW_THRESHOLD = 1e8
-
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -111,14 +108,11 @@ def power_tail_sup(tail: Optional[PowerTail], start: int) -> float:
     return abs(tail.coef) * float(start) ** tail.exponent
 
 
-def _tail_square_sum(a: Point, r: int) -> float:
-    """sum_{k>r} t_k(a)^2: the explicit squares past r in order, then the
-    power tail (math.inf when the tail series diverges)."""
-    m = a.explicit_width
-    coords = np.asarray(a.coords)
-    head = float(np.sum(coords[r:] ** 2)) if r < m else 0.0
-    start = max(r, m) + 1
-    kind, tail = power_tail_sum(a.tail, start, 2.0)
+def _power_sum(a: Point, q: float, r: int = 0) -> float:
+    """sum_{k>r} |t_k(a)|^q: the explicit terms past r, then the power tail
+    (math.inf when the tail series diverges)."""
+    head = float(np.sum(np.abs(np.asarray(a.coords)[r:]) ** q))
+    kind, tail = power_tail_sum(a.tail, max(r, a.explicit_width) + 1, q)
     if kind == DIVERGENT:
         return math.inf
     return head + tail
@@ -216,19 +210,6 @@ def _scaled_point(a: Point, model: SequenceModel) -> Point:
     return Point(coords, tail=_ratio_tail(a, model, m + 1, use_std=False))
 
 
-def _q_norm_with_tail(a: Point, model: SequenceModel, q: float) -> float:
-    """||tau(a)/c||_q including tails; math.inf when divergent."""
-    r = _scaled_point(a, model)
-    ratios, start = np.asarray(r.coords), r.explicit_width + 1
-    if q == math.inf:
-        return max(float(np.max(np.abs(ratios))), power_tail_sup(r.tail, start))
-    head = float(np.sum(np.abs(ratios) ** q))
-    kind, tail_sum = power_tail_sum(r.tail, start, q)
-    if kind == DIVERGENT:
-        return math.inf
-    return (head + tail_sum) ** (1.0 / q)
-
-
 # ---------------------------------------------------------------------------
 # Half-space depth formulas
 # ---------------------------------------------------------------------------
@@ -244,7 +225,9 @@ def stable_depth(a: Point, model: SequenceModel) -> DepthReport:
             f"heterogeneous model: stability indices {sorted(ps)}")
     p = ps.pop()
     q = dual_exponent(p)
-    norm = _q_norm_with_tail(a, model, q)
+    # ||tau(a)/c||_q with its tail, math.inf when divergent
+    r = _scaled_point(a, model)
+    norm = point_sup(r) if q == math.inf else _power_sum(r, q) ** (1.0 / q)
     if math.isinf(norm):
         cert = Certificate("divergence", {
             "norm": "inf", "q": q,
@@ -302,17 +285,22 @@ class GridFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    def value_at(self, t: float) -> float:
+    def _index(self, t: float) -> Optional[int]:
+        """The grid index within 1e-12 of t, or None."""
         i = int(np.searchsorted(self.grid, t))
         for j in (i - 1, i, i + 1):
             if 0 <= j < self.grid.size and abs(self.grid[j] - t) <= 1e-12:
-                return float(self.values[j])
-        raise GridCoverageError(f"grid does not contain t={t}", missing=[t])
+                return j
+        return None
+
+    def value_at(self, t: float) -> float:
+        j = self._index(t)
+        if j is None:
+            raise GridCoverageError(f"grid does not contain t={t}", missing=[t])
+        return float(self.values[j])
 
     def covers(self, t: float) -> bool:
-        i = int(np.searchsorted(self.grid, t))
-        return any(0 <= j < self.grid.size and abs(self.grid[j] - t) <= 1e-12
-                   for j in (i - 1, i, i + 1))
+        return self._index(t) is not None
 
     @staticmethod
     def from_callable(f: Callable[[float], float], k_max: int = 64,
@@ -340,10 +328,7 @@ def brownian_depths(a: GridFunction, k_max: int = 64) -> tuple[float, float]:
     for k in range(1, k_max + 1):
         theta = a.value_at(1.0 / k) - a.value_at(1.0 / (k + 1))
         sup = max(sup, math.sqrt(k * (k + 1)) * theta)
-    if sup >= OVERFLOW_THRESHOLD:
-        return eval_depth, 0.0
-    diff_depth = ndtr(-sup)
-    return eval_depth, diff_depth
+    return eval_depth, ndtr(-sup)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +347,7 @@ class RademacherClassification:
 
 def rademacher_classify(a: Point) -> RademacherClassification:
     """ZERO iff sum t_k(a)^2 diverges or sup |t_k(a)| > 1, else POSITIVE."""
-    series, sup = _tail_square_sum(a, 0), point_sup(a)
+    series, sup = _power_sum(a, 2.0), point_sup(a)
     if sup > 1.0:
         return RademacherClassification(ZERO, "sup > 1", series, sup)
     if math.isinf(series):

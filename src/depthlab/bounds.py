@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytic import SeriesReport, _tail_square_sum, point_sup, series_report
+from .analytic import SeriesReport, _power_sum, point_sup, series_report
 from .errors import MomentUnavailableError
 from .models import Direction, Point, SequenceModel
 
@@ -184,30 +184,18 @@ def small_point_lower_bound(a: Point) -> Optional[LowerBoundReport]:
     s = point_sup(a)
     if s > 0.25:
         return None
-    r_max = math.inf if s == 0.0 else math.floor(1.0 / (16.0 * s * s))
-    if r_max < 1:
+    # the least r in [1, 1/(16 s^2)] with sum_{k>r} t_k(a)^2 <= 1/4: the sum
+    # only falls as r grows, so bisect (at s = 0 every sum is 0, and r = 1)
+    lo, hi = 1, 1 if s == 0.0 else math.floor(1.0 / (16.0 * s * s))
+    if _power_sum(a, 2.0, hi) > 0.25:
         return None
-    m = a.explicit_width
-    r = None
-    for cand in range(1, m + 2):
-        if cand > r_max:
-            break
-        if _tail_square_sum(a, cand) <= 0.25:
-            r = cand
-            break
-    if r is None and math.isfinite(r_max) and r_max > m + 1:
-        # beyond the explicit prefix the tail sum is monotone: bisect
-        lo, hi = m + 1, int(r_max)
-        if _tail_square_sum(a, hi) <= 0.25:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _tail_square_sum(a, mid) <= 0.25:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            r = hi
-    if r is None:
-        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _power_sum(a, 2.0, mid) <= 0.25:
+            hi = mid
+        else:
+            lo = mid + 1
+    r = hi
     delta = 0.25 / math.sqrt(r)
     return LowerBoundReport("SMALL-POINT", 3.0 / 32.0, params={"r": r, "delta": delta})
 
@@ -273,7 +261,7 @@ def rademacher_tail_lower_bound(a: Point, c: float, t0: float
     if c <= 0.0 or t0 <= 0.0:
         raise ValueError("c and t0 must be positive")
     sup = point_sup(a)
-    l2 = math.sqrt(_tail_square_sum(a, 0))
+    l2 = math.sqrt(_power_sum(a, 2.0))
     if math.isinf(l2):
         return None
     if max(c * sup, c * l2 / t0) > 1.0:

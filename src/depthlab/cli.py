@@ -46,8 +46,12 @@ class ConfigError(Exception):
     pass
 
 
-MODEL_PRESETS = ("gaussian_unit", "rademacher", "cauchy_unit", "uniform_unit")
-POINT_PRESETS = ("zero", "inverse-k", "inverse-sqrt-k")
+# preset name -> constructor
+MODEL_PRESETS = {"gaussian_unit": gaussian_model, "rademacher": rademacher_model,
+                 "cauchy_unit": lambda: stable_model(1.0),
+                 "uniform_unit": lambda: uniform_model(-1.0, 1.0)}
+POINT_PRESETS = {"zero": Point.zero, "inverse-k": lambda: Point.inverse_k(1.0),
+                 "inverse-sqrt-k": lambda: Point.inverse_k(0.5)}
 ASSUMPTIONS = (admissibility.AI_AII, admissibility.AIII)
 
 
@@ -56,14 +60,8 @@ ASSUMPTIONS = (admissibility.AI_AII, admissibility.AIII)
 # ---------------------------------------------------------------------------
 
 def load_model(spec: str) -> SequenceModel:
-    if spec == "gaussian_unit":
-        return gaussian_model()
-    if spec == "rademacher":
-        return rademacher_model()
-    if spec == "cauchy_unit":
-        return stable_model(1.0)
-    if spec == "uniform_unit":
-        return uniform_model(-1.0, 1.0)
+    if isinstance(spec, str) and spec in MODEL_PRESETS:
+        return MODEL_PRESETS[spec]()
     path = _spec_file("model", spec, MODEL_PRESETS)
     try:
         doc = json.loads(path.read_text())
@@ -108,12 +106,8 @@ def model_from_document(doc: dict) -> SequenceModel:
 
 
 def load_point(spec: str) -> Point:
-    if spec == "zero":
-        return Point.zero()
-    if spec == "inverse-k":
-        return Point.inverse_k(1.0)
-    if spec == "inverse-sqrt-k":
-        return Point.inverse_k(0.5)
+    if isinstance(spec, str) and spec in POINT_PRESETS:
+        return POINT_PRESETS[spec]()
     path = _spec_file("point", spec, POINT_PRESETS)
     try:
         if path.suffix.lower() == ".json":
@@ -324,34 +318,33 @@ def cmd_analytic(args) -> int:
     model = load_model(cfg["model"])
     point = load_point(cfg["point"])
     fams = model.families()
-    norms: dict[str, float] = {}
-    series_value = None
-    if fams == {"gaussian"}:
-        report = analytic.gaussian_sequence_depth(point, model)
-        rep = analytic.series_report(point, model)
-        series_value = rep.value
-        norms["cameron_martin"] = math.sqrt(rep.value) if rep.finite else math.inf
-    elif fams == {"stable"}:
-        report = analytic.stable_depth(point, model)
-        norms["dual"] = report.certificate.detail.get("norm", math.inf)
-    elif fams == {"rademacher"}:
+    if fams == {"rademacher"}:
         cls = analytic.rademacher_classify(point)
         summary = {
             "classification": cls.label, "reason": cls.reason,
             "series": _json_num(cls.series), "sup": _json_num(cls.sup),
         }
-        print(write_outputs(Path(cfg["out"]), cfg, summary))
-        return 0
     else:
-        raise ConfigError(f"no closed form for model families {sorted(fams)}")
-    summary = {
-        "value": report.value,
-        "zero_certified": report.zero_certified,
-        "certificate": {"kind": report.certificate.kind,
-                        "detail": _json_dict(report.certificate.detail)},
-        "series": _json_num(series_value),
-        "norms": _json_dict(norms),
-    }
+        if fams == {"gaussian"}:
+            report = analytic.gaussian_sequence_depth(point, model)
+            # a divergence certificate has no norm, and "inf" as its series
+            norms = {"cameron_martin":
+                     report.certificate.detail.get("cm_norm", math.inf)}
+        elif fams == {"stable"}:
+            report = analytic.stable_depth(point, model)
+            norms = {"dual": report.certificate.detail["norm"]}
+        else:
+            raise ConfigError(
+                f"no closed form for model families {sorted(fams)}")
+        detail = report.certificate.detail
+        summary = {
+            "value": report.value,
+            "zero_certified": report.zero_certified,
+            "certificate": {"kind": report.certificate.kind,
+                            "detail": _json_dict(detail)},
+            "series": _json_num(detail.get("series")),
+            "norms": _json_dict(norms),
+        }
     print(write_outputs(Path(cfg["out"]), cfg, summary))
     return 0
 

@@ -98,14 +98,14 @@ Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 @dataclass(frozen=True, eq=False)
 class DirectionFamily:
     """A finite direction family: its description, and a builder of its
-    ragged arrays from the sample width, the point and the model.
+    ragged arrays from the sample width.
 
     Families compare by identity: two explicit families of equal size share
     a description but not their directions.
     """
 
     description: str
-    build: Callable[[int, Optional[Point], Optional[SequenceModel]], Arrays]
+    build: Callable[[int], Arrays]
 
     @staticmethod
     def coordinates(K: int) -> "DirectionFamily":
@@ -113,8 +113,7 @@ class DirectionFamily:
             raise ValueError("K must be >= 1")
         return DirectionFamily(
             f"coordinates(K={K})",
-            lambda width, point, model: (np.arange(K + 1),
-                                         np.arange(1, K + 1), np.ones(K)))
+            lambda width: (np.arange(K + 1), np.arange(1, K + 1), np.ones(K)))
 
     @staticmethod
     def random_sparse(count: int, support_size: int, seed: int
@@ -124,7 +123,7 @@ class DirectionFamily:
         if seed < 0:
             raise ValueError("seed must be >= 0")
 
-        def build(width, point, model) -> Arrays:
+        def build(width) -> Arrays:
             rng = _column_rng(seed, 0xD1CE)
             size = min(support_size, width)
             supports = np.sort(_random_subsets(rng, width, size, count),
@@ -138,33 +137,16 @@ class DirectionFamily:
                                f"support={support_size}, seed={seed})", build)
 
     @staticmethod
-    def markov_witnesses(depths: Sequence[int]) -> "DirectionFamily":
-        depths = tuple(depths)
-        if not depths or min(depths) < 1:
-            raise ValueError("depths must be positive integers")
-
-        def build(width, point, model) -> Arrays:
-            if point is None or model is None:
-                raise ValueError("markov witnesses need the point and model")
-            from .bounds import markov_zero_certificate
-            return _ragged(
-                markov_zero_certificate(point, model, depths).witnesses)
-
-        return DirectionFamily(f"markov_witnesses(depths={list(depths)})",
-                               build)
-
-    @staticmethod
     def explicit(directions: Sequence[Direction]) -> "DirectionFamily":
         if len(directions) == 0:
             raise ValueError("explicit family must be nonempty")
         directions = tuple(directions)
         return DirectionFamily(f"explicit({len(directions)} directions)",
-                               lambda width, point, model: _ragged(directions))
+                               lambda width: _ragged(directions))
 
-    def arrays(self, width: int, point: Optional[Point] = None,
-               model: Optional[SequenceModel] = None) -> Arrays:
+    def arrays(self, width: int) -> Arrays:
         """The ragged arrays, all supports within the given sample width."""
-        ptr, index, coeffs = self.build(width, point, model)
+        ptr, index, coeffs = self.build(width)
         if index.max() > width:
             raise DirectionRangeError(
                 f"direction out of range: support reaches {index.max()}, "
@@ -191,16 +173,14 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
             for lo in range(0, n, PROJECT_CHUNK)]
 
 
-def empirical_half_space_depth(a: Point, s: Sample,
-                               family: DirectionFamily,
-                               model: Optional[SequenceModel] = None
+def empirical_half_space_depth(a: Point, s: Sample, family: DirectionFamily
                                ) -> tuple[float, Direction]:
     """min over the family of n^{-1} sum_j 1{t(X_j) >= t(a)}.
 
     Ties count toward the depth (the indicator is >=). Returns the first
     minimizer in family order.
     """
-    ptr, index, coeffs = family.arrays(s.K, point=a, model=model)
+    ptr, index, coeffs = family.arrays(s.K)
     count = len(ptr) - 1
     if (index.size == count and np.array_equal(index, np.arange(1, count + 1))
             and np.all(coeffs == 1.0)):

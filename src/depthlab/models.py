@@ -452,17 +452,12 @@ class SequenceModel:
         return self.tail.unit.std_at(scale)
 
     def sigmas(self, K: int) -> np.ndarray:
-        """``sigma(k)`` for k = 1..K, bit for bit: the explicit laws' stds,
-        then the tail's unit std at one checked row of scales."""
-        width = self.explicit_width
-        if K > width and self.tail is None:
-            raise LawUnavailableError(
-                f"law unavailable for coordinate {width + 1}")
+        """``sigma(k)`` for k = 1..K, bit for bit: each run of one law
+        shape's std at its slice of the checked scale row."""
+        runs, scales = _column_plan(self, K)
         out = np.empty(K)
-        out[:min(K, width)] = [law.std for law in self.laws[:K]]
-        if K > width:
-            scales = self.tail.scales(np.arange(width + 1, K + 1))
-            out[width:] = self.tail.unit.std_at(scales)
+        for lo, hi, law in runs:
+            out[lo:hi] = law.std_at(scales[lo:hi])
         return out
 
     def shape_laws(self) -> tuple[CoordinateLaw, ...]:

@@ -28,7 +28,7 @@ from depthlab import (
     wlln_second_moment,
 )
 from depthlab import models
-from depthlab.analytic import _tail_square_sum, point_sup
+from depthlab.analytic import _power_sum, point_sup
 from depthlab.bounds import exact_rademacher_probability, rademacher_depth_over
 from depthlab.errors import MomentUnavailableError
 from depthlab.models import _column_rng, project_sample, stable_model
@@ -242,7 +242,7 @@ def _small_point_feasible_oracle(a: Point, r_scan: int = 400) -> bool:
     s = point_sup(a)
     for r in range(1, r_scan + 1):
         delta = 0.25 / math.sqrt(r)
-        if s <= delta and _tail_square_sum(a, r) <= 0.25:
+        if s <= delta and _power_sum(a, 2.0, r) <= 0.25:
             return True
     return False
 

@@ -41,10 +41,10 @@ from depthlab.models import (
 ONES = Point((), tail=PowerTail(1.0, 0.0))
 
 
-def _directions(family, width, point=None, model=None):
+def _directions(family, width):
     """The family's directions in order, each built (and so validated) as a
     Direction from its ragged arrays."""
-    ptr, index, coeffs = family.arrays(width, point, model)
+    ptr, index, coeffs = family.arrays(width)
     bounds = ptr.tolist()
     return [Direction(index[lo:hi], coeffs[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])]
@@ -115,20 +115,18 @@ def test_direction_out_of_range():
     for family in (DirectionFamily.coordinates(3),
                    DirectionFamily.explicit([Direction.coordinate(1),
                                              Direction.coordinate(3)]),
-                   DirectionFamily.markov_witnesses([2, 4])):
+                   DirectionFamily.explicit(
+                       markov_zero_certificate(ONES, g, [2, 4]).witnesses)):
         with pytest.raises(DirectionRangeError):
-            empirical_half_space_depth(ONES, s, family, model=g)
+            empirical_half_space_depth(ONES, s, family)
 
 
 @pytest.mark.parametrize("build", [
     lambda: DirectionFamily.coordinates(0),
     lambda: DirectionFamily.random_sparse(0, 2, seed=1),
     lambda: DirectionFamily.random_sparse(5, 2, seed=-1),
-    lambda: DirectionFamily.markov_witnesses([]),
-    lambda: DirectionFamily.markov_witnesses([3, 0]),
     lambda: DirectionFamily.explicit([]),
-], ids=["coordinates", "sparse_count", "sparse_seed", "markov_empty",
-        "markov_zero", "explicit_empty"])
+], ids=["coordinates", "sparse_count", "sparse_seed", "explicit_empty"])
 def test_bad_family_arguments_are_rejected_when_built(build):
     with pytest.raises(ValueError):
         build()
@@ -138,10 +136,10 @@ def test_markov_witness_family_consistency():
     g = gaussian_model()
     n = 50
     cert = markov_zero_certificate(ONES, g, [4, 16])
-    family = DirectionFamily.markov_witnesses([4, 16])
+    family = DirectionFamily.explicit(cert.witnesses)
     for i in range(50):
         s = sample(g, n, 16, seed=3000 + i)
-        value, _ = empirical_half_space_depth(ONES, s, family, model=g)
+        value, _ = empirical_half_space_depth(ONES, s, family)
         for b in cert.bound_values:
             assert value <= b + 3.0 * math.sqrt(b / n)
 
@@ -244,13 +242,13 @@ def test_analytic_floor_propagates_density_errors():
 
 # -- array-shaped evaluation against the per-direction loop --------------------
 
-def _loop_depth(a, s, family, model=None):
+def _loop_depth(a, s, family):
     """The direction-by-direction definition on a row-major copy of the
     sample: project, compare, mean, in family order, stopping at the first
     zero."""
     s = Sample(np.ascontiguousarray(s.data), s.seed)
     best_value, best_dir = math.inf, None
-    for d in _directions(family, s.K, point=a, model=model):
+    for d in _directions(family, s.K):
         with np.errstate(over="ignore", invalid="ignore"):
             above = project_sample(d, s) >= apply_direction(d, a)
         value = float(np.mean(above))
@@ -287,7 +285,9 @@ FAMILY_CASES = {
         [Direction.coordinate(k) for k in range(1, WIDTH + 1)]), ONES),
     "explicit_coordinates_doubled": (DirectionFamily.explicit(
         [Direction((k,), (2.0,)) for k in range(1, WIDTH + 1)]), ONES),
-    "markov_witnesses": (DirectionFamily.markov_witnesses([5, 2, 9, 2, 7]),
+    # the witnesses are the same under both unit-variance models
+    "markov_witnesses": (DirectionFamily.explicit(markov_zero_certificate(
+        Point.inverse_k(1.0), gaussian_model(), [5, 2, 9, 2, 7]).witnesses),
                          Point.inverse_k(1.0)),
 }
 
@@ -308,10 +308,10 @@ def test_depth_matches_per_direction_loop(model_name, case, n):
     if model_name == "rademacher_at_zero" and case != "markov_witnesses":
         a = Point.zero()
     s = sample(model, n, WIDTH, seed=_derive_seed(4040, n))
-    expected = _loop_depth(a, s, family, model)
+    expected = _loop_depth(a, s, family)
     for data in (s.data, np.ascontiguousarray(s.data)):
         value, argmin = empirical_half_space_depth(a, Sample(data, s.seed),
-                                                   family, model=model)
+                                                   family)
         assert type(value) is float
         assert value == expected[0]
         assert argmin == expected[1]
@@ -344,7 +344,7 @@ def test_sample_row_as_point_has_depth_at_least_one_over_n(case, n):
     s = sample(model, n, WIDTH, seed=_derive_seed(4042, n))
     for j in sorted({0, n // 2, n - 1}):
         a = Point(tuple(s.data[j]))
-        value, _ = empirical_half_space_depth(a, s, family, model=model)
+        value, _ = empirical_half_space_depth(a, s, family)
         assert value >= 1.0 / n
 
 
@@ -446,8 +446,8 @@ def test_depth_matches_per_direction_loop_in_small_chunks(monkeypatch, case):
     family, a = FAMILY_CASES[case]
     for model in (gaussian_model(), rademacher_model()):
         s = sample(model, 61, WIDTH, seed=_derive_seed(4041, 61))
-        assert empirical_half_space_depth(a, s, family, model=model) == \
-            _loop_depth(a, s, family, model)
+        assert empirical_half_space_depth(a, s, family) == \
+            _loop_depth(a, s, family)
 
 
 @pytest.mark.parametrize("chunk", [None, 4])
@@ -515,7 +515,7 @@ def test_compare_path_only_for_unit_coordinates(monkeypatch):
     s = sample(gaussian_model(), 20, WIDTH, seed=6)
     for case, (family, a) in sorted(FAMILY_CASES.items()):
         compared.clear()
-        empirical_half_space_depth(a, s, family, model=gaussian_model())
+        empirical_half_space_depth(a, s, family)
         assert bool(compared) is (case in {
             "coordinates", "coordinates_far", "explicit_coordinates"}), case
 
