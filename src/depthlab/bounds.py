@@ -185,8 +185,10 @@ def small_point_lower_bound(a: Point) -> Optional[LowerBoundReport]:
     if s > 0.25:
         return None
     # the least r in [1, 1/(16 s^2)] with sum_{k>r} t_k(a)^2 <= 1/4: the sum
-    # only falls as r grows, so bisect (at s = 0 every sum is 0, and r = 1)
-    lo, hi = 1, 1 if s == 0.0 else math.floor(1.0 / (16.0 * s * s))
+    # only falls as r grows, so bisect.  Below s = 2^-500 (s = 0 included),
+    # where 1/(16 s^2) may leave the doubles, every such sum is far below
+    # 1/4, and r = 1
+    lo, hi = 1, 1 if s < 2.0 ** -500 else math.floor(1.0 / (16.0 * s * s))
     if _power_sum(a, 2.0, hi) > 0.25:
         return None
     while lo < hi:

@@ -80,20 +80,22 @@ def model_from_document(doc: dict) -> SequenceModel:
     if family == "rademacher":
         return rademacher_model(K)
     if family == "uniform":
-        return uniform_model(float(doc.get("lo", -1.0)),
-                             float(doc.get("hi", 1.0)), K)
+        return uniform_model(_number("lo", doc.get("lo", -1.0)),
+                             _number("hi", doc.get("hi", 1.0)), K)
     rule = doc.get("scale_rule", {"kind": "constant", "value": 1.0})
     if not isinstance(rule, dict):
         raise ConfigError("scale_rule must be a JSON object")
     kind = rule.get("kind", "constant")
     if kind == "explicit":
-        scales = [float(v) for v in rule["values"]]
+        scales = _numbers("values", rule["values"])
         tail = None
     elif kind == "constant":
-        scales = None if K is None else [float(rule["value"])] * K
-        tail = PowerTail(float(rule["value"]), 0.0)
+        value = _number("value", rule["value"])
+        scales = None if K is None else [value] * K
+        tail = PowerTail(value, 0.0)
     elif kind == "power":
-        tail = PowerTail(float(rule["coef"]), float(rule["exponent"]))
+        tail = PowerTail(_number("coef", rule["coef"]),
+                         _number("exponent", rule["exponent"]))
         scales = (None if K is None
                   else tail.values(np.arange(1, K + 1)).tolist())
     else:
@@ -101,7 +103,7 @@ def model_from_document(doc: dict) -> SequenceModel:
     if family == "gaussian":
         return gaussian_model(scales, tail)
     if family == "stable":
-        return stable_model(float(doc["p"]), scales, tail)
+        return stable_model(_number("p", doc["p"]), scales, tail)
     raise ConfigError(f"unknown model family {family!r}")
 
 
@@ -132,13 +134,32 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def _number(name: str, value) -> float:
+    """A document's JSON number as a float; a boolean, a string or any
+    other value is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
+
+
+def _numbers(name: str, value) -> list[float]:
+    """A document's JSON array of numbers as floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return [_number(name, v) for v in value]
+
+
 def _point_from_document(doc) -> Point:
     if not isinstance(doc, dict):
         raise ValueError("a point document must be a JSON object")
     tail = doc.get("tail")
-    return Point(tuple(float(c) for c in doc.get("coords", ())),
+    return Point(tuple(_numbers("coords", doc.get("coords", []))),
                  tail=None if tail is None else
-                 PowerTail(float(tail["coef"]), float(tail["exponent"])))
+                 PowerTail(_number("coef", tail["coef"]),
+                           _number("exponent", tail["exponent"])))
 
 
 def _point_from_csv(path: Path) -> Point:
@@ -156,6 +177,8 @@ def _point_from_csv(path: Path) -> Point:
             k = int(row[0])
             if k < 1:
                 raise ValueError(f"coordinate index k={k} must be >= 1")
+            if k in coords:
+                raise ValueError(f"coordinate index k={k} repeats")
             coords[k] = float(row[1])
     if not coords:
         return Point.zero()
@@ -221,6 +244,16 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
         raise ConfigError("a master --seed is mandatory for stochastic runs")
     if "out" not in cfg:
         raise ConfigError("--out directory is required")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path, got {cfg['out']!r}")
+    # checked before the run: the outputs are written after it
+    out = Path(cfg["out"])
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {cfg['out']} is not a directory: "
+                                  f"{path} is a file")
+            break
     for key, least in _LEAST.items():
         if cfg.get(key) is not None:
             _int_at_least(key, cfg[key], least)
@@ -366,7 +399,8 @@ def cmd_bounds(args) -> int:
     rep = cert.series
     if rep.finite and rep.value < 1.0:
         c = bounds.kurtosis_bound(model)
-        delta = 1.0 - math.sqrt(rep.value) if rep.value > 0 else 1.0 - 1e-12
+        # capped below 1, where a tiny series would round it
+        delta = min(1.0 - math.sqrt(rep.value), 1.0 - 1e-12)
         lower.append({"kind": "PZ", "value": bounds.pz_lower_bound(delta, c),
                       "params": {"delta": delta, "c": c}})
     if model.families() == {"rademacher"}:
@@ -455,11 +489,12 @@ def cmd_simplicial(args) -> int:
         raise ConfigError(f"n must be >= d+1 = {int(cfg['d']) + 1}, "
                           f"got {cfg['n']!r}")
     model = load_model(cfg["model"])
+    point = load_point(cfg["point"])
     try:
         simplicial.require_iid_continuous(model)
+        simplicial.periodic_block_target(point, int(cfg["d"]), int(cfg["kmax"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    point = load_point(cfg["point"])
     cfg["mc_draws"] = int(cfg.get("mc_draws", 10 ** 5))
     cfg["budget"] = int(cfg.get("budget", simplicial.DEFAULT_BUDGET))
     result = simplicial.block_depth_experiment(
@@ -493,16 +528,20 @@ def cmd_plotdata(args) -> int:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     lines: list[str] = []
-    if "certificates" in doc:
-        for cert in doc["certificates"]:
-            for m, b in zip(cert["depths"], cert["bound_values"]):
-                lines.append(f"markov_bound,{_plot_x(m)},{float(b)!r},")
-    elif "fraction_zero" in doc:
-        x = _plot_x(doc.get("k_max", doc.get("K", 0)))
-        lines.append(f"fraction_zero,{x},{float(doc['fraction_zero'])!r},"
-                     f"{float(doc.get('fraction_zero_stderr', 0.0))!r}")
-    else:
-        raise ConfigError(f"unrecognized summary document {path}")
+    try:
+        if "certificates" in doc:
+            for cert in doc["certificates"]:
+                for m, b in zip(cert["depths"], cert["bound_values"]):
+                    lines.append(f"markov_bound,{_plot_x(m)},{float(b)!r},")
+        elif "fraction_zero" in doc:
+            x = _plot_x(doc.get("k_max", doc.get("K", 0)))
+            lines.append(f"fraction_zero,{x},{float(doc['fraction_zero'])!r},"
+                         f"{float(doc.get('fraction_zero_stderr', 0.0))!r}")
+        else:
+            raise ConfigError(f"unrecognized summary document {path}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"malformed summary document {path}: {_reason(exc)}") from exc
     outdir = Path(cfg["out"])
     _echo_config(outdir, cfg)
     write_table(outdir / "plotdata.csv", ("series", "x", "y", "stderr"),

@@ -319,24 +319,38 @@ def require_iid_continuous(model: SequenceModel) -> CoordinateLaw:
     return law
 
 
+def periodic_block_target(a: Point, d: int, k_max: int) -> np.ndarray:
+    """The one value (t_1(a), ..., t_d(a)) of blocks 1..k_max of the point,
+    or a ValueError when two of them differ: the experiment's true depth is
+    the single-block depth lambda of that value only when every block
+    tests it."""
+    targets = a.values(k_max * d).reshape(k_max, d)
+    differs = np.flatnonzero(np.any(targets != targets[0], axis=1))
+    if differs.size:
+        raise ValueError(
+            f"the experiment requires a periodic point: block "
+            f"{int(differs[0]) + 1} of {k_max} differs from block 1")
+    return targets[0]
+
+
 def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
                      k_max: int, seeds: int, master_seed: int = 0,
                      mc_draws: int = 10 ** 5,
                      budget: int = DEFAULT_BUDGET) -> BlockExperimentResult:
     """Empirical block depth per seed versus the Monte Carlo true depth.
 
-    For a periodic point every block tests the same projected value, so
-    the true depth equals the single-block simplicial depth lambda(a),
-    estimated here by Monte Carlo.
+    The point must be periodic (``periodic_block_target``): every block
+    tests the same projected value, so the true depth equals the
+    single-block simplicial depth lambda(a), estimated here by Monte Carlo.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     law = require_iid_continuous(model)
     width = k_max * d
     total = _check_block_shape(n, width, d, k_max, budget)
-    targets = a.values(k_max * d).reshape(k_max, d)
+    target = periodic_block_target(a, d, k_max)
     lam, lam_se = simplicial_depth_mc(
-        targets[0], iid_block_sampler(law, d), mc_draws,
+        target, iid_block_sampler(law, d), mc_draws,
         seed=_derive_seed(master_seed, LAMBDA_SEED))
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
     counts = np.empty((seeds, k_max), dtype=np.int64)
@@ -346,7 +360,7 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
         S = block.shape[1]
         blocks = block.reshape(k_max, d, S, n).transpose(2, 0, 3, 1)
         hit, degen = _block_hull_counts(blocks.reshape(S * k_max, n, d),
-                                        np.tile(targets, (S, 1)))
+                                        np.tile(target, (S * k_max, 1)))
         counts[lo:lo + S] = hit.reshape(S, k_max)
         degens[lo:lo + S] = degen.reshape(S, k_max)
     least = counts.min(axis=1)

@@ -300,11 +300,13 @@ def test_brownian_grid_coverage_error():
 
 
 def test_brownian_overflow_reports_zero():
-    # steep distant spike: sup of sqrt(k(k+1)) * theta_k(a) overflows
-    f = GridFunction.from_callable(
-        lambda t: 1e9 if t >= 0.999 else 0.0, k_max=8)
-    ev, diff = brownian_depths(f, 1)
-    assert diff == 0.0
+    # 1 - Phi(sup) underflows to exactly 0.0 once sup passes about 38.5,
+    # far below a jump of 1e9 (or 1e300)
+    for jump in (40.0, 1e9, 1e300):
+        f = GridFunction.from_callable(
+            lambda t: jump if t >= 0.999 else 0.0, k_max=8)
+        ev, diff = brownian_depths(f, 1)
+        assert diff == 0.0
 
 
 # -- Rademacher classification ------------------------------------------------

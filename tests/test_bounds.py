@@ -253,6 +253,9 @@ def test_small_point_bound_examples():
     assert rep.params["r"] == 1 and rep.params["delta"] == pytest.approx(0.25)
 
     assert small_point_lower_bound(Point((1.0,))) is None  # sup forces delta > 1/4
+    # 1/(16 s^2) overflows at s = 1e-160, and 16 s^2 underflows at 1e-170
+    for tiny in (1e-160, 1e-170):
+        assert small_point_lower_bound(Point((tiny,))).params["r"] == 1
 
     flat = Point((0.05,) * 16)
     assert (small_point_lower_bound(flat) is not None) == _small_point_feasible_oracle(flat)
@@ -265,6 +268,33 @@ def test_small_point_bound_matches_exhaustive_oracle_on_random_points():
         coords = rng.uniform(-0.6, 0.6, width) * (rng.random(width) < 0.7)
         a = Point(tuple(coords))
         assert (small_point_lower_bound(a) is not None) == _small_point_feasible_oracle(a)
+
+
+def test_small_point_bound_returns_the_least_r():
+    # `head` coordinates at the sup s, then smaller ones whose squares sum
+    # to 1/4 less a random part of (head - 1) s^2: the least feasible r lies
+    # in (1, head], found by the bisection and checked by a scan of every r
+    rng = _column_rng(408, 3)
+    seen = 0
+    for i in range(40):
+        s = rng.uniform(0.02, 0.06)
+        head = int(rng.integers(2, math.floor(1.0 / (16.0 * s * s)) + 1))
+        rest = 0.25 - rng.uniform(0.0, head - 1) * s * s
+        w = rng.uniform(0.1, 1.0, int(4.0 * rest / (s * s)) + 1)
+        coords = np.concatenate((np.full(head, s),
+                                 w * math.sqrt(rest / np.sum(w * w))))
+        a = Point(tuple(coords),
+                  tail=PowerTail(0.01, -0.75) if i % 3 == 0 else None)
+        sup = point_sup(a)
+        feasible = [r for r in range(1, math.floor(1.0 / (16.0 * sup * sup)) + 1)
+                    if _power_sum(a, 2.0, r) <= 0.25]
+        rep = small_point_lower_bound(a)
+        assert (rep is None) == (not feasible)
+        if feasible:
+            assert rep.params["r"] == feasible[0]
+            assert rep.params["delta"] == 0.25 / math.sqrt(feasible[0])
+            seen += feasible[0] > 1
+    assert seen >= 20
 
 
 def test_small_point_bound_with_divergent_tail_is_not_applicable():

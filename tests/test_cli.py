@@ -155,6 +155,54 @@ def test_plotdata_markov(tmp_path):
     assert rows[1].startswith("markov_bound,4,")
 
 
+@pytest.mark.parametrize("doc", [
+    {"certificates": [{}]},
+    {"certificates": [{"depths": [4], "bound_values": ["x"]}]},
+    {"certificates": 5},
+    {"fraction_zero": "x"},
+    {"fraction_zero": 0.5, "fraction_zero_stderr": [0.1]},
+], ids=["certificate-empty", "bound-text", "certificates-number",
+        "fraction-text", "stderr-list"])
+def test_plotdata_malformed_summary_is_config_error(tmp_path, capsys, doc):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(doc))
+    assert run(["plotdata", "--input", summary, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: malformed summary document")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "file/sub/deeper"])
+def test_out_under_a_file_is_config_error_before_the_run(tmp_path, capsys,
+                                                         monkeypatch, out):
+    (tmp_path / "file").write_text("keep")
+    monkeypatch.setattr(bounds, "markov_zero_certificate", None)  # never run
+    assert run(BOUNDS + ["--out", tmp_path / out]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out")
+    assert (tmp_path / "file").read_text() == "keep"
+
+
+def test_out_that_is_not_a_path_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "gaussian_unit", "point": "zero",
+                               "out": 5}))
+    assert run(["analytic", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: out must be")
+
+
+def test_bounds_pz_delta_is_capped_below_one(tmp_path):
+    # the series 1e-34 gives 1 - sqrt(series) = 1.0 in floating point; the
+    # cap keeps delta in (0, 1), as at a zero series
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"coords": [1e-17]}))
+    out = tmp_path / "b"
+    assert run(["bounds", "--model", "gaussian_unit", "--point", point,
+                "--out", out]) == 0
+    pz, = json.loads((out / "summary.json").read_text())["lower_bounds"]
+    assert pz["params"]["delta"] == 1.0 - 1e-12
+    assert pz["value"] == bounds.pz_lower_bound(1.0 - 1e-12, 3.0)
+
+
 def test_point_csv_loading(tmp_path):
     pt = tmp_path / "point.csv"
     pt.write_text("k,value\n1,0.5\n3,-0.25\n")
@@ -224,6 +272,22 @@ def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
     assert not (tmp_path / "x").exists()
 
 
+def test_simplicial_point_that_is_not_periodic_is_config_error(tmp_path,
+                                                               capsys):
+    # block 2 of [0.5, 0.5, 5, 5] x 3 is outside the support of uniform(0, 1):
+    # the true depth is 0, not lambda of block 1
+    model = tmp_path / "unif01.json"
+    model.write_text(json.dumps({"family": "uniform", "lo": 0.0, "hi": 1.0}))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"coords": [0.5, 0.5, 5.0, 5.0] * 3}))
+    assert run(["simplicial", "--model", model, "--point", point, "--n", 4,
+                "--d", 2, "--kmax", 6, "--seeds", 2, "--seed", 1,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "periodic" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simplicial_power_scale_model_is_config_error(tmp_path, capsys):
     # scales k^-1/4: the coordinates are not identically distributed
     model = tmp_path / "model.json"
@@ -255,11 +319,43 @@ RADEMACHER_BOUNDS = ["bounds", "--model", "rademacher", "--point", "zero"]
     (ADMISSIBLE, {"assumptions": ["AIII"]}),
     (["analytic"], {"model": ["x"], "point": "zero"}),
     (["analytic"], {"model": "gaussian_unit", "point": 7}),
+    (["analytic"], {"model": "gaussian_unit", "point": {"coords": "12"}}),
+    (["analytic"], {"model": "gaussian_unit",
+                    "point": {"coords": [10 ** 400]}}),
+    (["analytic"], {"model": "gaussian_unit",
+                    "point": {"coords": [1.0], "tail": {"coef": "1",
+                                                        "exponent": -1.0}}}),
+    (["analytic"], {"model": {"family": "gaussian", "scale_rule": {
+        "kind": "explicit", "values": "12"}}, "point": "zero"}),
+    (["analytic"], {"model": {"family": "gaussian", "scale_rule": {
+        "kind": "constant", "value": True}}, "point": "zero"}),
+    (["analytic"], {"model": {"family": "stable", "p": True},
+                    "point": "zero"}),
+    (["admissible"], {"model": {"family": "uniform", "lo": "0"},
+                      "point": "zero"}),
+    (["admissible"], {"model": {"family": "uniform", "hi": True},
+                      "point": "zero"}),
+    (["analytic"], {"model": "gaussian_unit",
+                    "point": [["k", "value"], [1, 0.5], [2, 0.1], [1, 0.7]]}),
 ], ids=["tail-c-text", "tail-c-negative", "tail-t0-zero", "tail-t0-boolean",
         "tail-c-list", "tail-c-infinite", "ms-c-negative", "ms-c-nan",
         "ms-t0-zero", "ms-t0-infinite", "assumptions-unknown",
-        "assumptions-list", "model-list", "point-number"])
+        "assumptions-list", "model-list", "point-number", "coords-text",
+        "coords-huge", "tail-coef-text", "scales-text", "scale-boolean",
+        "p-boolean", "lo-text", "hi-boolean", "csv-repeated-k"])
 def test_bad_settings_are_config_errors(tmp_path, capsys, args, settings):
+    # a model or point document given inline is written to its own file: a
+    # JSON object as JSON, a list of rows as CSV
+    for key, value in settings.items():
+        if isinstance(value, dict):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(value))
+        elif key == "point" and isinstance(value, list):
+            path = tmp_path / f"{key}.csv"
+            path.write_text("".join(f"{k},{v}\n" for k, v in value))
+        else:
+            continue
+        settings = {**settings, key: str(path)}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
     assert run(args + ["--config", cfg, "--out", tmp_path / "x"]) == 2

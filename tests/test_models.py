@@ -322,6 +322,18 @@ def test_density_table_matches_scipy_trapezoid(monkeypatch):
     assert np.array_equal(sample(m, 500, 3, seed=35).data, ours)
 
 
+@pytest.mark.parametrize("pdf", [
+    lambda x: 1.0 / (math.pi * (1.0 + np.square(x))),
+    lambda x: 6.0 * math.sqrt(3.0) / (math.pi * np.square(3.0 + np.square(x))),
+], ids=["cauchy", "student-t3"])
+def test_heavy_tailed_density_table_is_refused(pdf):
+    # the table's window stops at +-2^20 and its cells are 64 or 512 wide,
+    # so its draws would put P(|X| < 1) near 0.002, not 0.5
+    m = SequenceModel.iid(density_law(Density(pdf=pdf, symmetric=True)), 1)
+    with pytest.raises(LawUnavailableError, match="misses its deciles"):
+        sample(m, 1000, 1, seed=3)
+
+
 def test_density_quadratures_closed_forms():
     # CDF, normalization and moments of the logistic density, whose
     # variance is pi^2/3 and fourth moment 7 pi^4/15

@@ -493,6 +493,24 @@ def test_block_experiment_point_outside_support():
     assert res.gap == 0.0
 
 
+def test_block_experiment_requires_a_periodic_point():
+    # block 2 of [0.5, 0.5, 5, 5] x 3 lies outside the support: the true
+    # depth is 0, not lambda of block 1
+    model = uniform_model(0.0, 1.0)
+    a = Point((0.5, 0.5, 5.0, 5.0) * 3)
+    with pytest.raises(ValueError, match="block 2 of 6 differs"):
+        simplicial.periodic_block_target(a, d=2, k_max=6)
+    with pytest.raises(ValueError, match="periodic"):
+        block_depth_experiment(model, a, n=4, d=2, k_max=6, seeds=2,
+                               master_seed=1, mc_draws=1_000)
+    # the first block alone, and a constant tail, are periodic
+    assert simplicial.periodic_block_target(a, d=2, k_max=1).tolist() == [
+        0.5, 0.5]
+    ones = Point((), tail=PowerTail(1.0, 0.0))
+    assert simplicial.periodic_block_target(ones, d=3, k_max=4).tolist() == [
+        1.0, 1.0, 1.0]
+
+
 def test_block_experiment_records_degenerate_counts():
     # near 10^6 the pivot tolerance marks close pairs degenerate, so the
     # rows carry nonzero counts
