@@ -47,7 +47,8 @@ class ConfigError(Exception):
 
 
 # preset name -> constructor
-MODEL_PRESETS = {"gaussian_unit": gaussian_model, "rademacher": rademacher_model,
+MODEL_PRESETS = {"gaussian_unit": gaussian_model,
+                 "rademacher": rademacher_model,
                  "cauchy_unit": lambda: stable_model(1.0),
                  "uniform_unit": lambda: uniform_model(-1.0, 1.0)}
 POINT_PRESETS = {"zero": Point.zero, "inverse-k": lambda: Point.inverse_k(1.0),
