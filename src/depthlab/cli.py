@@ -258,6 +258,8 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
     for key, least in _LEAST.items():
         if cfg.get(key) is not None:
             _int_at_least(key, cfg[key], least)
+    if cfg.get("seed") is not None and int(cfg["seed"]) >= 1 << 64:
+        raise ConfigError(f"seed must be < 2**64, got {cfg['seed']!r}")
     if stochastic:
         # an echoed config reproduces its run only on the stream it used
         version = cfg.setdefault("stream_version", STREAM_VERSION)

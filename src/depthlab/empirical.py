@@ -35,10 +35,9 @@ reference arithmetic.  The counts are therefore those of a loop over
 Ties go to the first direction in family order, whichever support group
 is counted first.
 
-The consistency-failure experiment hashes each seed chunk's SeedSequence
-pool once, compares column windows of at least ``_WINDOW_FLOOR`` values
-with the point at once, stops drawing a seed at its first zero count, and
-keeps its rows as arrays, one entry per seed.
+The consistency-failure experiment compares column windows of at least
+``_WINDOW_FLOOR`` values with the point at once, stops drawing a seed at
+its first zero count, and keeps its rows as arrays, one entry per seed.
 """
 
 from __future__ import annotations
@@ -61,13 +60,12 @@ from .models import (
     Point,
     Sample,
     SequenceModel,
+    _column_keys,
     _column_plan,
     _column_rng,
     _derive_seed,
     _draw,
-    _pool_keys,
     _random_subsets,
-    _seed_pool,
     _support_order_sum,
 )
 
@@ -120,8 +118,8 @@ class DirectionFamily:
                       ) -> "DirectionFamily":
         if count < 1 or support_size < 1:
             raise ValueError("count and support_size must be >= 1")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
         def build(width) -> Arrays:
             rng = _column_rng(seed, 0xD1CE)
@@ -409,13 +407,11 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
     its binomial standard error, the analytic floor on the zero
     probability, and a consistency-failure flag when the true depth is
     positive while the empirical depth collapses.  Row i holds seed
-    ``_derive_seed(master_seed, RECORD_SEEDS, i)`` and the least count and
-    first minimizer of ``sample(model, n, K, seed)``.
+    ``_derive_seed(master_seed, RECORD_SEEDS, seeds)[i]`` and the least
+    count and first minimizer of ``sample(model, n, K, seed)``.
 
-    Seeds are taken in chunks of at most ``DRAW_CHUNK // n``; a chunk's
-    SeedSequence pool is hashed once (``_seed_pool``), so a window only
-    indexes it by its live seeds and mixes in its column words.  A chunk's
-    columns are drawn in windows for the live seeds.
+    Seeds are taken in chunks of at most ``DRAW_CHUNK // n``, and a
+    chunk's columns are drawn in windows for its live seeds.
     A window holds at least ``_WINDOW_FLOOR`` values, or the chunk's
     remaining columns, and at most ``DRAW_CHUNK`` values (one column of
     one seed at least); its width doubles from one column, or from the
@@ -431,13 +427,12 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
         raise ValueError("seeds must be >= 1")
     thresholds = a.values(K)
     plan = _column_plan(model, K)
-    seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
+    seed_row = _derive_seed(master_seed, RECORD_SEEDS, seeds)
     # above every count, so a seed's first window sets its row
     least = np.full(seeds, n + 1, dtype=np.int64)
     first = np.zeros(seeds, dtype=np.int64)
     per = max(1, models.DRAW_CHUNK // n)
     for lo in range(0, seeds, per):
-        pool, const = _seed_pool(seed_row[lo:lo + per])
         live = np.arange(lo, min(lo + per, seeds))
         start, width = 0, 1
         while live.size and start < K:
@@ -445,8 +440,8 @@ def zero_depth_experiment(model: SequenceModel, a: Point, n: int, K: int,
             width = max(width, -(-_WINDOW_FLOOR // values))
             end = min(start + width, K,
                       start + max(1, models.DRAW_CHUNK // values))
-            keys = _pool_keys([p[live - lo] for p in pool], const,
-                              np.arange(start + 1, end + 1)[:, None])
+            keys = _column_keys(seed_row[live],
+                                np.arange(start + 1, end + 1)[:, None])
             block = _draw(plan, n, keys, start)
             counts = np.count_nonzero(
                 block >= thresholds[start:end, None, None], axis=2)

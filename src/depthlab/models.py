@@ -9,8 +9,8 @@ power-law tail (the tail of a point defaults to identically zero).
 All types are immutable after construction.  Sampling is bit-reproducible
 from a master seed and independent of how the work is scheduled: value j
 of column k is a fixed transform of word j of the counter-based Philox
-stream keyed by (seed, k), and columns are stored contiguously (samples
-are column-major).
+stream whose key is the pair (seed, k) itself, and columns are stored
+contiguously (samples are column-major).
 """
 
 from __future__ import annotations
@@ -668,7 +668,7 @@ class Sample:
 
 # The sampling stream: how a (seed, column, row) maps to a value.  Any
 # change to it is a declared output change that bumps this number.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Columns of fewer words than this are enciphered by the array Philox,
 # vectorised over (column, block); longer ones by numpy's C Philox.
@@ -687,125 +687,36 @@ _DENSITY_TABLE_TOL = 1e-3
 # seed chunk of ``sample_chunks`` holds one whole sample at least, a column
 # window of ``zero_depth_experiment`` one column of one seed at least.  The
 # cap binds after that experiment's window floor (``_WINDOW_FLOOR``, 512
-# values), and its windows key their columns from one seed pool per chunk
+# values)
 DRAW_CHUNK = 1 << 16
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
-# the algorithm falls under numpy's stream-compatibility guarantee
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash(value, const: int, mult: int):
-    """One SeedSequence hash step on 32-bit words (ints or uint64 arrays);
-    returns the hashed value and the next hash constant."""
-    const_next = const * mult & _MASK32
-    value = (value ^ const) * const_next & _MASK32
-    return value ^ (value >> 16), const_next
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _entropy_pool(entropy: list) -> tuple[list, int]:
-    """SeedSequence's mixed entropy pool of a list of 32-bit entropy words,
-    each an int or a uint64 array, and the next hash constant, from which
-    ``_mix_words`` goes on.
-
-    Arrays broadcast against each other, so one pass hashes every
-    combination of their entries; int words stay Python ints, so the
-    words every combination shares are hashed once.
-    """
-    const = _INIT_A
-    pool = []
-    for word in (entropy + [0] * _POOL_SIZE)[:_POOL_SIZE]:
-        word, const = _hash(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    return _mix_words(pool, const, entropy[_POOL_SIZE:])
-
-
-def _mix_words(pool: list, const: int, words: list) -> tuple[list, int]:
-    """A new pool with the entropy words past the pool size mixed into
-    ``pool``, and the next hash constant."""
-    pool = list(pool)
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            h, const = _hash(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, const
-
-
-def _generate_state(pool: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint32)``, from
-    the pool of ``pool, _ = _entropy_pool(entropy)``."""
-    const = _INIT_B
-    state = []
-    for i in range(n_words):
-        word, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
-        state.append(word)
-    return state
-
-
-def _seed_words(seed) -> list:
-    """SeedSequence entropy words of one integer seed of any size (least
-    significant first, zero is one word), or of a uint64 array of seeds
-    (two words each: a zero high word reads as absent, as padding does)."""
+def _seed_word(seed) -> np.ndarray:
+    """``seed`` as a uint64 key word: an int in [0, 2**64), or a uint64
+    array of seeds, returned as is."""
     if isinstance(seed, np.ndarray):
         if seed.dtype != np.uint64:
             raise TypeError("an array of seeds must have dtype uint64")
-        return [seed & _MASK32, seed >> 32]
+        return seed
     seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
-def _seed_pool(seed) -> tuple[list, int]:
-    """The column-independent half of ``_column_keys``: the SeedSequence
-    pool of ``seed``'s entropy words, padded to the pool size, and the
-    next hash constant.  ``seed`` is one integer of any size or a uint64
-    array of seeds; for an array, the pool is four arrays of its shape,
-    which a subset of the seeds may index."""
-    entropy = _seed_words(seed)
-    return _entropy_pool(entropy + [0] * (_POOL_SIZE - len(entropy)))
-
-
-def _pool_keys(pool: list, const: int, ks) -> np.ndarray:
-    """Philox keys of columns ``ks`` under the seeds of ``pool, const =
-    _seed_pool(seed)``, of shape ``np.broadcast(pool[0], ks).shape + (2,)``:
-    mixes in the spawn word k and generates the key."""
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
-        raise ValueError("column indices must lie in [0, 2**32)")
-    pool, _ = _mix_words(pool, const, [ks.astype(np.uint64)])
-    s = _generate_state(pool, 4)
-    return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=-1)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.uint64(seed)
 
 
 def _column_keys(seed, ks) -> np.ndarray:
     """Philox keys of columns ``ks`` under ``seed``, of shape
-    ``np.broadcast(seed, ks).shape + (2,)``.
-
-    The key of (s, k) is the one numpy derives from
-    ``SeedSequence(entropy=s, spawn_key=(k,))``.  ``seed`` is one integer
-    of any size or a uint64 array of seeds; one pass derives every key.
-    """
-    return _pool_keys(*_seed_pool(seed), ks)
+    ``np.broadcast(seed, ks).shape + (2,)``: the key of (s, k) is the
+    pair (s, k) itself.  ``seed`` is an int in [0, 2**64) or a uint64
+    array of seeds; each k lies in [0, 2**32)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
+        raise ValueError("column indices must lie in [0, 2**32)")
+    return np.stack(np.broadcast_arrays(_seed_word(seed),
+                                        ks.astype(np.uint64)), axis=-1)
 
 
 # Domain words of derived seeds, so that experiment records and the lambda
@@ -813,28 +724,24 @@ def _column_keys(seed, ks) -> np.ndarray:
 RECORD_SEEDS, LAMBDA_SEED = 0x5EED, 0xA11A
 
 
-def _derive_seed(master_seed: int, *path):
-    """The 64-bit seed ``SeedSequence(entropy=(*path, master_seed))
-    .generate_state(1, np.uint64)[0]``.
+def _derive_seed(master_seed: int, domain: int, count: Optional[int] = None):
+    """Word 0 (an int), or words 0..count-1 (a uint64 array), of the
+    Philox stream keyed by (master_seed, domain * 2**32).
 
-    ``path`` is a nonzero domain word followed by indices, each below
-    2**32 (one word).  The master seed goes last.  SeedSequence reads
-    trailing zero words as absent and a master seed takes one or more
-    words, so with the master first (m, x, 0) and (m, x) would be one seed
-    and a two-word master could meet a one-word master's longer path;
-    with the path first, and one path length per domain, distinct
-    (path, master) pairs give distinct entropy.  Returns an int, or a
-    uint64 array with one seed per entry when a path entry is an array.
+    A domain lies in (0, 2**32), so the second key word is at least 2**32,
+    above every column index: no derived stream shares a key with a sample
+    column, and distinct (master, domain) pairs key distinct streams.
+    Seed i of a row depends on (master_seed, domain, i) alone.
     """
-    entropy = []
-    for index in path:
-        index = np.asarray(index)
-        if index.size and (index.min() < 0 or index.max() > _MASK32):
-            raise ValueError("seed path entries must lie in [0, 2**32)")
-        entropy.append(index.astype(np.uint64) if index.ndim else int(index))
-    pool, _ = _entropy_pool(entropy + _seed_words(master_seed))
-    s = _generate_state(pool, 2)
-    return s[0] | s[1] << 32
+    if not 0 < domain <= _MASK32:
+        raise ValueError("a seed domain must lie in (0, 2**32)")
+    key = np.array([_seed_word(master_seed), int(domain) << 32],
+                   dtype=np.uint64)
+    bitgen, _ = _keyed_rng()
+    bitgen.state = _fresh_philox_state(key)
+    if count is None:
+        return int(bitgen.random_raw())
+    return bitgen.random_raw(count)
 
 
 def _fresh_philox_state(key: np.ndarray) -> dict:
@@ -1273,7 +1180,7 @@ def sample(model: SequenceModel, n: int, K: int, seed: int) -> Sample:
     Value j of column k is a fixed transform of word j (stable: words 2j
     and 2j+1) of the Philox4x64-10 stream keyed by (seed, k), so it
     depends on (seed, k, j) alone, not on n, K or evaluation order
-    (``STREAM_VERSION`` 3).  The matrix is column-major: each column is
+    (``STREAM_VERSION`` 4).  The matrix is column-major: each column is
     written, and later read, contiguously.
     """
     if n < 1 or K < 1:

@@ -352,7 +352,7 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     lam, lam_se = simplicial_depth_mc(
         target, iid_block_sampler(law, d), mc_draws,
         seed=_derive_seed(master_seed, LAMBDA_SEED))
-    seed_row = _derive_seed(master_seed, RECORD_SEEDS, np.arange(seeds))
+    seed_row = _derive_seed(master_seed, RECORD_SEEDS, seeds)
     counts = np.empty((seeds, k_max), dtype=np.int64)
     degens = np.empty((seeds, k_max), dtype=np.int64)
     for lo, block in sample_chunks(model, n, width, seed_row):

@@ -532,13 +532,27 @@ def test_simplicial_n_below_d_plus_one_is_config_error(tmp_path, capsys):
 def test_stochastic_config_records_stream_version(tmp_path, args):
     assert run(args + ["--out", tmp_path / "a"]) == 0
     echo = json.loads((tmp_path / "a" / "config.json").read_text())
-    assert echo["stream_version"] == STREAM_VERSION == 3
-    echo["stream_version"] = 1
+    assert echo["stream_version"] == STREAM_VERSION == 4
+    echo["stream_version"] = 3  # the (seed, column) key pairs came at 4
     old = tmp_path / "old.json"
     old.write_text(json.dumps(echo))
     assert run([args[0], "--config", old, "--out", tmp_path / "b"]) == 2
     assert run([args[0], "--config", tmp_path / "a" / "config.json",
                 "--out", tmp_path / "c"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 2],
+    SIMPLICIAL + ["--seeds", 2, "--mc-draws", 100],
+], ids=["empirical", "simplicial"])
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, args):
+    # a master seed is one Philox key word
+    for i, seed in enumerate((2 ** 64, 2 ** 130 + 3)):
+        assert run(args + ["--seed", seed, "--out", tmp_path / f"x{i}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / f"x{i}").exists()
+    assert run(args + ["--seed", 2 ** 64 - 1, "--out", tmp_path / "y"]) == 0
 
 
 # ---------------------------------------------------------------------------

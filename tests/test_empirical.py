@@ -617,7 +617,7 @@ def test_zero_depth_records_match_per_seed_recompute(monkeypatch, chunk):
                                     master_seed=2 ** 33 + 11)
         if point is NEVER_ZERO:  # every column of every seed is compared
             assert res.counts.min() > 0
-        seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, np.arange(count))
+        seeds = _derive_seed(2 ** 33 + 11, RECORD_SEEDS, count)
         assert res.seeds.dtype == np.uint64
         assert res.seeds.tolist() == seeds.tolist()
         assert res.counts.dtype == res.argmin.dtype == np.int64

@@ -53,9 +53,7 @@ from depthlab.models import (
     _column_rng,
     _derive_seed,
     _philox_words,
-    _pool_keys,
     _random_subsets,
-    _seed_pool,
     _transform,
     density_law,
     rademacher_law,
@@ -92,19 +90,17 @@ def test_column_substreams_are_schedule_independent():
         assert np.array_equal(part.data, full.data[:, :K])
 
 
-def _oracle_rng(seed, k):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-    return np.random.Generator(np.random.Philox(ss))
+def _oracle_philox(*key):
+    return np.random.Philox(key=np.array(key, dtype=np.uint64))
 
 
 def _oracle_column(law, n, seed, k):
-    """Column k of sample(., n, ., seed) as stream version 3 defines it:
-    numpy's Philox4x64-10 words under the SeedSequence key of (seed, k),
-    each family's fixed transform on the kernels of ``depthlab.special``,
-    times the scale."""
-    key = _oracle_rng(seed, k).bit_generator.state["state"]["key"]
-    w = np.random.Philox(key=key).random_raw(2 * n if law.family == STABLE
-                                             else n)
+    """Column k of sample(., n, ., seed) as stream version 4 defines it:
+    numpy's Philox4x64-10 words under the key (seed, k), each family's
+    fixed transform on the kernels of ``depthlab.special``, times the
+    scale."""
+    w = _oracle_philox(seed, k).random_raw(2 * n if law.family == STABLE
+                                           else n)
     if law.family == GAUSSIAN:
         x = special.ndtri(((w >> 12) + 0.5) * 2.0 ** -52)
     elif law.family == RADEMACHER:
@@ -125,22 +121,29 @@ def _oracle_column(law, n, seed, k):
     return law.scale * x
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
-                                  2 ** 130 + 987654321])
-def test_column_keys_match_seedsequence(seed):
-    ks = list(range(301)) + [0x51D, 0x5B5, 0xA11A]
-    expected = [_oracle_rng(seed, k).bit_generator.state["state"]["key"]
-                for k in ks]
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5,
+                                  2 ** 64 - 1])
+def test_column_keys_are_seed_column_pairs(seed):
+    ks = list(range(301)) + [0x51D, 0x5B5, 0xA11A, 2 ** 32 - 1]
     keys = _column_keys(seed, ks)
     assert keys.dtype == np.uint64
-    assert np.array_equal(keys, np.array(expected))
+    assert keys.tolist() == [[seed, k] for k in ks]
+    with pytest.raises(ValueError):
+        _column_keys(seed, [2 ** 32])
 
 
-def test_negative_seed_rejected():
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 130 + 987654321])
+def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError):
-        sample(gaussian_model(), 2, 3, seed=-1)
+        sample(gaussian_model(), 2, 3, seed=seed)
     with pytest.raises(ValueError):
-        _column_rng(-1, 0)
+        _column_keys(seed, [1])
+    with pytest.raises(ValueError):
+        _column_rng(seed, 0)
+    with pytest.raises(ValueError):
+        _derive_seed(seed, RECORD_SEEDS, 3)
+    with pytest.raises(ValueError):
+        _derive_seed(seed, LAMBDA_SEED)
 
 
 @pytest.mark.parametrize("model", [
@@ -166,7 +169,8 @@ def test_sample_columns_match_fresh_generators(model):
         column = _oracle_column(model.law(k), n, seed, k)
         assert np.array_equal(full[:, k - 1], column)
     assert np.array_equal(_column_rng(seed, 3).random(4),
-                          _oracle_rng(seed, 3).random(4))
+                          np.random.Generator(_oracle_philox(seed, 3)
+                                              ).random(4))
 
 
 def test_law_unavailable_past_explicit_width():
@@ -479,14 +483,14 @@ def test_sample_stream_pinned():
     # the sampling stream at a fixed seed, one pin per family; a change
     # here must be declared (README, Determinism)
     assert _family_digests(4, 8) == {
-        "gaussian": "7677fafb1d08702dd852419ba80da5f2",
-        "stable0.5": "2e844737af09ec29c7ff284374b05f66",
-        "stable1": "069f908b593365afd922a7a69969bf32",
-        "stable1.5": "f9aa255c08165149f184dc9775bdc745",
-        "stable2": "deb3150495c6e0ed4f3ac82ca0327c72",
-        "uniform": "339ea079f0a90a0d40bd0bd18ac7ea7b",
-        "rademacher": "9fa062413ecf37c66d1043c2b0616aad",
-        "density": "96afb8ae6708f44fdda7a1ce902672c0",
+        "gaussian": "b8114d577791bdeb8ccc7f0c6ed45fee",
+        "stable0.5": "d7402e46585c8a4996e285815f157b06",
+        "stable1": "49ef040b91e00c13fe0dea78adb5af33",
+        "stable1.5": "a8ad47a910f6ddf0507305782ae49093",
+        "stable2": "fb7bea4fe6da5880c09fe4f04a578674",
+        "uniform": "17a1cbfa2fd19477dde6530fa9d05ae7",
+        "rademacher": "31f0ba25f3beb21273cc588b8cd7f5b1",
+        "density": "5934988cf702f3a92faa46b0f45ab279",
     }
 
 
@@ -559,7 +563,7 @@ def test_power_tail_overflow_is_infinite():
     assert PowerTail(1e300, 30.0).values(ks)[-1] == math.inf
 
 
-# -- sampling stream version 3 -------------------------------------------------
+# -- sampling stream version 4 -------------------------------------------------
 
 PHILOX_KEYS = np.array([[0, 0], [2 ** 64 - 1, 2 ** 64 - 1],
                         [2 ** 63 + 5, 2 ** 63 + 1234567],
@@ -628,7 +632,7 @@ def test_column_is_a_prefix_of_longer_and_wider_samples(name):
 @pytest.mark.parametrize("name", sorted(STREAM_MODELS))
 def test_seed_chunks_match_single_samples(monkeypatch, name):
     model = STREAM_MODELS[name]
-    seeds = np.asarray(_derive_seed(9, RECORD_SEEDS, np.arange(7)))
+    seeds = _derive_seed(9, RECORD_SEEDS, 7)
     for chunk in (None, 1, 3 * 6 * 4):  # default, one seed, four seeds
         if chunk is not None:
             monkeypatch.setattr(models, "DRAW_CHUNK", chunk)
@@ -653,54 +657,61 @@ def test_column_keys_of_seed_arrays_match_single_seeds():
         assert np.array_equal(keys[:, i], _column_keys(seed, ks))
 
 
-def test_seed_pool_indexed_by_live_seeds_gives_column_keys():
-    seeds = np.array([3, 2 ** 32 - 1, 2 ** 32, 77, 2 ** 64 - 1, 12],
-                     dtype=np.uint64)
-    pool, const = _seed_pool(seeds)
-    live = np.array([1, 3, 4])
-    window = np.arange(9, 14)[:, None]  # a later column window
-    keys = _pool_keys([p[live] for p in pool], const, window)
-    assert keys.shape == (5, 3, 2)
-    assert np.array_equal(keys, _column_keys(seeds[live], window))
-    # five words: the fifth is mixed in after the pool, before the column
-    big = 2 ** 130 + 987654321
-    ks = [0, 1, 2, 40, 2 ** 32 - 1]
-    expected = [_oracle_rng(big, k).bit_generator.state["state"]["key"]
-                for k in ks]
-    assert np.array_equal(_pool_keys(*_seed_pool(big), ks), np.array(expected))
-
-
-@pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
-                                    2 ** 130 + 3])
-def test_derived_seeds_match_seedsequence(master):
-    def oracle(*entropy):
-        state = np.random.SeedSequence(entropy=entropy).generate_state(
-            1, np.uint64)
-        return int(state[0])
-
-    idx = np.array([0, 1, 2983, 68855, 0xA11A, 2 ** 32 - 1])
-    seeds = _derive_seed(master, RECORD_SEEDS, idx)
+@pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5,
+                                    2 ** 64 - 1])
+def test_derived_seeds_match_philox(master):
+    # seed i of a domain is word i of numpy's Philox keyed by
+    # (master, domain * 2**32)
+    seeds = _derive_seed(master, RECORD_SEEDS, 68856)
     assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [oracle(RECORD_SEEDS, i, master)
-                              for i in idx.tolist()]
-    assert _derive_seed(master, LAMBDA_SEED) == oracle(LAMBDA_SEED, master)
-    assert _derive_seed(master, 0x6A9, 2, 5) == oracle(0x6A9, 2, 5, master)
-    assert type(_derive_seed(master, LAMBDA_SEED)) is int
+    assert np.array_equal(
+        seeds, _oracle_philox(master, RECORD_SEEDS << 32).random_raw(68856))
+    # row i depends on (master, i) alone
+    assert np.array_equal(_derive_seed(master, RECORD_SEEDS, 3), seeds[:3])
+    lam = _derive_seed(master, LAMBDA_SEED)
+    assert type(lam) is int
+    assert lam == int(_oracle_philox(master, LAMBDA_SEED << 32).random_raw())
+    for domain in (1, 0x6A9, 2 ** 32 - 1):
+        assert np.array_equal(_derive_seed(master, domain, 5),
+                              _oracle_philox(master, domain << 32
+                                             ).random_raw(5))
 
 
 def test_derived_seeds_do_not_collide():
     # under 32-bit seeds, records 2983 and 68855 of master 0 shared a seed,
     # and the lambda estimate's (0, 0xA11A) was record 0xA11A's seed
-    records = _derive_seed(0, RECORD_SEEDS, np.array([2983, 68855]))
-    assert records[0] != records[1]
-    keys = _column_keys(records, np.arange(1, 4)[:, None])
+    records = _derive_seed(0, RECORD_SEEDS, 68856)
+    pair = records[[2983, 68855]]
+    assert pair[0] != pair[1]
+    keys = _column_keys(pair, np.arange(1, 4)[:, None])
     assert not np.any(np.all(keys[:, 0] == keys[:, 1], axis=-1))
-    assert (_derive_seed(0, LAMBDA_SEED)
-            != _derive_seed(0, RECORD_SEEDS, 0xA11A))
-    assert len({_derive_seed(0, RECORD_SEEDS, 0), _derive_seed(0, LAMBDA_SEED),
-                _derive_seed(0, 0x6A9, 0, 0)}) == 3
-    with pytest.raises(ValueError):
-        _derive_seed(0, RECORD_SEEDS, 2 ** 32)
+    assert _derive_seed(0, LAMBDA_SEED) != int(records[0xA11A])
+    assert len({int(records[0]), _derive_seed(0, LAMBDA_SEED),
+                _derive_seed(0, 0x6A9)}) == 3
+    for domain in (0, 2 ** 32, -1):
+        with pytest.raises(ValueError):
+            _derive_seed(0, domain)
+
+
+def test_derived_keys_are_never_column_keys(monkeypatch):
+    # a derived stream's second key word is domain * 2**32 >= 2**32, and a
+    # column's is its index k < 2**32
+    seen = []
+    fresh = models._fresh_philox_state
+
+    def record(key):
+        seen.append(np.array(key, dtype=np.uint64))
+        return fresh(key)
+
+    monkeypatch.setattr(models, "_fresh_philox_state", record)
+    for master in (0, 2 ** 64 - 1):
+        for domain in (1, RECORD_SEEDS, LAMBDA_SEED, 2 ** 32 - 1):
+            _derive_seed(master, domain, 2)
+        columns = _column_keys(master, [0, 1, 2 ** 32 - 1])
+        for key in seen:
+            assert key[1] > columns[:, 1].max()
+            assert not np.any(np.all(columns == key, axis=-1))
+    assert len(seen) == 8
 
 
 def test_random_subsets_are_uniform_subsets():

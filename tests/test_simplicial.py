@@ -570,7 +570,7 @@ def test_block_experiment_records_match_per_seed_recompute(monkeypatch, chunk):
     a = Point.periodic([0.5, 0.4], repeats=3)
     res = block_depth_experiment(model, a, n=6, d=2, k_max=3, seeds=12,
                                  master_seed=41, mc_draws=2_000)
-    seeds = _derive_seed(41, RECORD_SEEDS, np.arange(12))
+    seeds = _derive_seed(41, RECORD_SEEDS, 12)
     assert res.seeds.dtype == np.uint64
     assert res.seeds.tolist() == seeds.tolist()
     assert res.block_counts.dtype == res.degenerate_counts.dtype == np.int64

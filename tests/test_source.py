@@ -60,3 +60,21 @@ def test_every_dataclass_has_a_docstring():
                     and ast.get_docstring(node) is None):
                 found.append(f"{path.name}:{node.name}")
     assert found == []
+
+
+def test_streams_are_keyed_in_models_only():
+    # every random word comes from a Philox keyed in ``models`` by (seed,
+    # column) or (master, domain * 2**32); no second key derivation, such
+    # as a SeedSequence hash, comes back
+    root = Path(depthlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        if "SeedSequence" in text:
+            found.append(f"{path.name}: SeedSequence")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if (isinstance(node, ast.Call) and path.name != "models.py"
+                    and getattr(node.func, "attr",
+                                getattr(node.func, "id", None)) == "Philox"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
