@@ -82,17 +82,17 @@ class LowerBoundReport:
 
 def _markov_sums(a: Point, model: SequenceModel, m_max: int):
     """t_k(a) and sigma_k for k = 1..m_max (rows equal to the scalar
-    ``value_at`` and ``sigma``), and the left-to-right cumulative sums of
-    (t_k(a)/sigma_k)^2."""
+    ``value_at`` and ``sigma``), and B_m = 1 / the left-to-right
+    cumulative sum of (t_k(a)/sigma_k)^2: inf where the sum is zero or
+    its reciprocal overflows."""
     t, sig = a.values(m_max), model.sigmas(m_max)
-    return t, sig, np.cumsum((t / sig) ** 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        return t, sig, 1.0 / np.cumsum((t / sig) ** 2)
 
 
 def markov_bound_curve(a: Point, model: SequenceModel, m_max: int) -> np.ndarray:
     """B_m for m = 1..m_max (inf where no witness exists yet)."""
-    csum = _markov_sums(a, model, m_max)[2]
-    with np.errstate(divide="ignore"):
-        return np.where(csum > 0.0, 1.0 / csum, np.inf)
+    return _markov_sums(a, model, m_max)[2]
 
 
 def markov_zero_certificate(a: Point, model: SequenceModel,
@@ -101,20 +101,22 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
 
     Witness m has alpha_k = t_k(a)/sigma_k^2 for k <= m; depths whose
     leading coordinates are all zero are skipped.  A point with tau(a) = 0
-    admits no witness at all.  B_m is read from the cumulative sums that
-    ``markov_bound_curve`` uses, so certificate and curve agree bit for
-    bit; the sums add left to right, as a fresh sum to each m would.
+    admits no witness at all.  B_m is read from the row that
+    ``markov_bound_curve`` returns, so certificate and curve agree bit for
+    bit; the sums add left to right, as a fresh sum to each m would.  A
+    witness whose sum of squares underflows, or whose bound overflows,
+    is kept with B_m = inf.
     """
     if a.is_zero:
         raise ValueError("no witness exists: tau(a) = 0")
     depths = sorted(set(int(m) for m in depths))
     if not depths or depths[0] < 1:
         raise ValueError("depths must be positive integers")
-    t, sig, csum = _markov_sums(a, model, depths[-1])
-    kept = [m for m in depths if csum[m - 1] > 0.0]
+    t, sig, curve = _markov_sums(a, model, depths[-1])
+    support = (np.flatnonzero(t) + 1).tolist()
+    kept = [m for m in depths if support and m >= support[0]]
     if not kept:
         raise ValueError("no witness exists: all requested depths see only zeros")
-    support = (np.flatnonzero(t) + 1).tolist()
     # Python floats: a float's ** 2 is the C library pow, which numpy's
     # x*x does not match in the last bit
     t, sig = t.tolist(), sig.tolist()
@@ -126,7 +128,7 @@ def markov_zero_certificate(a: Point, model: SequenceModel,
     rep = series_report(a, model)
     return ZeroCertificate(point=a, depths=tuple(kept),
                            witnesses=tuple(witnesses),
-                           bound_values=tuple(float(1.0 / csum[m - 1])
+                           bound_values=tuple(float(curve[m - 1])
                                               for m in kept),
                            vanishing=not rep.finite, series=rep)
 

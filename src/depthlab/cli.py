@@ -318,7 +318,8 @@ def write_outputs(outdir: Path, cfg: dict, summary: dict,
     pre-formatted lines; returns the summary's JSON text, which the
     subcommand also prints."""
     _echo_config(outdir, cfg)
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    # no NaN or Infinity token, which is not JSON: _json_num spells them
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     (outdir / "summary.json").write_text(text + "\n")
     if csv_lines is not None:
         write_table(outdir / csv_name, csv_header, csv_lines)
@@ -419,7 +420,7 @@ def cmd_bounds(args) -> int:
     summary = {
         "certificates": [{
             "depths": list(cert.depths),
-            "bound_values": list(cert.bound_values),
+            "bound_values": [_json_num(b) for b in cert.bound_values],
             "status": cert.status,
             "witnesses": [w.to_dict() for w in cert.witnesses],
         }],

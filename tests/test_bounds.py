@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -519,3 +520,22 @@ def test_wlln_second_moment_monte_carlo():
     mc = float(np.mean(stat ** 2))
     # var of the squared statistic is about 2*(2/n)^2, so se ~ 0.28/sqrt(reps)
     assert mc == pytest.approx(wlln_second_moment(g, n), abs=0.005)
+
+
+@pytest.mark.parametrize("coord", [1e-160, 1e-170])
+def test_markov_bounds_of_tiny_points(coord):
+    # the sum of squares is subnormal at 1e-160 (1/x overflows) and zero
+    # at 1e-170; a nonzero t_k still gives a witness, with B_m = inf, and
+    # no floating-point warning is raised
+    a = Point((coord, 0.0, 0.5))
+    model = rademacher_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = markov_zero_certificate(a, model, [1, 2, 3])
+        curve = markov_bound_curve(a, model, 3)
+    assert cert.depths == (1, 2, 3)
+    assert cert.bound_values == (math.inf, math.inf, 4.0)
+    assert curve.tolist() == [math.inf, math.inf, 4.0]
+    assert [w.support for w in cert.witnesses] == [(1,), (1,), (1, 3)]
+    with pytest.raises(ValueError, match="only zeros"):
+        markov_zero_certificate(Point((0.0, 0.0, coord)), model, [1, 2])

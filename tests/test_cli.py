@@ -29,6 +29,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def summaries_are_strict_json(request):
+    """Every summary.json under a test's tmp_path parses with a JSON
+    parser that rejects the NaN and Infinity tokens."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    root = request.getfixturevalue("tmp_path")
+    yield
+    for path in root.rglob("summary.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_analytic_gaussian_inverse_k(tmp_path):
     out = tmp_path / "run"
     assert run(["analytic", "--model", "gaussian_unit",
@@ -201,6 +218,23 @@ def test_bounds_pz_delta_is_capped_below_one(tmp_path):
     pz, = json.loads((out / "summary.json").read_text())["lower_bounds"]
     assert pz["params"]["delta"] == 1.0 - 1e-12
     assert pz["value"] == bounds.pz_lower_bound(1.0 - 1e-12, 3.0)
+
+
+@pytest.mark.parametrize("coord", [1e-160, 1e-170])
+def test_bounds_of_a_tiny_point_are_infinite_not_dropped(tmp_path, coord):
+    # (t_1/sigma_1)^2 overflows 1/x at 1e-320 and underflows to 0 at
+    # 1e-340: the witness stays, with B_m = inf written as "inf"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"coords": [coord]}))
+    out = tmp_path / "b"
+    assert run(["bounds", "--model", "rademacher", "--point", point,
+                "--out", out]) == 0
+    text = (out / "summary.json").read_text()
+    assert "Infinity" not in text
+    cert, = json.loads(text)["certificates"]
+    assert cert["depths"] == [4, 16, 64]
+    assert cert["bound_values"] == ["inf"] * 3
+    assert (out / "markov_curve.csv").read_bytes() == b"m,B_m\r\n"
 
 
 def test_point_csv_loading(tmp_path):
