@@ -255,10 +255,10 @@ def ndtri(p, out=None) -> np.ndarray:
     """The standard normal quantile of each entry of ``p`` (in (0, 1)).
 
     The central rational runs on every entry, ``_CHUNK`` entries at a time;
-    the tail rational only on the gathered entries with |p - 1/2| > 0.425,
-    about 15% of uniform draws, once ``_CHUNK`` of them are held and at the
-    end.  ``out`` may be ``p`` itself (then C-contiguous float64), and no
-    entry of ``p`` is copied but the tail's.
+    the tail rational only on each chunk's gathered entries with
+    |p - 1/2| > 0.425, about 15% of uniform draws.  ``out`` may be ``p``
+    itself (then C-contiguous float64), and no entry of ``p`` is copied
+    but the tail's.
     """
     p = np.ascontiguousarray(p, dtype=float)
     if out is None:
@@ -270,25 +270,20 @@ def ndtri(p, out=None) -> np.ndarray:
     src, dst = p.reshape(-1), out.reshape(-1)
     size = min(_CHUNK, src.size)
     q, r, num, den = (np.empty(size) for _ in range(4))
-    held, count = [], 0  # (positions, p, q) of tail entries not yet mapped
     for lo in range(0, src.size, _CHUNK):
         pc = src[lo:lo + _CHUNK]
         m = len(pc)
         qc, rc = q[:m], r[:m]
         np.subtract(pc, 0.5, out=qc)
         tail = np.flatnonzero(np.abs(qc, out=rc) > _SPLIT1)
-        held.append((tail + lo, pc[tail], qc[tail]))
-        count += tail.size
+        p_tail, q_tail = pc[tail], qc[tail]  # read before dst overwrites p
         # q * (A(r) / B(r)), r = 0.180625 - q^2, as AS 241 groups it
         np.multiply(qc, qc, out=rc)
         np.subtract(_CONST1, rc, out=rc)
         np.multiply(qc, _rational(_CENTRAL, rc, num[:m], den[:m]),
                     out=dst[lo:lo + m])
-        if count >= _CHUNK or lo + m == src.size:
-            at, p_tail, q_tail = (np.concatenate(part) for part in zip(*held))
-            if at.size:
-                dst[at] = _tail(p_tail, q_tail)
-            held, count = [], 0
+        if tail.size:
+            dst[lo + tail] = _tail(p_tail, q_tail)
     return out
 
 
