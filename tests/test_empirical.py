@@ -125,8 +125,10 @@ def test_direction_out_of_range():
     lambda: DirectionFamily.coordinates(0),
     lambda: DirectionFamily.random_sparse(0, 2, seed=1),
     lambda: DirectionFamily.random_sparse(5, 2, seed=-1),
+    lambda: DirectionFamily.random_sparse(5, 2, seed=2 ** 64),
     lambda: DirectionFamily.explicit([]),
-], ids=["coordinates", "sparse_count", "sparse_seed", "explicit_empty"])
+], ids=["coordinates", "sparse_count", "sparse_seed", "sparse_seed_64_bits",
+        "explicit_empty"])
 def test_bad_family_arguments_are_rejected_when_built(build):
     with pytest.raises(ValueError):
         build()
