@@ -132,6 +132,13 @@ def test_column_keys_are_seed_column_pairs(seed):
         _column_keys(seed, [2 ** 32])
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        sample(gaussian_model(), 2, 3, seed=-1)
+    with pytest.raises(ValueError):
+        _column_rng(-1, 0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 130 + 987654321])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError):
