@@ -53,13 +53,21 @@ class ZeroCertificate:
         return "VANISHING" if self.vanishing else "NON-VANISHING"
 
     def recompute(self, i: int, model: SequenceModel) -> float:
-        """B from the stored witness via the Markov formula (for auditing)."""
+        """B from the stored witness via the Markov formula (for auditing).
+
+        num / den^2 does not change when the coefficients are scaled, so
+        they are divided by their largest magnitude first, and den divides
+        twice: den^2 would underflow for coordinates below about 1e-77,
+        and num / den / den overflows to inf where B_m is inf.
+        """
         w = self.witnesses[i]
+        scale = max(abs(c) for c in w.coeffs)
+        coeffs = [c / scale for c in w.coeffs]
         num = sum(c * c * model.sigma(k) ** 2
-                  for k, c in zip(w.support, w.coeffs))
+                  for k, c in zip(w.support, coeffs))
         den = sum(c * self.point.value_at(k)
-                  for k, c in zip(w.support, w.coeffs))
-        return num / den ** 2
+                  for k, c in zip(w.support, coeffs))
+        return num / den / den
 
 
 @dataclass(frozen=True)

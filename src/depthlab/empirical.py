@@ -20,20 +20,23 @@ Any other family is counted against the reference arithmetic of
 ``project_sample`` and ``apply_direction`` (c_1 x_1, then + c_j x_j in
 support order, in float64), which computes t(a) and t(X_j) alike, so a
 sample row equal to the point ties with it.  The count is a filtered
-predicate (Shewchuk 1997): the support columns of each distinct support
-are rounded once into a float32 column-major array, and every direction
-on that support is screened by a float32 matrix-vector product, one
-chunk of ``PROJECT_CHUNK`` rows at a time.  The screen is within a proven
-bound delta of the reference on every row, whatever summation order or fused
-multiply-adds the BLAS uses (``_band``); a row above t(a) + delta counts,
-and a lower bound on the count suffices to stop counting a direction
-once it exceeds the least complete count so far: a count only grows, so
-it cannot be the minimum.  A direction that is never stopped is settled:
-the rows of its band, within delta of t(a) or NaN, are recounted in the
-reference arithmetic.  The counts are therefore those of a loop over
-``project_sample``, bit for bit, under every BLAS build and thread count.
-Ties go to the first direction in family order, whichever support group
-is counted first.
+predicate (Shewchuk 1997), taken one chunk of ``PROJECT_CHUNK`` rows at a
+time: the chunk's used columns are rounded to float32 once, and the live
+directions of each support are screened on them by one float32 matrix
+product per batch of at most ``SCREEN_BATCH``.  The screen is within a
+proven bound delta of the reference on every row, whatever summation
+order or fused multiply-adds the BLAS uses (``_band``), so a row above
+t(a) + delta counts, and a direction's screen count is a lower bound on
+its count.  After the first chunk the pilot, the direction with the least
+screen count, is counted exactly; from then on a direction is dropped once
+its screen count passes the pilot's count, or reaches it from a higher
+family index: a count only grows, so it cannot be the minimum.  The
+directions never dropped are counted exactly.  An exact count is the
+reference arithmetic over the sample's columns, one chunk at a time, so
+the counts are those of a loop over ``project_sample``, bit for bit, under
+every BLAS build and thread count, and no buffer grows with the number of
+rows.  Ties go to the first direction in family order, whichever
+direction is counted first.
 
 The consistency-failure experiment compares column windows of at least
 ``_WINDOW_FLOOR`` values with the point at once, stops drawing a seed at
@@ -72,9 +75,11 @@ from .models import (
 # Most booleans one chunk of the coordinate family's comparison may hold
 # (1 MiB); a chunk is at least one column.
 COMPARE_CHUNK = 1 << 20
-# Rows of one chunk of the float32 screen (64 KiB of projections); read at
-# call time
+# Rows of one chunk of the float32 screen and of the exact count (64 KiB of
+# float32 projections per direction); read at call time
 PROJECT_CHUNK = 1 << 14
+# Most directions of one support group screened by one float32 product
+SCREEN_BATCH = 8
 # Coefficient sums and column maxima past which a support group is out of
 # the float32 screen's range (2^128, less room for rounding): its band is
 # every row
@@ -166,9 +171,58 @@ def _ragged(directions: Sequence[Direction]) -> Arrays:
 
 def _row_chunks(n: int) -> list[tuple[int, int]]:
     """Row bounds (lo, hi) of ``PROJECT_CHUNK`` rows each, the last one
-    shorter, in which the screen reads an n-row sample."""
+    shorter, in which the screen and the exact count read an n-row
+    sample."""
     return [(lo, min(lo + PROJECT_CHUNK, n))
             for lo in range(0, n, PROJECT_CHUNK)]
+
+
+@dataclass(frozen=True, eq=False)
+class _SupportGroup:
+    """The directions of one support, in family order: their family
+    indices, the support's 0-based columns and their rows in the chunk's
+    float32 cast, the coefficients in float64 and float32, t(a) and the
+    screen's bound ``high``."""
+
+    members: np.ndarray
+    idx: np.ndarray
+    pos: np.ndarray
+    coeffs: np.ndarray
+    c32: np.ndarray
+    thresholds: np.ndarray
+    high: np.ndarray
+
+    def screen(self, block: np.ndarray, rs: np.ndarray, proj: np.ndarray,
+               above: np.ndarray, screened: np.ndarray) -> None:
+        """Add to ``screened`` the rows of ``block``, one chunk of the
+        support's float32 columns, whose screen value in the directions
+        ``members[rs]`` exceeds high: one float32 product into ``proj`` and
+        one comparison into ``above`` per batch of at most ``len(proj)``
+        directions, and one ``count_nonzero`` per direction."""
+        rows = block.shape[1]
+        for b in range(0, rs.size, len(proj)):
+            batch = rs[b:b + len(proj)]
+            out, mask = proj[:batch.size, :rows], above[:batch.size, :rows]
+            np.matmul(self.c32[batch], block, out=out)
+            np.greater(out, self.high[batch, None], out=mask)
+            screened[self.members[batch]] += [np.count_nonzero(row)
+                                              for row in mask]
+
+    def count(self, data: np.ndarray, rs: np.ndarray, chunks: list,
+              limits: np.ndarray) -> np.ndarray:
+        """The exact counts of rows whose reference projection in the
+        directions ``members[rs]`` is >= t(a), summed chunk by chunk, the
+        batch's directions at once in the arithmetic of
+        ``_support_order_sum``.  Counting stops once every count passes its
+        limit; a count past its limit is then only known to be so."""
+        totals = np.zeros(rs.size, dtype=np.int64)
+        c, t = self.coeffs[rs].T[:, :, None], self.thresholds[rs, None]
+        for lo, hi in chunks:
+            values = _support_order_sum([data[lo:hi, k] for k in self.idx], c)
+            totals += [np.count_nonzero(row) for row in values >= t]
+            if np.all(totals > limits):
+                break
+        return totals
 
 
 def empirical_half_space_depth(a: Point, s: Sample, family: DirectionFamily
@@ -188,48 +242,73 @@ def empirical_half_space_depth(a: Point, s: Sample, family: DirectionFamily
     for i in range(count):
         support = tuple(indices[bounds[i]:bounds[i + 1]])
         by_support.setdefault(support, []).append(i)
-    point = a.values(s.K)
-    # max |x| of every support column, taken once whatever the groups
-    peaks = np.empty(s.K)
-    for k in np.unique(index - 1).tolist():
-        column = s.data[:, k]
-        peaks[k] = np.maximum(column.max(), -column.min())
+    data, point = s.data, a.values(s.K)
+    used = np.unique(index - 1)
+    columns = used.tolist()
+    # max |x| of every used column, NaN where the column holds one
+    peaks = np.empty(used.size)
+    for j, k in enumerate(columns):
+        peaks[j] = np.maximum(data[:, k].max(), -data[:, k].min())
     chunks = _row_chunks(s.n)
-    width = max(len(support) for support in by_support)
-    cols = np.empty((s.n, width), dtype=np.float32, order="F")
-    proj = np.empty(chunks[0][1], dtype=np.float32)
-    above = np.empty(chunks[0][1], dtype=bool)
+    length = chunks[0][1]
+    cast = np.empty((used.size, length), dtype=np.float32)
+    batch = min(SCREEN_BATCH, max(map(len, by_support.values())))
+    proj = np.empty((batch, length), dtype=np.float32)
+    above = np.empty((batch, length), dtype=bool)
+    # lower bounds on the counts: rows whose screen value exceeds high
+    screened = np.zeros(count, dtype=np.int64)
+    groups = []
+    owner = np.empty(count, dtype=np.intp)  # each direction's group
     best, first = s.n + 1, count
     # float32 overflow is caught by the band, not reported
     with np.errstate(over="ignore", invalid="ignore"):
         for support, members in by_support.items():
             idx = np.asarray(support) - 1
-            m = len(support)
-            group = coeffs[ptr[members][:, None] + np.arange(m)]
+            pos = np.searchsorted(used, idx)
+            group = coeffs[ptr[members][:, None] + np.arange(len(support))]
             # t(a) as apply_direction sums it
             thresholds = _support_order_sum(group.T, point[idx])
-            for j, k in enumerate(idx):
-                cols[:, j] = s.data[:, k]
-            screen = cols[:, :m]
-            highs, lows = _band(group, peaks[idx], thresholds)
-            blocks = [(lo, screen[lo:hi], proj[:hi - lo], above[:hi - lo])
-                      for lo, hi in chunks]
-            for i, c, c32, t, high, low in zip(
-                    members, group, group.astype(np.float32), thresholds,
-                    highs, lows):
-                # i becomes the minimizer with a count of at most `limit`: a
-                # tie goes to the lower family index
-                limit = best if i < first else best - 1
-                total = 0
-                for _, block, out, mask in blocks:
-                    np.greater(np.matmul(block, c32, out=out), high, out=mask)
-                    total += np.count_nonzero(mask)
-                    if total > limit:
-                        break
-                else:
-                    total = _settle(s.data, idx, c, t, c32, high, low, blocks)
-                    if total <= limit:
-                        best, first = total, i
+            owner[members] = len(groups)
+            groups.append(_SupportGroup(
+                np.asarray(members), idx, pos, group, group.astype(np.float32),
+                thresholds, _band(group, peaks[pos], thresholds)))
+        order = np.arange(count)
+        live = np.ones(count, dtype=bool)
+        for lo, hi in chunks:
+            rows = hi - lo
+            for j, k in enumerate(columns):
+                cast[j, :rows] = data[lo:hi, k]
+            for g in groups:
+                rs = np.flatnonzero(live[g.members])
+                if rs.size:
+                    g.screen(cast[g.pos, :rows], rs, proj, above, screened)
+            if lo == 0:
+                # the pilot, the least screen count: its exact count bounds
+                # every other direction's
+                first = int(np.argmin(screened))
+                g = groups[owner[first]]
+                pilot = np.searchsorted(g.members, [first])
+                best = int(g.count(data, pilot, chunks, [s.n])[0])
+                live[first] = False
+            # direction i becomes the minimizer with a count of at most best
+            # if i < first, else best - 1 (a tie goes to the lower family
+            # index), and its count is at least its screen count
+            live &= screened <= np.where(order < first, best, best - 1)
+            if not live.any():
+                break
+        # the directions still live, counted exactly in batches whose values
+        # fill at most one chunk: within a batch, the least count that meets
+        # its limit, the lowest index among ties
+        step = max(1, PROJECT_CHUNK // length)
+        for g in groups:
+            rs = np.flatnonzero(live[g.members])
+            for b in range(0, rs.size, step):
+                ids = g.members[rs[b:b + step]]
+                limits = np.where(ids < first, best, best - 1)
+                totals = g.count(data, rs[b:b + step], chunks, limits)
+                j = int(np.argmin(totals))
+                if totals[j] <= limits[j]:
+                    best, first = int(totals[j]), int(ids[j])
     lo, hi = bounds[first], bounds[first + 1]
     return int(best) / s.n, Direction(index[lo:hi], coeffs[lo:hi])
 
@@ -242,10 +321,9 @@ def _gamma(m: int, u: float) -> float:
 
 
 def _band(group: np.ndarray, col_max: np.ndarray, thresholds: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 bounds (high, low) per direction of a support group, such
-    that a row whose screen value exceeds high has reference projection
-    >= t(a), and one whose screen value is below low has one < t(a).
+          ) -> np.ndarray:
+    """float32 bound ``high`` per direction of a support group, such that
+    a row whose screen value exceeds high has reference projection >= t(a).
 
     The screen value is the float32 product of the float32-rounded columns
     and coefficients.  Whatever order and fusion the BLAS uses, it is within
@@ -257,7 +335,7 @@ def _band(group: np.ndarray, col_max: np.ndarray, thresholds: np.ndarray
     less than 2^-126 even where a BLAS flushes subnormals to zero.  A
     group whose coefficient sum, column maxima or weighted sum pass
     ``_SCREEN_LIMIT``, or are not finite, is past float32's range: delta
-    is infinite and every row is in the band.
+    is infinite and no row passes high.
     """
     m = group.shape[1]
     u, eta = 2.0 ** -24, 2.0 ** -126
@@ -273,41 +351,11 @@ def _band(group: np.ndarray, col_max: np.ndarray, thresholds: np.ndarray
     delta[~(np.maximum(coeff_sum, weighted) <= _SCREEN_LIMIT)
           | ~(col_sum <= _SCREEN_LIMIT)] = math.inf
     high = np.nextafter(thresholds + delta, math.inf)
-    low = np.nextafter(thresholds - delta, -math.inf)
-    return _to_float32(high, math.inf), _to_float32(low, -math.inf)
-
-
-def _to_float32(values: np.ndarray, toward: float) -> np.ndarray:
-    """float32 values rounded toward +inf or -inf from float64 ones."""
-    out = values.astype(np.float32)
-    off = (out > values) if toward < 0 else (out < values)
-    out[off] = np.nextafter(out[off], np.float32(toward))
+    # rounded up to float32: a screen value above the result is above high
+    out = high.astype(np.float32)
+    below = out < high
+    out[below] = np.nextafter(out[below], np.float32(math.inf))
     return out
-
-
-def _settle(data: np.ndarray, idx: np.ndarray, c: np.ndarray, t: float,
-            c32: np.ndarray, high: np.float32, low: np.float32,
-            blocks: list) -> int:
-    """The exact count of rows whose reference projection is >= t.
-
-    A row whose screen value exceeds high counts and one below low does
-    not; the rest, the band (NaN included), are recounted in the reference
-    arithmetic: gathered, or with the whole chunk when the band holds more
-    than an eighth of it, where the gather would cost more.
-    """
-    total = 0
-    for lo, block, out, mask in blocks:
-        np.matmul(block, c32, out=out)
-        np.greater(out, high, out=mask)
-        band = np.flatnonzero(~(mask | (out < low)))
-        if 8 * band.size > out.size:
-            band = slice(lo, lo + out.size)
-        else:
-            total += np.count_nonzero(mask)
-            band += lo
-        values = _support_order_sum([data[band, k] for k in idx], c)
-        total += np.count_nonzero(values >= t)
-    return total
 
 
 def _coordinate_depth(data: np.ndarray, thresholds: np.ndarray

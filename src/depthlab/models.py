@@ -876,11 +876,14 @@ def _philox_words(keys: np.ndarray, words: np.ndarray) -> None:
 def _open_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """((w >> 12) + 0.5) * 2**-52: 52 random bits placed strictly inside
     (0, 1), so no transform sees 0 or 1.  ``out`` may be ``words``'s
-    memory viewed as float64; ``words`` is overwritten."""
+    memory viewed as float64; ``words`` is overwritten.
+
+    The bits become the mantissa of x = 1 + (w >> 12) 2^-52 in [1, 2), and
+    x - (1 - 2^-53) is exact (Sterbenz: (1 - 2^-53) / 2 <= x <= 2 (1 -
+    2^-53)), so this equals the arithmetic form bit for bit."""
     np.right_shift(words, 12, out=words)
-    np.add(words, 0.5, out=out)
-    out *= 2.0 ** -52
-    return out
+    np.bitwise_or(words, 0x3FF0000000000000, out=words)
+    return np.subtract(words.view(np.float64), 1.0 - 2.0 ** -53, out=out)
 
 
 def _closed_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:

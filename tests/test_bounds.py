@@ -79,6 +79,17 @@ def test_markov_bounds_reproducible_from_witness():
                                                      rel=1e-12)
 
 
+@pytest.mark.parametrize("coord,bound", [(1e-100, 1e200), (1e-160, math.inf),
+                                         (1e-170, math.inf)])
+def test_markov_bounds_of_tiny_points_reproducible(coord, bound):
+    # den^2 underflows below about 1e-77; the recomputation divides twice
+    model = rademacher_model()
+    cert = markov_zero_certificate(Point((coord,)), model, [4])
+    assert cert.bound_values[0] == pytest.approx(bound, rel=1e-15)
+    assert cert.recompute(0, model) == pytest.approx(cert.bound_values[0],
+                                                     rel=1e-12)
+
+
 def _markov_per_depth(a, model, depths):
     """Depth by depth, each sum restarted at k = 1 and added left to right."""
     kept, witnesses, bounds = [], [], []

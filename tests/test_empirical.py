@@ -396,23 +396,25 @@ def test_depth_is_exact_on_a_sample_holding_inf_and_nan(case):
             _loop_depth(a, s, family)
 
 
-def _reversed_screen(block, c32, out):
-    """The float32 products summed last to first, in float32."""
-    np.multiply(block[:, -1], c32[-1], out=out)
-    for j in range(c32.size - 2, -1, -1):
-        out += block[:, j] * c32[j]
+def _reversed_screen(c32, block, out):
+    """The float32 products summed last to first, in float32: (batch, m)
+    coefficients times (m, rows) columns."""
+    np.multiply(c32[:, -1:], block[-1], out=out)
+    for j in range(c32.shape[1] - 2, -1, -1):
+        out += c32[:, j:j + 1] * block[j]
     return out
 
 
 def _pushed_screen(rng):
-    """The exact dot product of the float32 factors, pushed up or down at
+    """The exact dot products of the float32 factors, pushed up or down at
     random by 0.9 gamma_{m-1}(2^-24) sum_k |c_k x_jk|, then rounded to
     float32: within the gamma_m bound of any float32 evaluation."""
-    def matmul(block, c32, out):
-        products = block.astype(float) * c32.astype(float)  # exact
-        m = c32.size
+    def matmul(c32, block, out):
+        # (batch, m, rows), exact
+        products = c32.astype(float)[:, :, None] * block.astype(float)
+        m = c32.shape[1]
         gamma = (m - 1) * 2.0 ** -24 / (1.0 - (m - 1) * 2.0 ** -24)
-        push = rng.choice([-0.9, 0.9], size=len(out)) * gamma
+        push = rng.choice([-0.9, 0.9], size=out.shape) * gamma
         out[:] = (products.sum(axis=1)
                   + push * np.abs(products).sum(axis=1))
         return out
@@ -469,6 +471,104 @@ def test_tie_across_support_groups_goes_to_lower_index(monkeypatch, chunk):
     expected = (0.25, Direction.coordinate(2))
     assert empirical_half_space_depth(Point.zero(), s, family) == expected
     assert _loop_depth(Point.zero(), s, family) == expected
+
+
+def _logged_counts(monkeypatch):
+    """The family indices of every batch the exact count takes, in order."""
+    counted = []
+    real = empirical._SupportGroup.count
+
+    def logged(self, data, rs, chunks, limits):
+        counted.append(self.members[rs].tolist())
+        return real(self, data, rs, chunks, limits)
+
+    monkeypatch.setattr(empirical._SupportGroup, "count", logged)
+    return counted
+
+
+@pytest.mark.parametrize("chunk", [None, 4, 8])
+def test_pilot_of_higher_index_loses_a_tie(monkeypatch, chunk):
+    # direction 3 counts the rows direction 1 counts: column 2 is zero but
+    # for a NaN in a row below the point.  The NaN makes its screen bound
+    # infinite, so its first-chunk screen count, 0, is the least and it is
+    # the pilot; direction 1 (and 2, an exact duplicate of it) ties with it
+    # and the lowest index must win.
+    if chunk is not None:
+        monkeypatch.setattr(empirical, "PROJECT_CHUNK", chunk)
+    data = np.full((20, 3), -1.0)
+    data[::5, 0] = 1.0
+    data[:, 1], data[:, 2] = 0.0, 1.0
+    data[1, 1] = np.nan
+    s = Sample(data, seed=0)
+    family = DirectionFamily.explicit([
+        Direction.coordinate(3),                # count 20
+        Direction.coordinate(1),                # count 4
+        Direction.coordinate(1),                # count 4
+        Direction((1, 2), (1.0, 1.0)),          # count 4, the pilot
+        Direction((1, 3), (1.0, 1.0)),          # count 20
+    ])
+    counted = _logged_counts(monkeypatch)
+    expected = (0.2, Direction.coordinate(1))
+    assert empirical_half_space_depth(Point.zero(), s, family) == expected
+    assert _loop_depth(Point.zero(), s, family) == expected
+    assert counted[0] == [3]
+    assert sorted(sum(counted[1:], [])) == [1, 2]
+
+
+def test_every_direction_but_the_pilot_pruned_in_the_first_chunk(
+        monkeypatch):
+    # 21 rows in chunks of 8: the pilot's only row at or above the point is
+    # in the last, shorter chunk, and every other direction's screen puts
+    # two or more rows above it in the first chunk
+    monkeypatch.setattr(empirical, "PROJECT_CHUNK", 8)
+    data = np.ones((21, 3))
+    data[:20, 0] = -1.0
+    s = Sample(data, seed=0)
+    family = DirectionFamily.explicit([
+        Direction.coordinate(2),
+        Direction.coordinate(1),                # the pilot, count 1
+        Direction((2, 3), (1.0, 1.0)),
+        Direction((3,), (2.0,)),
+    ])
+    counted = _logged_counts(monkeypatch)
+    screened = []
+    real = np.matmul
+
+    def logged(c32, block, out):
+        screened.append(out.shape)
+        return real(c32, block, out=out)
+
+    monkeypatch.setattr(np, "matmul", logged)
+    expected = (1 / 21, Direction.coordinate(1))
+    assert empirical_half_space_depth(Point.zero(), s, family) == expected
+    monkeypatch.undo()
+    assert _loop_depth(Point.zero(), s, family) == expected
+    assert counted == [[1]]
+    assert screened and all(rows == 8 for _, rows in screened)
+
+
+def test_depth_working_set_does_not_grow_with_rows():
+    # every buffer is one chunk long: from 4 to 16 chunks of rows, the peak
+    # grows by less than one chunk's buffers (the float32 cast of the used
+    # columns, and one batch's float32 projections and booleans)
+    width = 4
+    family = DirectionFamily.random_sparse(60, 2, seed=41)
+    peaks = []
+    for chunks in (4, 16):
+        s = sample(gaussian_model(), chunks * empirical.PROJECT_CHUNK, width,
+                   seed=9)
+        a = Point(tuple(s.data[0]))
+        # an untraced call first, so one-time allocations do not count
+        empirical_half_space_depth(a, s, family)
+        tracemalloc.start()
+        try:
+            empirical_half_space_depth(a, s, family)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    buffers = empirical.PROJECT_CHUNK * (4 * width
+                                         + 5 * empirical.SCREEN_BATCH)
+    assert peaks[1] - peaks[0] < buffers
 
 
 def test_first_direction_with_count_zero_is_the_minimizer():

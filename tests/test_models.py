@@ -610,6 +610,27 @@ def test_transforms_are_finite_at_extreme_words(law):
         assert out[0] < 0.0 < out[1]
 
 
+def test_open_unit_equals_its_arithmetic_form():
+    # the exponent-bit form against ((w >> 12) + 0.5) * 2**-52, at the
+    # edges of the shifted-out bits and of the word range, and at random
+    edges = np.array([0, 1, 2 ** 12 - 1, 2 ** 12, 2 ** 63,
+                      2 ** 64 - 2 ** 12 - 1, 2 ** 64 - 2 ** 12, 2 ** 64 - 1],
+                     dtype=np.uint64)
+    random = np.random.default_rng(12).integers(
+        0, 2 ** 64, size=10 ** 5, dtype=np.uint64, endpoint=False)
+    for words in (edges, random):
+        expected = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0 ** -52
+        aliased = words.copy()
+        got = models._open_unit(aliased, aliased.view(np.float64))
+        assert _bits(got) == _bits(expected)
+        # a strided view of the words into a separate array, as the
+        # stable transform reads one word of each pair
+        pairs = np.repeat(words, 2)
+        got = models._open_unit(pairs[::2], np.empty(words.size))
+        assert _bits(got) == _bits(expected)
+        assert 0.0 < expected.min() and expected.max() < 1.0
+
+
 STREAM_MODELS = {
     "gaussian": gaussian_model([2.0, 0.5], tail=PowerTail(0.7, -1.3)),
     "stable1.5": stable_model(1.5, tail=PowerTail(2.0, -0.5)),
