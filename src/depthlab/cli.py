@@ -8,8 +8,9 @@ All randomness flows from one mandatory master seed; reruns of the same
 config reproduce outputs byte for byte.  The CSV dialect is part of that
 contract: the bytes of ``csv.writer``'s default dialect (comma separators,
 CRLF line ends, ints as ``str``, floats as ``repr``, an empty string as an
-empty field).  Each subcommand formats its rows as text lines, and
-``write_table`` writes them.
+empty field).  Each subcommand hands ``write_table`` its table as numpy
+columns and one ``%`` row format, and ``write_table`` formats and writes
+the rows a batch at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -22,9 +23,8 @@ import json
 import math
 import sys
 from functools import lru_cache
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def model_from_document(doc: dict) -> SequenceModel:
     family = doc["family"]
     K = doc.get("K")
     if K is not None:
-        K = _int_at_least("K", K, 1)
+        K = _int_in_range("K", K, 1)
     if family in ("rademacher", "uniform") and "scale_rule" in doc:
         raise ConfigError(f"a {family} model takes no scale_rule")
     if family == "rademacher":
@@ -195,12 +195,20 @@ def _point_from_csv(path: Path) -> Point:
 # file and the flags are merged
 _LEAST = {"n": 1, "K": 1, "seeds": 1, "d": 1, "kmax": 1, "mc_draws": 1,
           "budget": 1, "curve_max": 1, "seed": 0}
+# greatest admissible value of the settings that have one.  A master seed
+# is one 64-bit Philox key word.  Each size sets the length of an array,
+# which far past its limit cannot be allocated: at the limit of n, K or
+# curve_max one run peaked under 700 MB, and at a depth of 10**6 (which also
+# sets a witness's length) under 400 MB.
+_MOST = {"seed": 2 ** 64 - 1, "n": 10 ** 7, "K": 10 ** 7, "seeds": 10 ** 7,
+         "kmax": 10 ** 7, "curve_max": 10 ** 7, "depths": 10 ** 6}
 
 
-def _int_at_least(name: str, value, least: int) -> int:
-    """``value`` as an int >= least.  A boolean or a number with a
-    fractional part is an error, not truncated: the echoed config would
-    hold another value than the run used."""
+def _int_in_range(name: str, value, least: int) -> int:
+    """``value`` as an int >= least and, where ``_MOST`` names a limit,
+    <= that limit.  A boolean or a number with a fractional part is an
+    error, not truncated: the echoed config would hold another value than
+    the run used."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -210,6 +218,8 @@ def _int_at_least(name: str, value, least: int) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if number < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    if number > _MOST.get(name, number):
+        raise ConfigError(f"{name} must be <= {_MOST[name]}, got {value!r}")
     return number
 
 
@@ -257,9 +267,7 @@ def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
             break
     for key, least in _LEAST.items():
         if cfg.get(key) is not None:
-            _int_at_least(key, cfg[key], least)
-    if cfg.get("seed") is not None and int(cfg["seed"]) >= 1 << 64:
-        raise ConfigError(f"seed must be < 2**64, got {cfg['seed']!r}")
+            _int_in_range(key, cfg[key], least)
     if stochastic:
         # an echoed config reproduces its run only on the stream it used
         version = cfg.setdefault("stream_version", STREAM_VERSION)
@@ -275,7 +283,7 @@ def _depths(value) -> list[int]:
     entries = value if isinstance(value, list) else str(value).split(",")
     if not entries:
         raise ConfigError("depths must name at least one depth")
-    return [_int_at_least("depths", m, 1) for m in entries]
+    return [_int_in_range("depths", m, 1) for m in entries]
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -288,20 +296,33 @@ def _require(cfg: dict, *keys: str) -> None:
 TABLE_BATCH = 1024
 
 
-def write_table(path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV table from pre-formatted rows, ``TABLE_BATCH`` at a time.
+def write_table(path, header: Sequence[str], row_format: str,
+                columns: Sequence[np.ndarray]) -> None:
+    """Write a CSV table from equal-length numpy columns, ``TABLE_BATCH``
+    rows at a time.
 
-    Each line is one row without its line end.  The bytes are those of
-    ``csv.writer``'s default dialect for the fields the package writes:
-    comma separators, ``\\r\\n`` line ends, ints as ``str``, floats as
-    ``repr`` and an empty string as an empty field; no field needs quoting.
+    ``row_format`` is one row without its line end, with one ``%``
+    conversion per column: ``%d`` for an integer dtype (it would truncate
+    a float), ``%r`` for floats and ``%s`` for text.  Each batch converts
+    its column slices with ``.tolist()``, so no numpy scalar reaches the
+    format (``%r`` of one is not a float's repr), and is formatted with
+    one ``%`` and written before the next: one batch's text is held at a
+    time.  The
+    bytes are those of ``csv.writer``'s default dialect for the fields the
+    package writes: comma separators, ``\\r\\n`` line ends, ints as
+    ``str``, floats as ``repr`` and an empty string as an empty field; no
+    field needs quoting.
     """
-    lines = iter(lines)
+    line, width = row_format + "\r\n", len(columns)
+    total = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while batch := list(islice(lines, TABLE_BATCH)):
-            batch.append("")
-            fh.write("\r\n".join(batch))
+        for lo in range(0, total, TABLE_BATCH):
+            rows = min(TABLE_BATCH, total - lo)
+            cells = [None] * (rows * width)
+            for i, column in enumerate(columns):
+                cells[i::width] = column[lo:lo + rows].tolist()
+            fh.write(line * rows % tuple(cells))
 
 
 def _echo_config(outdir: Path, cfg: dict) -> None:
@@ -311,38 +332,18 @@ def _echo_config(outdir: Path, cfg: dict) -> None:
 
 
 def write_outputs(outdir: Path, cfg: dict, summary: dict,
-                  csv_lines: Iterable[str] | None = None,
-                  csv_header: Sequence[str] = (),
-                  csv_name: str = "table.csv") -> str:
-    """Write config.json, summary.json and the optional CSV table of
-    pre-formatted lines; returns the summary's JSON text, which the
-    subcommand also prints."""
+                  table: tuple | None = None) -> str:
+    """Write config.json, summary.json and the optional CSV table, given
+    as (file name, header, row format, columns) for ``write_table``;
+    returns the summary's JSON text, which the subcommand also prints."""
     _echo_config(outdir, cfg)
     # no NaN or Infinity token, which is not JSON: _json_num spells them
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     (outdir / "summary.json").write_text(text + "\n")
-    if csv_lines is not None:
-        write_table(outdir / csv_name, csv_header, csv_lines)
+    if table is not None:
+        name, *spec = table
+        write_table(outdir / name, *spec)
     return text
-
-
-def _curve_lines(curve: np.ndarray) -> Iterator[str]:
-    """Rows m,B_m of the finite Markov bounds, converted a batch at a time."""
-    finite = np.flatnonzero(np.isfinite(curve))
-    for lo in range(0, finite.size, TABLE_BATCH):
-        rows = finite[lo:lo + TABLE_BATCH]
-        yield from map("{},{!r}".format, (rows + 1).tolist(),
-                       curve[rows].tolist())
-
-
-def _block_lines(result) -> Iterator[str]:
-    """Rows seed,k,Z,N,ratio; each distinct count's Z,N,ratio tail is
-    formatted once."""
-    N = result.n_subsets
-    tails = {z: f"{z},{N},{z / N!r}"
-             for z in np.unique(result.block_counts).tolist()}
-    for seed, row in zip(result.seeds.tolist(), result.block_counts.tolist()):
-        yield from [f"{seed},{k},{tails[z]}" for k, z in enumerate(row, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +428,10 @@ def cmd_bounds(args) -> int:
         "lower_bounds": lower,
         "series": _json_num(rep.value),
     }
+    finite = np.flatnonzero(np.isfinite(curve))
     print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        csv_lines=_curve_lines(curve),
-                        csv_header=["m", "B_m"],
-                        csv_name="markov_curve.csv"))
+                        ("markov_curve.csv", ["m", "B_m"], "%d,%r",
+                         (finite + 1, curve[finite]))))
     return 0
 
 
@@ -476,13 +477,12 @@ def cmd_empirical(args) -> int:
         "family": result.family,
         "n": result.n, "K": result.K, "seeds": int(cfg["seeds"]),
     }
-    shape, depths = f",{result.n},{result.K},", result.counts / result.n
-    lines = (f"{seed}{shape}{depth!r},{int(depth == 0.0)}"
-             for seed, depth in zip(result.seeds.tolist(), depths.tolist()))
-    print(write_outputs(Path(cfg["out"]), cfg, summary, csv_lines=lines,
-                        csv_header=["seed", "n", "K", "empirical_depth",
-                                    "zero_hit"],
-                        csv_name="empirical.csv"))
+    depths = result.counts / result.n
+    print(write_outputs(Path(cfg["out"]), cfg, summary,
+                        ("empirical.csv",
+                         ["seed", "n", "K", "empirical_depth", "zero_hit"],
+                         f"%d,{result.n},{result.K},%r,%d",
+                         (result.seeds, depths, depths == 0.0))))
     return 0
 
 
@@ -514,10 +514,17 @@ def cmd_simplicial(args) -> int:
         "gap": result.gap,
         "n": result.n, "d": result.d, "k_max": result.k_max,
     }
+    # each distinct count's Z,N,ratio fields are formatted once
+    N, (seeds, kmax) = result.n_subsets, result.block_counts.shape
+    counts, slot = np.unique(result.block_counts.ravel(), return_inverse=True)
+    tails = np.array([f"{z},{N},{z / N!r}" for z in counts.tolist()],
+                     dtype=object)
     print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        csv_lines=_block_lines(result),
-                        csv_header=["seed", "k", "Z", "N", "ratio"],
-                        csv_name="simplicial.csv"))
+                        ("simplicial.csv", ["seed", "k", "Z", "N", "ratio"],
+                         "%d,%d,%s",
+                         (np.repeat(result.seeds, kmax),
+                          np.tile(np.arange(1, kmax + 1), seeds),
+                          tails[slot]))))
     return 0
 
 
@@ -531,16 +538,17 @@ def cmd_plotdata(args) -> int:
         raise ConfigError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object")
-    lines: list[str] = []
     try:
         if "certificates" in doc:
-            for cert in doc["certificates"]:
-                for m, b in zip(cert["depths"], cert["bound_values"]):
-                    lines.append(f"markov_bound,{_plot_x(m)},{float(b)!r},")
+            pairs = [(_plot_x(m), float(b)) for cert in doc["certificates"]
+                     for m, b in zip(cert["depths"], cert["bound_values"])]
+            row_format = "markov_bound,%s,%r,"
+            columns = [[x for x, _ in pairs], [y for _, y in pairs]]
         elif "fraction_zero" in doc:
-            x = _plot_x(doc.get("k_max", doc.get("K", 0)))
-            lines.append(f"fraction_zero,{x},{float(doc['fraction_zero'])!r},"
-                         f"{float(doc.get('fraction_zero_stderr', 0.0))!r}")
+            row_format = "fraction_zero,%s,%r,%r"
+            columns = [[_plot_x(doc.get("k_max", doc.get("K", 0)))],
+                       [float(doc["fraction_zero"])],
+                       [float(doc.get("fraction_zero_stderr", 0.0))]]
         else:
             raise ConfigError(f"unrecognized summary document {path}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -549,7 +557,7 @@ def cmd_plotdata(args) -> int:
     outdir = Path(cfg["out"])
     _echo_config(outdir, cfg)
     write_table(outdir / "plotdata.csv", ("series", "x", "y", "stderr"),
-                lines)
+                row_format, [np.array(c, dtype=object) for c in columns])
     return 0
 
 

@@ -82,6 +82,9 @@ class PowerTail:
         scalar formula: a model's scales and a point's coordinates then
         read the same wherever they are taken.
         """
+        if self.exponent == 0.0:
+            # pow(k, +-0) is 1 for every k (C99 F.9.4.4): the row is coef
+            return np.full(len(ks), self.coef)
         ks = np.asarray(ks, dtype=float).tolist()
         try:
             row = np.fromiter(map(math.pow, ks, repeat(self.exponent)),

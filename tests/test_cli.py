@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,16 +248,16 @@ def test_point_csv_loading(tmp_path):
     assert doc["series"] == pytest.approx(0.25 + 0.0625)
 
 
-def _sample_lines(s: Sample):
-    """A sample in long form, rows j,k,value with 1-based indices."""
-    return (f"{j},{k},{v!r}" for j, row in enumerate(s.data, start=1)
-            for k, v in enumerate(row.tolist(), start=1))
+def _sample_columns(s: Sample):
+    """A sample in long form, columns j,k,value with 1-based indices."""
+    return (np.repeat(np.arange(1, s.n + 1), s.K),
+            np.tile(np.arange(1, s.K + 1), s.n), s.data.ravel())
 
 
 def test_sample_csv_export(tmp_path):
     s = sample(gaussian_model(), 2, 2, seed=3)
     path = tmp_path / "sample.csv"
-    write_table(path, ("j", "k", "value"), _sample_lines(s))
+    write_table(path, ("j", "k", "value"), "%d,%d,%r", _sample_columns(s))
     lines = path.read_text().splitlines()
     assert lines[0] == "j,k,value"
     assert len(lines) == 5
@@ -303,6 +304,25 @@ BOUNDS = ["bounds", "--model", "gaussian_unit", "--point", "inverse-k"]
 def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", [
+    BOUNDS + ["--curve-max", 10 ** 12],
+    BOUNDS + ["--depths", f"4,{10 ** 11}"],
+    EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 10 ** 12, "--seed", 1],
+    EMPIRICAL + ["--n", 10 ** 12, "--K", 5, "--seeds", 2, "--seed", 1],
+    EMPIRICAL + ["--n", 3, "--K", 10 ** 12, "--seeds", 2, "--seed", 1],
+    SIMPLICIAL + ["--seeds", 10 ** 12, "--seed", 1],
+    SIMPLICIAL + ["--seeds", 2, "--kmax", 10 ** 12, "--seed", 1],
+], ids=["curve-max", "depth", "seeds", "n", "K", "simplicial-seeds",
+        "kmax"])
+def test_sizes_too_large_to_allocate_are_config_errors(tmp_path, capsys,
+                                                       args):
+    # each run's first array of that length would raise numpy's MemoryError
+    assert run(args + ["--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and " must be <= " in err
     assert not (tmp_path / "x").exists()
 
 
@@ -444,6 +464,21 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command,
     assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "must be an integer" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("bounds", {**MARKOV, "curve_max": 1e12}),
+    ("bounds", {**MARKOV, "depths": [4, 1e11]}),
+    ("simplicial", {**BLOCKS, "seeds": 1e12}),
+], ids=["curve_max", "depths", "seeds"])
+def test_sizes_too_large_from_config_file_are_config_errors(
+        tmp_path, capsys, command, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and " must be <= " in err
     assert not (tmp_path / "x").exists()
 
 
@@ -610,10 +645,53 @@ def test_sample_csv_matches_csv_writer(tmp_path):
     s = Sample(data, seed=0)
     assert s.n * s.K > TABLE_BATCH
     path = tmp_path / "sample.csv"
-    write_table(path, ("j", "k", "value"), _sample_lines(s))
+    write_table(path, ("j", "k", "value"), "%d,%d,%r", _sample_columns(s))
     rows = [[j + 1, k + 1, repr(float(s.data[j, k]))]
             for j in range(s.n) for k in range(s.K)]
     assert path.read_bytes() == csv_oracle(["j", "k", "value"], rows)
+
+
+def test_numpy_columns_match_csv_writer(tmp_path):
+    # the writer converts numpy columns itself: no np.float64(...) repr, no
+    # float truncated by %d, no uint64 seed wrapped to a negative int
+    rows = TABLE_BATCH + 300
+    rng = np.random.default_rng(21)
+    seeds = rng.integers(0, 2 ** 64, rows, dtype=np.uint64, endpoint=False)
+    seeds[:4] = [0, 2 ** 63, 2 ** 64 - 1, 2 ** 63 + 1]
+    counts = rng.integers(-2 ** 40, 2 ** 40, rows)
+    counts[:3] = [-2 ** 63, 2 ** 63 - 1, 0]
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    special = [5e-324, -5e-324, -2.2250738585072014e-309, 0.0, -0.0,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-300]
+    values[:len(special)] = special
+    values[TABLE_BATCH - 2:TABLE_BATCH + 2] = special[:4]
+    assert (seeds.dtype, counts.dtype, values.dtype) == (
+        np.uint64, np.int64, np.float64)
+    path = tmp_path / "t.csv"
+    write_table(path, ("seed", "count", "value"), "%d,%d,%r",
+                (seeds, counts, values))
+    text = path.read_bytes()
+    assert b"np." not in text
+    assert text == csv_oracle(["seed", "count", "value"],
+                              zip(seeds.tolist(), counts.tolist(),
+                                  values.tolist()))
+
+
+def test_table_writer_holds_one_batch(tmp_path):
+    # the text of this 2**20-row table is about 17 MB; a writer that built
+    # it whole before writing would peak above it, one batch is ~100 kB
+    ms = np.arange(1, (1 << 20) + 1)
+    columns = (ms, ms * 0.5)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, ("m", "B_m"), "%d,%r", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1 << 24
+    assert peak < size / 8
 
 
 def test_markov_curve_matches_csv_writer(tmp_path):

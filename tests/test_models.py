@@ -541,6 +541,19 @@ def test_point_tail_values():
                                                 for k in ks.tolist()])
 
 
+def test_power_tail_values_at_exponent_zero():
+    # the row is coef itself: pow(k, +-0) is 1 for every k, however large
+    ks = np.concatenate([np.arange(1, 10_001),
+                         [2.0 ** 53 + 2, 2.0 ** 64, 1e300,
+                          1.7976931348623157e308]])
+    for coef, exponent in ((1.0, 0.0), (-2.5, 0.0), (0.0, 0.0),
+                           (-0.0, 0.0), (-1e-300, -0.0), (5e-324, -0.0),
+                           (-1.7976931348623157e308, 0.0)):
+        tail = PowerTail(coef, exponent)
+        assert _bits(tail.values(ks)) == _bits([tail.value(k)
+                                                for k in ks.tolist()])
+
+
 @pytest.mark.parametrize("point", [
     Point.inverse_k(1.0),
     Point.inverse_k(0.5),
