@@ -514,16 +514,19 @@ def cmd_simplicial(args) -> int:
         "gap": result.gap,
         "n": result.n, "d": result.d, "k_max": result.k_max,
     }
-    # each distinct count's Z,N,ratio fields are formatted once
+    # each seed's and each k's field, and each distinct count's Z,N,ratio
+    # fields, are formatted once
     N, (seeds, kmax) = result.n_subsets, result.block_counts.shape
     counts, slot = np.unique(result.block_counts.ravel(), return_inverse=True)
     tails = np.array([f"{z},{N},{z / N!r}" for z in counts.tolist()],
                      dtype=object)
+    heads = np.array([f"{seed}," for seed in result.seeds.tolist()],
+                     dtype=object)
+    ks = np.array([f"{k}," for k in range(1, kmax + 1)], dtype=object)
     print(write_outputs(Path(cfg["out"]), cfg, summary,
                         ("simplicial.csv", ["seed", "k", "Z", "N", "ratio"],
-                         "%d,%d,%s",
-                         (np.repeat(result.seeds, kmax),
-                          np.tile(np.arange(1, kmax + 1), seeds),
+                         "%s%s%s",
+                         (np.repeat(heads, kmax), np.tile(ks, seeds),
                           tails[slot]))))
     return 0
 

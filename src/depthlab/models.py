@@ -1073,10 +1073,13 @@ def _transform(law: CoordinateLaw, words: np.ndarray, out: np.ndarray
         np.multiply(words, 2.0, out=out)
         out -= 1.0
     elif law.family == UNIFORM:
-        # numpy's Generator.uniform: lo + (hi - lo) * random()
+        # numpy's Generator.uniform: lo + (hi - lo) * random(); a factor
+        # of 1 and a zero lo (the draws are >= +0) would move no bit
         _closed_unit(words, out)
-        out *= law.hi - law.lo
-        out += law.lo
+        if law.hi - law.lo != 1.0:
+            out *= law.hi - law.lo
+        if law.lo != 0.0:
+            out += law.lo
     elif law.family == STABLE:
         # _WORD_CHUNK words at a time keep the kernels' temporaries small
         pairs, flat = words.reshape(-1, 2), out.reshape(-1)
@@ -1103,7 +1106,8 @@ def _sample_column(law: CoordinateLaw, n: int, rng: np.random.Generator
     words = rng.bit_generator.random_raw(n * _words_per_draw(law))
     out = np.empty(n) if law.family == STABLE else words.view(np.float64)
     _transform(law, words, out)
-    out *= law.scale
+    if law.scale != 1.0:
+        out *= law.scale
     return out
 
 
@@ -1150,7 +1154,8 @@ def _draw(plan: tuple[list[list], np.ndarray], n: int, keys: np.ndarray,
     output, and one transform maps the whole run there (each transform
     bounds its own scratch).  Two words per draw: each pass fills a
     pass-sized buffer, transformed into the output.  The plan's scale row,
-    sliced to the window, multiplies the result once.
+    sliced to the window, multiplies the result once, unless every scale
+    in it is 1.
     """
     runs, scales = plan
     w, S = keys.shape[:2]
@@ -1176,7 +1181,9 @@ def _draw(plan: tuple[list[list], np.ndarray], n: int, keys: np.ndarray,
                 _transform(law, words, dest)
         if m == n:
             _transform(law, run.view(np.uint64), run)
-    out *= scales[first:end, None, None]
+    window = scales[first:end]
+    if (window != 1.0).any():
+        out *= window[:, None, None]
     return out
 
 

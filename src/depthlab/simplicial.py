@@ -5,7 +5,11 @@ Open-hull membership goes through one batched test, on vertex sets held
 as coordinate planes (d, d+1, *batch).  A vertex set is degenerate, and
 counts as "outside" and in a diagnostic counter, when the determinant
 of its (d+1)x(d+1) affine system (vertices as columns over a ones-row)
-is at most 1e-12 times the product of the column norms.  For d <= 2 the
+is at most 1e-12 times the product of the column norms.  That rule is
+filtered (Shewchuk 1997): a cap on every set's product, taken once per
+batch from its largest coordinate, clears each set whose determinant
+exceeds 1e-12 times the cap, and the product itself is computed only for
+the few sets left, so the mask is the one the product gives.  For d <= 2 the
 target is inside iff every barycentric numerator, an orientation
 determinant of the vertices translated by the target, has the strict
 sign of that determinant (Shewchuk 1997); no system is solved, and on
@@ -51,6 +55,36 @@ _PIVOT_TOL = 1e-12
 # Open-simplex membership
 # ---------------------------------------------------------------------------
 
+def _degenerate(v: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """Mask of the sets with |det| <= 1e-12 * prod_i sqrt(|v_i|^2 + 1),
+    the product of their column norms, for planes ``v`` not yet translated.
+
+    With P the batch's largest |coordinate|, every set's product is at
+    most (d P^2 + 1)^((d+1)/2); twice that, the cap, also bounds the
+    product as rounded, so a set with |det| > 1e-12 * cap is not
+    degenerate.  The product is taken only over the other sets, gathered:
+    among them every NaN or infinite determinant, and the whole batch when
+    the cap is NaN or overflows.
+    """
+    d = len(v)
+    # numpy under errstate: Python's float ** raises OverflowError where
+    # the cap must become inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
+        cap = 2.0 * (d * big * big + 1.0) ** ((d + 1) / 2)
+    degenerate = ~(np.abs(dets) > _PIVOT_TOL * cap)
+    if degenerate.any():
+        left = v[:, :, degenerate]
+        # vertex by vertex, so that no temporary holds more than one plane
+        hadamard = np.ones(left.shape[2])
+        for vertex in left.swapaxes(0, 1):
+            hadamard *= np.sqrt(np.einsum("j...,j...->...", vertex, vertex)
+                                + 1.0)
+        left_dets = np.abs(dets[degenerate])
+        degenerate[degenerate] = left_dets <= _PIVOT_TOL * hadamard
+    return degenerate
+
+
 def _hull_planes(v: np.ndarray, x: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(inside, degenerate) masks for batched vertex sets held as
@@ -61,19 +95,21 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
     each plane C-contiguous; it is overwritten.  The target ``x`` has
     shape (d, 1, *t) with t broadcasting against batch: x[j] is
     coordinate j of one shared point (t all ones) or of one per set.
+
+    Degeneracy is settled by a batch-wide cap on the product of column
+    norms first, and by the product itself only where the cap cannot
+    decide (``_degenerate``), before any plane is translated.
     """
     d, dp1, *batch = v.shape
-    # vertex by vertex, so that no temporary holds more than one plane
-    hadamard = np.ones(batch)
-    for vertex in v.swapaxes(0, 1):
-        hadamard *= np.sqrt(np.einsum("j...,j...->...", vertex, vertex) + 1.0)
     if d == 1:
         (x0, x1), = v
         t = x[0, 0]
         dets, nums = x1 - x0, (x1 - t, t - x0)
+        degenerate = _degenerate(v, dets)
     elif d == 2:
         (x0, x1, x2), (y0, y1, y2) = v
         dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        degenerate = _degenerate(v, dets)
         # translate in place: v[j][i] becomes coordinate j of v_i - x
         v -= x
         (ex0, ex1, ex2), (ey0, ey1, ey2) = v
@@ -84,7 +120,7 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
         mats[..., d, :] = 1.0
         dets = np.linalg.det(mats)
-        degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+        degenerate = _degenerate(v, dets)
         mats[degenerate] = np.eye(dp1)
         rhs = np.ones(x.shape[2:] + (dp1,))
         rhs[..., :d] = np.moveaxis(x[:, 0], 0, -1)
@@ -94,7 +130,6 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
     # d <= 2: inside iff every numerator has the strict sign of dets
-    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
     positive = np.logical_and.reduce([num > 0.0 for num in nums])
     negative = np.logical_and.reduce([num < 0.0 for num in nums])
     inside = np.where(dets > 0.0, positive, negative) & ~degenerate

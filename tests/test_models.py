@@ -474,6 +474,7 @@ FAMILY_MODELS = {
     "stable1.5": stable_model(1.5),
     "stable2": stable_model(2.0),
     "uniform": uniform_model(-1.0, 3.0),
+    "uniform01": uniform_model(0.0, 1.0),   # skips the factor 1 and the +0
     "rademacher": rademacher_model(),
     "density": SequenceModel.iid(density_law(EPANECHNIKOV)),
 }
@@ -496,6 +497,7 @@ def test_sample_stream_pinned():
         "stable1.5": "a8ad47a910f6ddf0507305782ae49093",
         "stable2": "fb7bea4fe6da5880c09fe4f04a578674",
         "uniform": "17a1cbfa2fd19477dde6530fa9d05ae7",
+        "uniform01": "314c3ec58860b37f8715e0eceaf63f1d",
         "rademacher": "31f0ba25f3beb21273cc588b8cd7f5b1",
         "density": "5934988cf702f3a92faa46b0f45ab279",
     }

@@ -152,11 +152,147 @@ def test_degenerate_masks_match_barycentric_on_quarter_grid():
     assert degenerate.sum() > 10 ** 4
 
 
+# -- the degeneracy gate against the product on every set -------------------
+
+def _eager_hull_planes(v, x):
+    """``_hull_planes`` with the product of column norms taken on every
+    set, before any cap: the rule the capped gate must reproduce."""
+    d, dp1, *batch = v.shape
+    hadamard = np.ones(batch)
+    for vertex in v.swapaxes(0, 1):
+        hadamard *= np.sqrt(np.einsum("j...,j...->...", vertex, vertex) + 1.0)
+    if d == 1:
+        (x0, x1), = v
+        t = x[0, 0]
+        dets, nums = x1 - x0, (x1 - t, t - x0)
+    elif d == 2:
+        (x0, x1, x2), (y0, y1, y2) = v
+        dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        v -= x
+        (ex0, ex1, ex2), (ey0, ey1, ey2) = v
+        nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
+                ex0 * ey1 - ey0 * ex1)
+    else:
+        mats = np.empty((*batch, dp1, dp1))
+        mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
+        mats[..., d, :] = 1.0
+        dets = np.linalg.det(mats)
+        degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+        mats[degenerate] = np.eye(dp1)
+        rhs = np.ones(x.shape[2:] + (dp1,))
+        rhs[..., :d] = np.moveaxis(x[:, 0], 0, -1)
+        rhs_stack = np.broadcast_to(rhs[..., None], (*batch, dp1, 1))
+        weights = np.linalg.solve(mats, rhs_stack)[..., 0]
+        inside = np.all(weights > 0.0, axis=-1) & ~degenerate
+        return inside, degenerate
+    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+    positive = np.logical_and.reduce([num > 0.0 for num in nums])
+    negative = np.logical_and.reduce([num < 0.0 for num in nums])
+    inside = np.where(dets > 0.0, positive, negative) & ~degenerate
+    return inside, degenerate
+
+
+def _gate_masks(verts, x):
+    """(inside, degenerate) of ``_hull_planes`` and of the eager rule for
+    vertex sets (*batch, d+1, d) and a target (*t, d) broadcasting against
+    batch, both asserted to have bool dtype."""
+    *batch, _, d = verts.shape
+    planes = np.ascontiguousarray(np.moveaxis(verts, (-1, -2), (0, 1)))
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    x = x.reshape(d, 1, *(1,) * (len(batch) + 1 - x.ndim), *x.shape[1:])
+    with np.errstate(all="ignore"):
+        got = simplicial._hull_planes(planes.copy(), x)
+        want = _eager_hull_planes(planes.copy(), x)
+    assert all(mask.dtype == bool for mask in got + want)
+    return got, want
+
+
+def _assert_gate_matches(verts, x):
+    got, want = _gate_masks(verts, x)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    return want
+
+
+def _axis_simplices(d, t):
+    """The simplices 0, e_1, ..., e_{d-1}, t e_d, one per value of t: their
+    determinant is +-t and their product of column norms does not depend
+    on t while t is below about 1e-8."""
+    verts = np.zeros((len(t), d + 1, d))
+    verts[:, 1:d, :d - 1] = np.eye(d)[:d - 1, :d - 1]
+    verts[:, d, d - 1] = t
+    return verts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gate_matches_eager_product_on_random_batches(d):
+    rng = _column_rng(2028, d)
+    _assert_gate_matches(rng.random((5000, d + 1, d)), np.full(d, 0.5))
+    _assert_gate_matches(rng.standard_normal((5000, d + 1, d)),
+                         rng.standard_normal((5000, d)))
+    # a two-axis batch (subsets, blocks), one target per block, as
+    # _block_hull_counts passes it
+    _assert_gate_matches(rng.random((40, 7, d + 1, d)) * 3.0 - 1.0,
+                         rng.random((7, d)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gate_matches_eager_product_on_quarter_grid(d):
+    rng = _column_rng(2029, d)
+    verts = rng.integers(0, 5, (20000, d + 1, d)) / 4.0
+    _, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
+    assert degenerate.sum() > 100
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gate_matches_eager_product_at_the_threshold(d):
+    # |det| within a few ulps of 1e-12 times the product, on both sides,
+    # among ordinary sets: the cap cannot settle these, the product must
+    product = math.sqrt(2.0) ** (d - 1)
+    steps = np.arange(-6, 7)
+    t = _PIVOT_TOL * product * (1.0 + steps * 2.0 ** -52)
+    near = _axis_simplices(d, np.concatenate([t, -t]))
+    ordinary = _column_rng(2030, d).random((200, d + 1, d))
+    verts = np.concatenate([ordinary, near, ordinary])
+    _, degenerate = _assert_gate_matches(verts, np.full(d, 0.25))
+    flags = degenerate[200:-200]
+    assert flags.any() and not flags.all()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gate_matches_eager_product_with_a_huge_set(d, scale):
+    # one set of huge coordinates among ordinary ones: the batch's cap is
+    # huge or overflows, so every set takes the exact rule
+    verts = _column_rng(2031, d).random((300, d + 1, d))
+    verts[150] *= scale
+    _, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
+    assert degenerate[150]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gate_matches_eager_product_on_nonfinite_sets(d, bad):
+    verts = _column_rng(2032, d).random((300, d + 1, d))
+    verts[[7, 100, 299], [0, d, 1], [0, d - 1, 0]] = bad
+    _assert_gate_matches(verts, np.full(d, 0.5))
+
+
 def test_simplicial_depth_mc_median():
     est, se = simplicial_depth_mc(
         [0.5], iid_block_sampler(uniform_law(0.0, 1.0), 1), 100_000, seed=1)
     assert est == pytest.approx(0.5, abs=3.0 * se)
 
+
+
+def test_simplicial_depth_mc_uniform_pinned():
+    # the blocks workload's law and target: the draws skip the uniform
+    # transform's factor 1 and +0, and the hull batches take the capped
+    # degeneracy gate, without moving a hit
+    est = simplicial_depth_mc(
+        [0.5, 0.5], iid_block_sampler(uniform_law(0.0, 1.0), 2), 100_000,
+        seed=1)
+    assert est == (0.24965, 0.0013686667874249013)
 
 def test_simplicial_depth_mc_disc_center():
     def disc(rng, m):
@@ -382,6 +518,27 @@ def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
     assert u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10,
                                 seed=5) == mc
 
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_block_counts_do_not_depend_on_batch_neighbours(monkeypatch, d):
+    # the degeneracy cap is taken per batch; block 3 holds 1e200-scale
+    # coordinates (d = 2: its first ones, so that every determinant stays
+    # finite), and it shares a batch with every block at HULL_CHUNK 8 and
+    # 2^14 but only with blocks 1-4 at 4: no block's counts may move
+    n, k_max = 6, 8
+    data = sample(uniform_model(0.0, 1.0), n, k_max * d, seed=73).data.copy()
+    data[:, 2 * d] *= 1e200
+    s = Sample(data, seed=73)
+    a = Point.periodic([0.5] * d, repeats=k_max)
+    counts, degens = _oracle_counts(a, s, d, k_max)
+    assert degens[2] == n_subsets(n, d) and sum(degens) == degens[2]
+    assert counts[2] == 0 and sum(counts) > 0
+    for chunk in (4, 8, 1 << 14):
+        monkeypatch.setattr(simplicial, "HULL_CHUNK", chunk)
+        with np.errstate(over="ignore"):
+            rec = empirical_block_depth(a, s, d, k_max)
+        assert (rec.block_counts, rec.degenerate_counts) == (counts, degens)
 
 LAWS = {"uniform": (uniform_law(0.0, 1.0), uniform_model(0.0, 1.0), 0.5),
         "gaussian": (gaussian_law(), gaussian_model(), 0.2),
