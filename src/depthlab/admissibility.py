@@ -28,13 +28,15 @@ from .analytic import (
     power_tail_sup,
     series_report,
 )
-from .errors import MomentUnavailableError, QuadratureError, UndecidedTailError
+from .errors import (InputError, MomentUnavailableError, QuadratureError,
+                     UndecidedTailError)
 from .models import (
     DENSITY,
     GAUSSIAN,
     Density,
     Point,
     SequenceModel,
+    _density_moment,
     normal_density,
 )
 from .quadrature import gauss_kronrod
@@ -270,10 +272,19 @@ def kakutani_product(phi: Density, shifts: Point) -> KakutaniResult:
     below through 1 - H(s) <= C s^2 with C measured at four probe shifts,
     in a second one.  ``positive`` is the Kakutani dichotomy verdict,
     equivalent to convergence of the shift-square series.
+
+    An affinity of 0 on the whole line is an underflow, not disjoint
+    supports (at shift 60 the normal affinity is exp(-450)): it raises
+    ``UndecidedTailError``.
     """
     explicit = np.array(shifts.coords)
-    h = hellinger_affinities(phi, explicit[explicit != 0.0])
+    moved = explicit[explicit != 0.0]
+    h = hellinger_affinities(phi, moved)
     if np.any(h <= 0.0):
+        if not (math.isfinite(phi.support[0]) or math.isfinite(phi.support[1])):
+            raise UndecidedTailError(
+                "UNDECIDED: the Hellinger affinity at shift "
+                f"{float(moved[np.argmax(h <= 0.0)])!r} underflows to 0")
         return KakutaniResult(0.0, False, shifts.explicit_width)
     log_sum = float(np.sum(np.log(h)))
 
@@ -330,7 +341,7 @@ def positivity_decision(a: Point, model: SequenceModel,
     never guessed.
     """
     if assumptions not in (AI_AII, AIII):
-        raise ValueError(f"unknown assumption bundle {assumptions!r}")
+        raise InputError(f"unknown assumption bundle {assumptions!r}")
     shapes = model.shape_laws()
     if not all(law.is_symmetric for law in shapes):
         return PositivityDecision(UNDECIDED, "symmetry not declared")
@@ -382,9 +393,11 @@ def positivity_decision(a: Point, model: SequenceModel,
         info = fisher_information(phi)
     except (ValueError, QuadratureError) as exc:
         return PositivityDecision(UNDECIDED, f"Fisher information: {exc}")
-    from .models import _density_moment
-    variance = (1.0 if phi.name == "normal"
-                else _density_moment(phi, 2) - _density_moment(phi, 1) ** 2)
+    try:
+        variance = (1.0 if model.families() == {GAUSSIAN} else
+                    _density_moment(phi, 2) - _density_moment(phi, 1) ** 2)
+    except MomentUnavailableError:
+        variance = math.nan
     if not math.isfinite(variance) or variance <= 0.0:
         return PositivityDecision(UNDECIDED, "shape density has no finite variance")
     shifts = _scaled_point(a, model)

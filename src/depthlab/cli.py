@@ -1,18 +1,21 @@
 """Single executable exposing the depth computations and experiments.
 
-Subcommands: analytic, bounds, admissible, empirical, simplicial, plotdata.
-Every run resolves its configuration (a JSON document merged with CLI
-flags, flags winning), echoes the resolved config into the output
-directory for provenance, and writes machine-readable JSON/CSV artifacts.
-All randomness flows from one mandatory master seed; reruns of the same
-config reproduce outputs byte for byte.  The CSV dialect is part of that
-contract: the bytes of ``csv.writer``'s default dialect (comma separators,
-CRLF line ends, ints as ``str``, floats as ``repr``, an empty string as an
-empty field).  Each subcommand hands ``write_table`` its table as numpy
-columns and one ``%`` row format, and ``write_table`` formats and writes
-the rows a batch at a time.
+Subcommands: analytic, bounds, admissible, empirical, simplicial, plotdata,
+declared in ``COMMANDS``; each setting is declared once, in ``SETTINGS``.
+``main`` resolves the configuration (a JSON document merged with CLI
+flags, flags winning), loads the model and point, runs the subcommand,
+echoes the resolved config into the output directory for provenance, and
+writes machine-readable JSON/CSV artifacts.  All randomness flows from
+one mandatory master seed; reruns of the same config reproduce outputs
+byte for byte.  The CSV dialect is part of that contract: the bytes of
+``csv.writer``'s default dialect (comma separators, CRLF line ends, ints
+as ``str``, floats as ``repr``, an empty string as an empty field).  Each
+subcommand hands ``write_table`` its table as numpy columns and one ``%``
+row format, and ``write_table`` formats and writes the rows a batch at a
+time.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error (an ``InputError``, raised
+here or by the library), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import admissibility, analytic, bounds, empirical, simplicial
-from .errors import DepthLabError
+from .errors import DepthLabError, InputError
 from .models import (
     STREAM_VERSION,
     Point,
@@ -42,10 +45,6 @@ from .models import (
 )
 
 
-class ConfigError(Exception):
-    pass
-
-
 # preset name -> constructor
 MODEL_PRESETS = {"gaussian_unit": gaussian_model,
                  "rademacher": rademacher_model,
@@ -55,29 +54,49 @@ POINT_PRESETS = {"zero": Point.zero, "inverse-k": lambda: Point.inverse_k(1.0),
                  "inverse-sqrt-k": lambda: Point.inverse_k(0.5)}
 ASSUMPTIONS = (admissibility.AI_AII, admissibility.AIII)
 
+# Each size sets the length of an array, which far past its limit cannot be
+# allocated: at the limit of n, K or curve_max one run peaked under 700 MB,
+# and at a depth of 10**6 (which also sets a witness's length) under 400 MB.
+MAX_SIZE = 10 ** 7
+
 
 # ---------------------------------------------------------------------------
 # Spec resolution
 # ---------------------------------------------------------------------------
 
 def load_model(spec: str) -> SequenceModel:
-    if isinstance(spec, str) and spec in MODEL_PRESETS:
-        return MODEL_PRESETS[spec]()
-    path = _spec_file("model", spec, MODEL_PRESETS)
+    return _load("model", spec, MODEL_PRESETS,
+                 lambda path: model_from_document(json.loads(path.read_text())))
+
+
+def load_point(spec: str) -> Point:
+    return _load("point", spec, POINT_PRESETS, lambda path: (
+        _point_from_document(json.loads(path.read_text()))
+        if path.suffix.lower() == ".json" else _point_from_csv(path)))
+
+
+def _load(kind: str, spec, presets: dict, read: Callable):
+    """The preset ``spec`` names, or what ``read`` makes of its file."""
+    if isinstance(spec, str) and spec in presets:
+        return presets[spec]()
+    if not isinstance(spec, str):
+        raise InputError(f"{kind} spec must be a string, not {spec!r}")
+    if not Path(spec).exists():
+        raise InputError(f"{kind} spec {spec!r} is neither a preset "
+                         f"({', '.join(presets)}) nor a file")
     try:
-        doc = json.loads(path.read_text())
-        return model_from_document(doc)
+        return read(Path(spec))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model file {spec}: {_reason(exc)}") from exc
+        raise InputError(f"invalid {kind} file {spec}: {_reason(exc)}") from exc
 
 
 def model_from_document(doc: dict) -> SequenceModel:
     family = doc["family"]
     K = doc.get("K")
     if K is not None:
-        K = _int_in_range("K", K, 1)
+        K = SETTINGS["K"].check("K", K)
     if family in ("rademacher", "uniform") and "scale_rule" in doc:
-        raise ConfigError(f"a {family} model takes no scale_rule")
+        raise InputError(f"a {family} model takes no scale_rule")
     if family == "rademacher":
         return rademacher_model(K)
     if family == "uniform":
@@ -85,7 +104,7 @@ def model_from_document(doc: dict) -> SequenceModel:
                              _number("hi", doc.get("hi", 1.0)), K)
     rule = doc.get("scale_rule", {"kind": "constant", "value": 1.0})
     if not isinstance(rule, dict):
-        raise ConfigError("scale_rule must be a JSON object")
+        raise InputError("scale_rule must be a JSON object")
     kind = rule.get("kind", "constant")
     if kind == "explicit":
         scales = _numbers("values", rule["values"])
@@ -100,35 +119,12 @@ def model_from_document(doc: dict) -> SequenceModel:
         scales = (None if K is None
                   else tail.values(np.arange(1, K + 1)).tolist())
     else:
-        raise ConfigError(f"unknown scale rule kind {kind!r}")
+        raise InputError(f"unknown scale rule kind {kind!r}")
     if family == "gaussian":
         return gaussian_model(scales, tail)
     if family == "stable":
         return stable_model(_number("p", doc["p"]), scales, tail)
-    raise ConfigError(f"unknown model family {family!r}")
-
-
-def load_point(spec: str) -> Point:
-    if isinstance(spec, str) and spec in POINT_PRESETS:
-        return POINT_PRESETS[spec]()
-    path = _spec_file("point", spec, POINT_PRESETS)
-    try:
-        if path.suffix.lower() == ".json":
-            return _point_from_document(json.loads(path.read_text()))
-        return _point_from_csv(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid point file {spec}: {_reason(exc)}") from exc
-
-
-def _spec_file(kind: str, spec, presets) -> Path:
-    """The existing file that a model or point spec, not a preset, names."""
-    if not isinstance(spec, str):
-        raise ConfigError(f"{kind} spec must be a string, not {spec!r}")
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"{kind} spec {spec!r} is neither a preset "
-                          f"({', '.join(presets)}) nor a file")
-    return path
+    raise InputError(f"unknown model family {family!r}")
 
 
 def _reason(exc: Exception) -> str:
@@ -169,7 +165,7 @@ def _point_from_csv(path: Path) -> Point:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["k", "value"]:
-            raise ConfigError(f"point CSV {path} must have header k,value")
+            raise ValueError("the header must be k,value")
         for row in reader:
             if not row:
                 continue
@@ -178,6 +174,9 @@ def _point_from_csv(path: Path) -> Point:
             k = int(row[0])
             if k < 1:
                 raise ValueError(f"coordinate index k={k} must be >= 1")
+            if k > MAX_SIZE:  # the largest k sets the point's length
+                raise ValueError(
+                    f"coordinate index k={k} must be <= {MAX_SIZE}")
             if k in coords:
                 raise ValueError(f"coordinate index k={k} repeats")
             coords[k] = float(row[1])
@@ -188,108 +187,160 @@ def _point_from_csv(path: Path) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Settings and their checks
 # ---------------------------------------------------------------------------
 
-# least admissible value of every integer setting, checked once the config
-# file and the flags are merged
-_LEAST = {"n": 1, "K": 1, "seeds": 1, "d": 1, "kmax": 1, "mc_draws": 1,
-          "budget": 1, "curve_max": 1, "seed": 0}
-# greatest admissible value of the settings that have one.  A master seed
-# is one 64-bit Philox key word.  Each size sets the length of an array,
-# which far past its limit cannot be allocated: at the limit of n, K or
-# curve_max one run peaked under 700 MB, and at a depth of 10**6 (which also
-# sets a witness's length) under 400 MB.
-_MOST = {"seed": 2 ** 64 - 1, "n": 10 ** 7, "K": 10 ** 7, "seeds": 10 ** 7,
-         "kmax": 10 ** 7, "curve_max": 10 ** 7, "depths": 10 ** 6}
+class Setting:
+    """One setting: ``flag`` and argparse ``options`` (no flag: a config
+    key only); ``check(name, value)``, which returns the value a run uses
+    or raises ``InputError``; ``default``, a value, a function of the
+    settings resolved before it, or None if required.  config.json echoes
+    ``show(value)``, and a default only if ``echo_default``."""
+
+    def __init__(self, flag: str | None,
+                 check: Callable = lambda name, value: value, default=None,
+                 *, show: Callable = lambda value: value,
+                 echo_default: bool = True, **options):
+        self.flag, self.check, self.default = flag, check, default
+        self.show, self.echo_default, self.options = show, echo_default, options
 
 
-def _int_in_range(name: str, value, least: int) -> int:
-    """``value`` as an int >= least and, where ``_MOST`` names a limit,
-    <= that limit.  A boolean or a number with a fractional part is an
-    error, not truncated: the echoed config would hold another value than
-    the run used."""
+def _int_in_range(name: str, value, least: int, most: int | None = None
+                  ) -> int:
+    """``value`` as an int in [least, most].  A boolean or a number with a
+    fractional part is an error, not truncated: the run would use another
+    value than the one given."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
     if number < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
-    if number > _MOST.get(name, number):
-        raise ConfigError(f"{name} must be <= {_MOST[name]}, got {value!r}")
+        raise InputError(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and number > most:
+        raise InputError(f"{name} must be <= {most}, got {value!r}")
     return number
 
 
-def _positive_float(name: str, value) -> float:
+def _count(flag: str, least: int = 1, most: int | None = None, default=None,
+           **options) -> Setting:
+    """An integer setting in [least, most]."""
+    return Setting(flag, lambda name, value: _int_in_range(
+        name, value, least, most), default, type=int, **options)
+
+
+def _depths(name: str, value) -> tuple[int, ...]:
+    """Witness depths from a comma list or a JSON list, each in [1, 10**6]."""
+    entries = value if isinstance(value, list) else str(value).split(",")
+    if not entries:
+        raise InputError(f"{name} must name at least one depth")
+    return tuple(_int_in_range(name, m, 1, 10 ** 6) for m in entries)
+
+
+def _one_of(*choices) -> Callable:
+    def check(name: str, value):
+        if value in choices:
+            return value
+        raise InputError(f"{name} must be one of "
+                         f"{', '.join(map(str, choices))}, got {value!r}")
+    return check
+
+
+def _positive(name: str, value) -> float:
     """``value`` as a finite float > 0; a boolean is an error."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not (math.isfinite(number) and number > 0.0):
-        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        raise InputError(f"{name} must be a finite number > 0, got {value!r}")
     return number
 
 
-def resolve_config(args: argparse.Namespace, stochastic: bool) -> dict:
-    """File config overlaid by CLI flags; a master seed is mandatory for
-    stochastic runs."""
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
-        cfg.update(doc)
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        cfg[key] = value
-    cfg.pop("command", None)
-    if stochastic and cfg.get("seed") is None:
-        raise ConfigError("a master --seed is mandatory for stochastic runs")
-    if "out" not in cfg:
-        raise ConfigError("--out directory is required")
-    if not isinstance(cfg["out"], str):
-        raise ConfigError(f"out must be a path, got {cfg['out']!r}")
-    # checked before the run: the outputs are written after it
-    out = Path(cfg["out"])
+def _out_dir(name: str, value) -> str:
+    """A path to a directory, or to make one at: checked before the run."""
+    if not isinstance(value, str):
+        raise InputError(f"{name} must be a path, got {value!r}")
+    out = Path(value)
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
-                raise ConfigError(f"--out {cfg['out']} is not a directory: "
-                                  f"{path} is a file")
+                raise InputError(f"--out {value} is not a directory: "
+                                 f"{path} is a file")
             break
-    for key, least in _LEAST.items():
-        if cfg.get(key) is not None:
-            _int_in_range(key, cfg[key], least)
-    if stochastic:
-        # an echoed config reproduces its run only on the stream it used
-        version = cfg.setdefault("stream_version", STREAM_VERSION)
-        if version != STREAM_VERSION:
-            raise ConfigError(f"config was drawn with sampling stream "
-                              f"{version!r}; this build draws stream "
-                              f"{STREAM_VERSION}")
-    return cfg
+    return value
 
 
-def _depths(value) -> list[int]:
-    """Witness depths from a comma list or a JSON list, each >= 1."""
-    entries = value if isinstance(value, list) else str(value).split(",")
-    if not entries:
-        raise ConfigError("depths must name at least one depth")
-    return [_int_in_range("depths", m, 1) for m in entries]
+SETTINGS = {
+    "model": Setting("--model", help="model preset or JSON file"),
+    "point": Setting("--point", help="point preset, CSV or JSON file"),
+    "input": Setting("--input", required=True,
+                     help="summary.json to convert"),
+    "out": Setting("--out", _out_dir, help="output directory"),
+    # a master seed is one 64-bit Philox key word
+    "seed": _count("--seed", 0, 2 ** 64 - 1, help="master seed (mandatory)"),
+    # an echoed config reproduces its run only on the stream it used
+    "stream_version": Setting(None, _one_of(STREAM_VERSION), STREAM_VERSION),
+    "family": Setting("--family", _one_of("coordinates"), "coordinates",
+                      help="direction family (coordinates)"),
+    "n": _count("--n", most=MAX_SIZE),
+    "K": _count("--K", most=MAX_SIZE),
+    "seeds": _count("--seeds", most=MAX_SIZE),
+    "d": _count("--d"),
+    "kmax": _count("--kmax", most=MAX_SIZE),
+    "budget": _count("--budget", default=simplicial.DEFAULT_BUDGET),
+    "mc_draws": _count("--mc-draws", default=simplicial.DEFAULT_MC_DRAWS),
+    "depths": Setting("--depths", _depths, (4, 16, 64),
+                      show=lambda ms: ",".join(map(str, ms)),
+                      help="comma list of witness depths m"),
+    "curve_max": _count("--curve-max", most=MAX_SIZE,
+                        default=lambda cfg: max(cfg["depths"])),
+    "tail_c": Setting("--ms-c", _positive, 1.0, echo_default=False,
+                      type=float),
+    "tail_t0": Setting("--ms-t0", _positive, 1.0, echo_default=False,
+                       type=float),
+    "assumptions": Setting("--assumptions", _one_of(*ASSUMPTIONS),
+                           admissibility.AIII, choices=ASSUMPTIONS),
+}
 
 
-def _require(cfg: dict, *keys: str) -> None:
-    missing = [k for k in keys if cfg.get(k) is None]
+def _json_object(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return doc
+
+
+def resolve_config(args: argparse.Namespace, command: Command
+                   ) -> tuple[dict, dict]:
+    """The settings a run uses, checked and converted, and its echo: the
+    config file overlaid by the flags, each setting as the run uses it and
+    the echoed defaults added; other keys stay as given."""
+    echo = _json_object(args.config) if args.config else {}
+    echo.update((key, value) for key, value in vars(args).items()
+                if key != "config" and value is not None)
+    echo.pop("command")
+    missing = [key for key in command.settings
+               if SETTINGS[key].default is None and echo.get(key) is None]
     if missing:
-        raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+        raise InputError(f"missing required parameter(s): {', '.join(missing)}")
+    cfg: dict = {}
+    for key in command.settings:
+        setting = SETTINGS[key]
+        if echo.get(key) is not None:
+            cfg[key] = setting.check(key, echo[key])
+        else:
+            default = setting.default
+            cfg[key] = default(cfg) if callable(default) else default
+            if not setting.echo_default:
+                continue
+        echo[key] = setting.show(cfg[key])
+    return cfg, echo
 
 
 # rows formatted and written per ``write`` call: bounds the text held at once
@@ -307,11 +358,10 @@ def write_table(path, header: Sequence[str], row_format: str,
     its column slices with ``.tolist()``, so no numpy scalar reaches the
     format (``%r`` of one is not a float's repr), and is formatted with
     one ``%`` and written before the next: one batch's text is held at a
-    time.  The
-    bytes are those of ``csv.writer``'s default dialect for the fields the
-    package writes: comma separators, ``\\r\\n`` line ends, ints as
-    ``str``, floats as ``repr`` and an empty string as an empty field; no
-    field needs quoting.
+    time.  The bytes are those of ``csv.writer``'s default dialect for the
+    fields the package writes: comma separators, ``\\r\\n`` line ends,
+    ints as ``str``, floats as ``repr`` and an empty string as an empty
+    field; no field needs quoting.
     """
     line, width = row_format + "\r\n", len(columns)
     total = len(columns[0])
@@ -325,21 +375,19 @@ def write_table(path, header: Sequence[str], row_format: str,
             fh.write(line * rows % tuple(cells))
 
 
-def _echo_config(outdir: Path, cfg: dict) -> None:
+def write_outputs(outdir: Path, cfg: dict, summary: dict | None,
+                  table: tuple | None = None) -> str | None:
+    """Write config.json, then summary.json and the CSV table given as
+    (file name, header, row format, columns), each unless it is None;
+    returns the summary's JSON text, which ``main`` prints."""
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
-
-def write_outputs(outdir: Path, cfg: dict, summary: dict,
-                  table: tuple | None = None) -> str:
-    """Write config.json, summary.json and the optional CSV table, given
-    as (file name, header, row format, columns) for ``write_table``;
-    returns the summary's JSON text, which the subcommand also prints."""
-    _echo_config(outdir, cfg)
-    # no NaN or Infinity token, which is not JSON: _json_num spells them
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    (outdir / "summary.json").write_text(text + "\n")
+    text = None
+    if summary is not None:
+        # no NaN or Infinity token, which is not JSON: _json_num spells them
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        (outdir / "summary.json").write_text(text + "\n")
     if table is not None:
         name, *spec = table
         write_table(outdir / name, *spec)
@@ -347,14 +395,10 @@ def write_outputs(outdir: Path, cfg: dict, summary: dict,
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: (settings, model, point) -> (summary, table)
 # ---------------------------------------------------------------------------
 
-def cmd_analytic(args) -> int:
-    cfg = resolve_config(args, stochastic=False)
-    _require(cfg, "model", "point")
-    model = load_model(cfg["model"])
-    point = load_point(cfg["point"])
+def cmd_analytic(cfg: dict, model: SequenceModel, point: Point):
     fams = model.families()
     if fams == {"rademacher"}:
         cls = analytic.rademacher_classify(point)
@@ -372,7 +416,7 @@ def cmd_analytic(args) -> int:
             report = analytic.stable_depth(point, model)
             norms = {"dual": report.certificate.detail["norm"]}
         else:
-            raise ConfigError(
+            raise InputError(
                 f"no closed form for model families {sorted(fams)}")
         detail = report.certificate.detail
         summary = {
@@ -383,23 +427,12 @@ def cmd_analytic(args) -> int:
             "series": _json_num(detail.get("series")),
             "norms": _json_dict(norms),
         }
-    print(write_outputs(Path(cfg["out"]), cfg, summary))
-    return 0
+    return summary, None
 
 
-def cmd_bounds(args) -> int:
-    cfg = resolve_config(args, stochastic=False)
-    _require(cfg, "model", "point")
-    model = load_model(cfg["model"])
-    point = load_point(cfg["point"])
-    depths = _depths(cfg.get("depths", "4,16,64"))
-    tail_c = _positive_float("tail_c", cfg.get("tail_c", 1.0))
-    tail_t0 = _positive_float("tail_t0", cfg.get("tail_t0", 1.0))
-    curve_max = int(cfg.get("curve_max", max(depths)))
-    cfg["depths"] = ",".join(str(m) for m in depths)
-    cfg["curve_max"] = curve_max
-    cert = bounds.markov_zero_certificate(point, model, depths)
-    curve = bounds.markov_bound_curve(point, model, curve_max)
+def cmd_bounds(cfg: dict, model: SequenceModel, point: Point):
+    cert = bounds.markov_zero_certificate(point, model, cfg["depths"])
+    curve = bounds.markov_bound_curve(point, model, cfg["curve_max"])
     lower: list[dict] = []
     rep = cert.series
     if rep.finite and rep.value < 1.0:
@@ -413,7 +446,8 @@ def cmd_bounds(args) -> int:
         if small is not None:
             lower.append({"kind": small.kind, "value": small.value,
                           "params": _json_dict(small.params)})
-        tail = bounds.rademacher_tail_lower_bound(point, tail_c, tail_t0)
+        tail = bounds.rademacher_tail_lower_bound(point, cfg["tail_c"],
+                                                  cfg["tail_t0"])
         if tail is not None:
             lower.append({"kind": tail.kind, "value": tail.value,
                           "params": _json_dict(tail.params),
@@ -429,43 +463,23 @@ def cmd_bounds(args) -> int:
         "series": _json_num(rep.value),
     }
     finite = np.flatnonzero(np.isfinite(curve))
-    print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        ("markov_curve.csv", ["m", "B_m"], "%d,%r",
-                         (finite + 1, curve[finite]))))
-    return 0
+    return summary, ("markov_curve.csv", ["m", "B_m"], "%d,%r",
+                     (finite + 1, curve[finite]))
 
 
-def cmd_admissible(args) -> int:
-    cfg = resolve_config(args, stochastic=False)
-    _require(cfg, "model", "point")
-    model = load_model(cfg["model"])
-    point = load_point(cfg["point"])
-    cfg["assumptions"] = cfg.get("assumptions", admissibility.AIII)
-    if cfg["assumptions"] not in ASSUMPTIONS:
-        raise ConfigError(f"assumptions must be one of {', '.join(ASSUMPTIONS)}"
-                          f", got {cfg['assumptions']!r}")
+def cmd_admissible(cfg: dict, model: SequenceModel, point: Point):
     decision = admissibility.positivity_decision(
         point, model, assumptions=cfg["assumptions"])
     summary = {"decision": decision.decision, "reason": decision.reason}
     if decision.verdict is not None:
         summary["verdict"] = decision.verdict.to_dict()
-    print(write_outputs(Path(cfg["out"]), cfg, summary))
-    return 0
+    return summary, None
 
 
-def cmd_empirical(args) -> int:
-    cfg = resolve_config(args, stochastic=True)
-    _require(cfg, "model", "point", "n", "K", "seeds")
-    model = load_model(cfg["model"])
-    point = load_point(cfg["point"])
-    family = str(cfg.get("family", "coordinates"))
-    cfg["family"] = family
-    if family != "coordinates":
-        raise ConfigError("the CLI exposes the coordinate family; other "
-                          "families are available through the library API")
+def cmd_empirical(cfg: dict, model: SequenceModel, point: Point):
     result = empirical.zero_depth_experiment(
-        model, point, n=int(cfg["n"]), K=int(cfg["K"]),
-        seeds=int(cfg["seeds"]), master_seed=int(cfg["seed"]))
+        model, point, n=cfg["n"], K=cfg["K"], seeds=cfg["seeds"],
+        master_seed=cfg["seed"])
     summary = {
         "fraction_zero": result.fraction_zero,
         "fraction_zero_stderr": result.fraction_zero_stderr,
@@ -475,36 +489,19 @@ def cmd_empirical(args) -> int:
         "consistency_failure": result.consistency_failure,
         "ratio_vanishes": result.ratio_vanishes,
         "family": result.family,
-        "n": result.n, "K": result.K, "seeds": int(cfg["seeds"]),
+        "n": result.n, "K": result.K, "seeds": cfg["seeds"],
     }
     depths = result.counts / result.n
-    print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        ("empirical.csv",
-                         ["seed", "n", "K", "empirical_depth", "zero_hit"],
-                         f"%d,{result.n},{result.K},%r,%d",
-                         (result.seeds, depths, depths == 0.0))))
-    return 0
+    return summary, ("empirical.csv",
+                     ["seed", "n", "K", "empirical_depth", "zero_hit"],
+                     f"%d,{result.n},{result.K},%r,%d",
+                     (result.seeds, depths, depths == 0.0))
 
 
-def cmd_simplicial(args) -> int:
-    cfg = resolve_config(args, stochastic=True)
-    _require(cfg, "model", "point", "n", "d", "kmax", "seeds")
-    if int(cfg["n"]) < int(cfg["d"]) + 1:
-        raise ConfigError(f"n must be >= d+1 = {int(cfg['d']) + 1}, "
-                          f"got {cfg['n']!r}")
-    model = load_model(cfg["model"])
-    point = load_point(cfg["point"])
-    try:
-        simplicial.require_iid_continuous(model)
-        simplicial.periodic_block_target(point, int(cfg["d"]), int(cfg["kmax"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg["mc_draws"] = int(cfg.get("mc_draws", 10 ** 5))
-    cfg["budget"] = int(cfg.get("budget", simplicial.DEFAULT_BUDGET))
+def cmd_simplicial(cfg: dict, model: SequenceModel, point: Point):
     result = simplicial.block_depth_experiment(
-        model, point, n=int(cfg["n"]), d=int(cfg["d"]),
-        k_max=int(cfg["kmax"]), seeds=int(cfg["seeds"]),
-        master_seed=int(cfg["seed"]),
+        model, point, n=cfg["n"], d=cfg["d"], k_max=cfg["kmax"],
+        seeds=cfg["seeds"], master_seed=cfg["seed"],
         mc_draws=cfg["mc_draws"], budget=cfg["budget"])
     summary = {
         "fraction_zero": result.fraction_zero,
@@ -523,52 +520,40 @@ def cmd_simplicial(args) -> int:
     heads = np.array([f"{seed}," for seed in result.seeds.tolist()],
                      dtype=object)
     ks = np.array([f"{k}," for k in range(1, kmax + 1)], dtype=object)
-    print(write_outputs(Path(cfg["out"]), cfg, summary,
-                        ("simplicial.csv", ["seed", "k", "Z", "N", "ratio"],
-                         "%s%s%s",
-                         (np.repeat(heads, kmax), np.tile(ks, seeds),
-                          tails[slot]))))
-    return 0
+    return summary, ("simplicial.csv", ["seed", "k", "Z", "N", "ratio"],
+                     "%s%s%s",
+                     (np.repeat(heads, kmax), np.tile(ks, seeds),
+                      tails[slot]))
 
 
-def cmd_plotdata(args) -> int:
-    cfg = resolve_config(args, stochastic=False)
-    _require(cfg, "input")
-    path = Path(cfg["input"])
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+def cmd_plotdata(cfg: dict, model: None, point: None):
+    path = cfg["input"]
+    doc = _json_object(path)
+    if "certificates" not in doc and "fraction_zero" not in doc:
+        raise InputError(f"unrecognized summary document {path}")
     try:
         if "certificates" in doc:
             pairs = [(_plot_x(m), float(b)) for cert in doc["certificates"]
                      for m, b in zip(cert["depths"], cert["bound_values"])]
             row_format = "markov_bound,%s,%r,"
             columns = [[x for x, _ in pairs], [y for _, y in pairs]]
-        elif "fraction_zero" in doc:
+        else:
             row_format = "fraction_zero,%s,%r,%r"
             columns = [[_plot_x(doc.get("k_max", doc.get("K", 0)))],
                        [float(doc["fraction_zero"])],
                        [float(doc.get("fraction_zero_stderr", 0.0))]]
-        else:
-            raise ConfigError(f"unrecognized summary document {path}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
+        raise InputError(
             f"malformed summary document {path}: {_reason(exc)}") from exc
-    outdir = Path(cfg["out"])
-    _echo_config(outdir, cfg)
-    write_table(outdir / "plotdata.csv", ("series", "x", "y", "stderr"),
-                row_format, [np.array(c, dtype=object) for c in columns])
-    return 0
+    return None, ("plotdata.csv", ("series", "x", "y", "stderr"), row_format,
+                  [np.array(c, dtype=object) for c in columns])
 
 
 def _plot_x(x) -> str:
     """A summary's depth or width as its CSV field: a JSON number, written
     as csv.writer writes it (str of a float is its repr)."""
     if not isinstance(x, (int, float)):
-        raise ConfigError(f"plot abscissa must be a number, got {x!r}")
+        raise ValueError(f"plot abscissa must be a number, got {x!r}")
     return str(x)
 
 
@@ -589,64 +574,52 @@ def _json_dict(d: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Subcommands and parser
 # ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    """A subcommand: its function from (settings, model, point) to
+    (summary, table), its help line, and its settings in flag order.  A
+    setting without a default is required, so a stochastic subcommand,
+    one with a ``seed``, cannot run without a master seed."""
+
+    run: Callable
+    help: str
+    settings: tuple[str, ...]
+
+
+_SPECS = ("model", "point", "out")
+_SEEDED = _SPECS + ("seed", "stream_version")
+COMMANDS = {
+    "analytic": Command(cmd_analytic, "closed-form depth value", _SPECS),
+    "bounds": Command(cmd_bounds, "Markov certificates and lower bounds",
+                      _SPECS + ("depths", "curve_max", "tail_c", "tail_t0")),
+    "admissible": Command(cmd_admissible, "admissibility / positivity verdict",
+                          _SPECS + ("assumptions",)),
+    "empirical": Command(cmd_empirical, "empirical-depth zero experiment",
+                         _SEEDED + ("family", "n", "K", "seeds")),
+    "simplicial": Command(cmd_simplicial, "block simplicial depth experiment",
+                          _SEEDED + ("n", "d", "kmax", "seeds", "budget",
+                                     "mc_draws")),
+    "plotdata": Command(cmd_plotdata, "convert summaries to plot series",
+                        ("input", "out")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depth",
         description="Half-space, simplicial and band depth laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, stochastic=False):
-        p.add_argument("--model", help="model preset or JSON file")
-        p.add_argument("--point", help="point preset, CSV or JSON file")
-        p.add_argument("--config", help="JSON config; flags override it")
-        p.add_argument("--out", help="output directory")
-        if stochastic:
-            p.add_argument("--seed", type=int, help="master seed (mandatory)")
-
-    p = sub.add_parser("analytic", help="closed-form depth value")
-    common(p)
-    p.set_defaults(func=cmd_analytic)
-
-    p = sub.add_parser("bounds", help="Markov certificates and lower bounds")
-    common(p)
-    p.add_argument("--depths", help="comma list of witness depths m")
-    p.add_argument("--curve-max", dest="curve_max", type=int)
-    p.add_argument("--ms-c", dest="tail_c", type=float)
-    p.add_argument("--ms-t0", dest="tail_t0", type=float)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("admissible", help="admissibility / positivity verdict")
-    common(p)
-    p.add_argument("--assumptions", choices=ASSUMPTIONS)
-    p.set_defaults(func=cmd_admissible)
-
-    p = sub.add_parser("empirical", help="empirical-depth zero experiment")
-    common(p, stochastic=True)
-    p.add_argument("--family", help="direction family (coordinates)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--seeds", type=int)
-    p.set_defaults(func=cmd_empirical)
-
-    p = sub.add_parser("simplicial", help="block simplicial depth experiment")
-    common(p, stochastic=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--mc-draws", dest="mc_draws", type=int)
-    p.set_defaults(func=cmd_simplicial)
-
-    p = sub.add_parser("plotdata", help="convert summaries to plot series")
-    p.add_argument("--input", required=True, help="summary.json to convert")
-    p.add_argument("--config", help="JSON config; flags override it")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_plotdata)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.settings:
+            if key == "out":
+                p.add_argument("--config",
+                               help="JSON config; flags override it")
+            setting = SETTINGS[key]
+            if setting.flag is not None:
+                p.add_argument(setting.flag, dest=key, **setting.options)
     return parser
 
 
@@ -658,14 +631,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        cfg, echo = resolve_config(args, command)
+        model = load_model(cfg["model"]) if "model" in cfg else None
+        point = load_point(cfg["point"]) if "point" in cfg else None
+        summary, table = command.run(cfg, model, point)
+        text = write_outputs(Path(cfg["out"]), echo, summary, table)
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DepthLabError, ValueError, KeyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    if text is not None:
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

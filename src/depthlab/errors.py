@@ -5,6 +5,10 @@ class DepthLabError(Exception):
     """Base class for all depthlab errors."""
 
 
+class InputError(DepthLabError, ValueError):
+    """Input outside a routine's domain; the CLI's exit 2 (config error)."""
+
+
 class LawUnavailableError(DepthLabError):
     """A coordinate law was requested beyond the model's generable range."""
 
@@ -22,7 +26,7 @@ class MomentUnavailableError(DepthLabError):
 
 
 class UndecidedTailError(DepthLabError):
-    """Convergence of a tail series could not be certified either way."""
+    """A tail series' or a Kakutani product's convergence is not certified."""
 
 
 class QuadratureError(DepthLabError):

@@ -41,12 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
                      SequenceModel, _column_rng, _derive_seed, _random_subsets,
                      _sample_column, sample_chunks)
 
 DEFAULT_BUDGET = 10 ** 7
+DEFAULT_MC_DRAWS = 10 ** 5  # draws of the lambda(a) Monte Carlo
 HULL_CHUNK = 1 << 14    # vertex sets per hull-test batch
 _PIVOT_TOL = 1e-12
 
@@ -266,11 +267,11 @@ def _check_block_shape(n: int, K: int, d: int, k_max: int,
     """N_{n,d} for k_max blocks of dimension d in an n x K sample, after
     checking the shape and the membership-test budget."""
     if d < 1 or k_max < 1:
-        raise ValueError("block dimension and k_max must be >= 1")
+        raise InputError("block dimension and k_max must be >= 1")
     if n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} rows, sample has {n}")
+        raise InputError(f"need at least d+1={d + 1} rows, sample has {n}")
     if K < k_max * d:
-        raise ValueError(
+        raise InputError(
             f"sample width {K} is insufficient for k_max={k_max} blocks "
             f"of dimension {d}")
     total = n_subsets(n, d)
@@ -340,29 +341,29 @@ class BlockExperimentResult:
 
 
 def require_iid_continuous(model: SequenceModel) -> CoordinateLaw:
-    """The one continuous law of every coordinate, or a ValueError: a tail
-    is iid only when its scale exponent is 0."""
+    """The one continuous law of every coordinate, or an ``InputError``: a
+    tail is iid only when its scale exponent is 0."""
     laws = set(model.laws)
     tail = model.tail
     if tail is not None:
         laws.add(tail.law(model.explicit_width + 1))
     if len(laws) != 1 or (tail is not None and tail.scale.exponent != 0.0):
-        raise ValueError("the experiment requires iid coordinates")
+        raise InputError("the experiment requires iid coordinates")
     law = laws.pop()
     if law.family == "rademacher":
-        raise ValueError("a continuous marginal is required for lambda(a) > 0")
+        raise InputError("a continuous marginal is required for lambda(a) > 0")
     return law
 
 
 def periodic_block_target(a: Point, d: int, k_max: int) -> np.ndarray:
     """The one value (t_1(a), ..., t_d(a)) of blocks 1..k_max of the point,
-    or a ValueError when two of them differ: the experiment's true depth is
-    the single-block depth lambda of that value only when every block
-    tests it."""
+    or an ``InputError`` when two of them differ: the experiment's true
+    depth is the single-block depth lambda of that value only when every
+    block tests it."""
     targets = a.values(k_max * d).reshape(k_max, d)
     differs = np.flatnonzero(np.any(targets != targets[0], axis=1))
     if differs.size:
-        raise ValueError(
+        raise InputError(
             f"the experiment requires a periodic point: block "
             f"{int(differs[0]) + 1} of {k_max} differs from block 1")
     return targets[0]
@@ -370,7 +371,7 @@ def periodic_block_target(a: Point, d: int, k_max: int) -> np.ndarray:
 
 def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
                      k_max: int, seeds: int, master_seed: int = 0,
-                     mc_draws: int = 10 ** 5,
+                     mc_draws: int = DEFAULT_MC_DRAWS,
                      budget: int = DEFAULT_BUDGET) -> BlockExperimentResult:
     """Empirical block depth per seed versus the Monte Carlo true depth.
 

@@ -319,6 +319,21 @@ def test_kakutani_zero_shifts():
     assert res.product == pytest.approx(1.0) and res.positive
 
 
+def test_kakutani_underflowed_affinity_is_undecided():
+    # the affinity at shift 60 is exp(-450), about 1e-196, and the
+    # quadrature returns 0: on the whole line that is an underflow, not
+    # disjoint supports, and decides nothing
+    with pytest.raises(UndecidedTailError, match="shift 60.0 underflows"):
+        kakutani_product(normal_density(), Point((0.0, 60.0)))
+    dec = positivity_decision(Point((60.0,)), gaussian_model())
+    assert dec.decision == "UNDECIDED" and dec.verdict is None
+    assert "shift 60.0" in dec.reason
+    # on a bounded support an affinity of 0 is disjoint supports: a zero
+    # product, as before
+    res = kakutani_product(uniform_density(-1.0, 1.0), Point((3.0,)))
+    assert (res.product, res.positive) == (0.0, False)
+
+
 def test_kakutani_inverse_k():
     shifts = Point(tuple(1.0 / k for k in range(1, 201)),
                    tail=PowerTail(1.0, -1.0))
@@ -376,6 +391,37 @@ def test_positivity_undeclared_symmetry_is_undecided():
                                   assumptions=assumptions)
         assert (dec.decision, dec.reason) == ("UNDECIDED",
                                               "symmetry not declared")
+
+
+def test_unknown_assumption_bundle_is_an_input_error():
+    from depthlab.errors import InputError
+    with pytest.raises(InputError, match="unknown assumption bundle"):
+        positivity_decision(Point.zero(), gaussian_model(), assumptions="X")
+
+
+@pytest.mark.parametrize("name", ["normal", "cauchy"])
+def test_positivity_variance_comes_from_the_law_not_the_name(name):
+    # a Cauchy density has no variance, whatever it is called: the scaled-
+    # iid route must not take variance 1 from the name "normal", nor let
+    # the moment error escape
+    cauchy = Density(pdf=lambda x: 1.0 / (math.pi * (1.0 + np.square(x))),
+                     symmetric=True, name=name)
+    dec = positivity_decision(Point.zero(), SequenceModel.iid(
+        density_law(cauchy)))
+    assert (dec.decision, dec.reason) == (
+        "UNDECIDED", "shape density has no finite variance")
+
+
+def test_positivity_scaled_iid_route_on_a_density_model():
+    # a density family, not the Gaussian one: phi is the model's common
+    # shape density, with Fisher information 1/3
+    model = SequenceModel.iid(density_law(logistic_density()))
+    dec = positivity_decision(Point.inverse_k(1.0), model)
+    assert dec.decision == "POSITIVE"
+    assert dec.verdict.admissible and dec.verdict.route == "SHEPP-SERIES"
+    assert dec.verdict.fisher_information == pytest.approx(1.0 / 3.0,
+                                                           abs=1e-6)
+    assert 0.0 < dec.verdict.kakutani_product < 1.0
 
 
 def test_positivity_undecided_for_an_unnormalized_density():

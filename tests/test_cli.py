@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthlab import bounds, empirical, simplicial
-from depthlab.cli import TABLE_BATCH, main, model_from_document, write_table
+from depthlab import admissibility, analytic, bounds, empirical, simplicial
+from depthlab.cli import (TABLE_BATCH, load_point, main, model_from_document,
+                          write_table)
 from depthlab.models import (
     STREAM_VERSION,
     Point,
@@ -248,6 +249,18 @@ def test_point_csv_loading(tmp_path):
     assert doc["series"] == pytest.approx(0.25 + 0.0625)
 
 
+def test_point_csv_index_above_the_width_limit_is_rejected(tmp_path):
+    # the largest index sets the length of the point's tuple: 10**7 + 1
+    # would ask for an 80 MB tuple, and 10**9 for one of 8 GB
+    pt = tmp_path / "far.csv"
+    pt.write_text(f"k,value\n{10 ** 7 + 1},1\n")
+    with pytest.raises(ValueError, match="k=10000001 must be <= 10000000"):
+        load_point(str(pt))
+    assert run(["analytic", "--model", "gaussian_unit", "--point", pt,
+                "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def _sample_columns(s: Sample):
     """A sample in long form, columns j,k,value with 1-based indices."""
     return (np.repeat(np.arange(1, s.n + 1), s.K),
@@ -278,6 +291,46 @@ def test_admissible_subcommand(tmp_path):
                 "--out", out]) == 0
     doc = json.loads((out / "summary.json").read_text())
     assert doc == {"decision": "UNDECIDED", "reason": "symmetry not declared"}
+
+
+def test_admissible_summary_carries_the_verdict(tmp_path):
+    out = tmp_path / "adm"
+    assert run(["admissible", "--model", "gaussian_unit",
+                "--point", "inverse-k", "--out", out]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    dec = admissibility.positivity_decision(Point.inverse_k(1.0),
+                                            gaussian_model())
+    assert doc["decision"] == dec.decision == "POSITIVE"
+    assert doc["verdict"] == dec.verdict.to_dict()
+    assert doc["verdict"]["admissible"] is True
+    assert doc["verdict"]["route"] == "SHEPP-SERIES"
+
+
+def test_admissible_underflowed_affinity_is_undecided(tmp_path):
+    # the Hellinger affinity at shift 60 underflows to 0, which is not a
+    # vanishing Kakutani product: the Cameron-Martin norm is a finite 60
+    pt = tmp_path / "far.csv"
+    pt.write_text("k,value\n1,60\n")
+    args = ["--model", "gaussian_unit", "--point", pt]
+    assert run(["admissible", *args, "--out", tmp_path / "adm"]) == 0
+    doc = json.loads((tmp_path / "adm" / "summary.json").read_text())
+    assert doc["decision"] == "UNDECIDED" and "verdict" not in doc
+    assert "shift 60.0" in doc["reason"]
+    assert run(["analytic", *args, "--out", tmp_path / "an"]) == 0
+    doc = json.loads((tmp_path / "an" / "summary.json").read_text())
+    assert doc["norms"] == {"cameron_martin": 60.0}
+
+
+def test_analytic_stable_model_reports_the_dual_norm(tmp_path):
+    out = tmp_path / "st"
+    assert run(["analytic", "--model", "cauchy_unit", "--point", "inverse-k",
+                "--out", out]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    report = analytic.stable_depth(Point.inverse_k(1.0), stable_model(1.0))
+    assert doc["norms"] == {"dual": report.certificate.detail["norm"]} == {
+        "dual": 1.0}
+    assert doc["value"] == report.value == pytest.approx(0.25)
+    assert doc["certificate"]["kind"] == report.certificate.kind
 
 
 EMPIRICAL = ["empirical", "--model", "rademacher", "--point", "zero"]
@@ -489,6 +542,38 @@ def test_integral_float_counts_are_accepted(tmp_path):
     assert run(["empirical", "--config", cfg, "--out", tmp_path / "x"]) == 0
     summary = json.loads((tmp_path / "x" / "summary.json").read_text())
     assert summary["n"] == 3
+
+
+def test_config_echoes_the_values_the_run_used(tmp_path):
+    # an integral float count runs as an int, and an integer constant as a
+    # float: the echo holds what the run used
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "rademacher", "point": "zero",
+                               "n": 3.0, "K": 5, "seeds": 2, "seed": 1.0}))
+    assert run(["empirical", "--config", cfg, "--out", tmp_path / "e"]) == 0
+    text = (tmp_path / "e" / "config.json").read_text()
+    assert '"n": 3,' in text and '"seed": 1,' in text
+    cfg.write_text(json.dumps({"model": "rademacher", "point": "inverse-k",
+                               "tail_c": 2}))
+    assert run(["bounds", "--config", cfg, "--out", tmp_path / "b"]) == 0
+    echo = json.loads((tmp_path / "b" / "config.json").read_text())
+    assert echo["tail_c"] == 2.0 and isinstance(echo["tail_c"], float)
+    assert "tail_t0" not in echo  # a default echoed by no earlier run
+
+
+@pytest.mark.parametrize("command, settings, echoed", [
+    ("simplicial", {**BLOCKS, "mc_draws": None, "budget": None},
+     {"mc_draws": 10 ** 5, "budget": 10 ** 7}),
+    ("bounds", {**MARKOV, "depths": None, "curve_max": None},
+     {"depths": "4,16,64", "curve_max": 64}),
+], ids=["simplicial", "bounds"])
+def test_null_config_values_take_their_defaults(tmp_path, command, settings,
+                                                echoed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 0
+    echo = json.loads((tmp_path / "x" / "config.json").read_text())
+    assert {key: echo[key] for key in echoed} == echoed
 
 
 @pytest.mark.parametrize("name, text", [

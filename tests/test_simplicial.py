@@ -278,6 +278,17 @@ def test_gate_matches_eager_product_on_nonfinite_sets(d, bad):
     _assert_gate_matches(verts, np.full(d, 0.5))
 
 
+def test_block_sampler_draws_scaled_unit_draws():
+    # the scale multiply: scale 2 gives exactly twice the unit-scale draws
+    # from the same generator state
+    unit = iid_block_sampler(uniform_law(0.0, 1.0), 2)
+    doubled = iid_block_sampler(uniform_law(0.0, 1.0, 2.0), 2)
+    a = unit(np.random.default_rng(12), 50)
+    b = doubled(np.random.default_rng(12), 50)
+    assert a.shape == b.shape == (50, 2)
+    assert np.array_equal(b, 2.0 * a)
+
+
 def test_simplicial_depth_mc_median():
     est, se = simplicial_depth_mc(
         [0.5], iid_block_sampler(uniform_law(0.0, 1.0), 1), 100_000, seed=1)
@@ -711,6 +722,25 @@ def test_block_experiment_requires_continuous_iid():
 def test_counts_below_one_are_rejected(run):
     with pytest.raises(ValueError, match="must be >= 1"):
         run()
+
+
+def test_experiment_input_checks_raise_input_error():
+    # the CLI maps this one class to a configuration error, exit code 2
+    from depthlab.errors import InputError
+    uniform = uniform_model(0.0, 1.0)
+    with pytest.raises(InputError, match="iid"):
+        simplicial.require_iid_continuous(
+            gaussian_model(tail=PowerTail(1.0, -0.25)))
+    with pytest.raises(InputError, match="continuous"):
+        simplicial.require_iid_continuous(rademacher_model())
+    with pytest.raises(InputError, match="periodic"):
+        simplicial.periodic_block_target(Point((0.5, 1.0)), d=1, k_max=2)
+    with pytest.raises(InputError, match="d[+]1=3"):
+        block_depth_experiment(uniform, Point.zero(), n=2, d=2, k_max=1,
+                               seeds=1)
+    with pytest.raises(InputError, match="sample width"):
+        empirical_block_depth(Point.zero(), sample(uniform, 4, 3, seed=1),
+                              d=2, k_max=2)
 
 
 def test_n_subsets_formula():
