@@ -45,5 +45,6 @@ class GridCoverageError(DepthLabError):
         self.missing = tuple(missing)
 
 
-class BudgetExceededError(DepthLabError):
-    """Subset enumeration would exceed the configured budget."""
+class BudgetExceededError(InputError):
+    """Subset enumeration would exceed the configured budget: the run's
+    shape and budget disagree before any draw, so the CLI exits 2."""

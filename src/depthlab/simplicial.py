@@ -9,14 +9,16 @@ is at most 1e-12 times the product of the column norms.  That rule is
 filtered (Shewchuk 1997): a cap on every set's product, taken once per
 batch from its largest coordinate, clears each set whose determinant
 exceeds 1e-12 times the cap, and the product itself is computed only for
-the few sets left, so the mask is the one the product gives.  For d <= 2 the
-target is inside iff every barycentric numerator, an orientation
-determinant of the vertices translated by the target, has the strict
-sign of that determinant (Shewchuk 1997); no system is solved, and on
-lattices where the products are exact, such as the quarter grid, the
-verdict is exact, so a target on an edge is outside.  For d >= 3 the
-barycentric weights come from a batched linear solve and must all be
-strictly positive.
+the few sets left, so the mask is the one the product gives.  For d <= 3
+the determinant is expanded from the differences v_i - v_0 of the
+vertices as given (at d = 3 the triple product of v_1 - v_0, v_2 - v_0,
+v_3 - v_0), and the target is inside iff every barycentric numerator, an
+orientation determinant of the vertices translated by the target, has
+the strict sign of that determinant (Shewchuk 1997).  No system is
+solved, and on lattices where the products are exact, such as the
+quarter grid, the verdict is exact, so a target on an edge or a face is
+outside.  For d >= 4 the barycentric weights come from a batched linear
+solve and must all be strictly positive.
 
 The exact block counts of one sample (``empirical_block_depth``, the one
 exact entry point: block k's U-statistic ratio Z_{n,k}/N_{n,d} is
@@ -26,16 +28,22 @@ once into plane-major (d, n, blocks) order, the (d+1)-subsets are
 enumerated once for all blocks, and one gather puts a chunk of subsets
 for a run of blocks straight into plane layout, each block's target
 broadcast against its own vertex sets, so every verdict is the one-subset
-verdict.  Every hull-test batch, and the subset enumeration feeding it,
-holds at most ``HULL_CHUNK`` = 2^14 vertex sets, so its working set is a
-few MiB whatever the subset budget or the number of Monte Carlo draws.
-The experiment keeps the (seeds, k_max) counts as its per-seed rows.
+verdict.  Every hull-test batch, gathered here or drawn by the Monte
+Carlo estimates, is bounded by the values it holds: at most
+``HULL_CHUNK`` = 24 576 coordinates (192 KiB of float64; 12 288 pairs,
+4 096 triangles or 2 048 tetrahedra), so the batch's arrays and the
+kernel's temporaries are small enough that the allocator serves batch
+after batch from the same pages instead of mapping new ones, and the
+working set is a few MiB at most whatever the subset budget or the
+number of draws.  The experiment keeps the (seeds, k_max) counts as its
+per-seed rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, islice
 from typing import Callable
 
@@ -48,7 +56,7 @@ from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_MC_DRAWS = 10 ** 5  # draws of the lambda(a) Monte Carlo
-HULL_CHUNK = 1 << 14    # vertex sets per hull-test batch
+HULL_CHUNK = 3 << 13    # coordinate values per hull-test batch
 _PIVOT_TOL = 1e-12
 
 
@@ -89,8 +97,8 @@ def _degenerate(v: np.ndarray, dets: np.ndarray) -> np.ndarray:
 def _hull_planes(v: np.ndarray, x: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(inside, degenerate) masks for batched vertex sets held as
-    coordinate planes: by orientation signs for d <= 2, by a barycentric
-    solve for d >= 3.
+    coordinate planes: by orientation signs for d <= 3, by a barycentric
+    solve for d >= 4.
 
     ``v`` has shape (d, d+1, *batch), v[j][i] coordinate j of vertex i,
     each plane C-contiguous; it is overwritten.  The target ``x`` has
@@ -111,11 +119,26 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         (x0, x1, x2), (y0, y1, y2) = v
         dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         degenerate = _degenerate(v, dets)
-        # translate in place: v[j][i] becomes coordinate j of v_i - x
+        # translate in place: the planes x_i, y_i now hold v_i - x
         v -= x
-        (ex0, ex1, ex2), (ey0, ey1, ey2) = v
-        nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
-                ex0 * ey1 - ey0 * ex1)
+        nums = (x1 * y2 - y1 * x2, x2 * y0 - y2 * x0, x0 * y1 - y0 * x1)
+    elif d == 3:
+        # det[v1 - v0, v2 - v0, v3 - v0], the triple product a . (b x c)
+        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = v
+        ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+        bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+        cx, cy, cz = x3 - x0, y3 - y0, z3 - z0
+        dets = (ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz)
+                + az * (bx * cy - by * cx))
+        degenerate = _degenerate(v, dets)
+        # translate in place: the planes now hold e_i = v_i - x, and
+        # numerator i is the determinant with e_i = 0, from the cross
+        # products e_0 x e_1 and e_2 x e_3, each shared by two numerators
+        v -= x
+        px, py, pz = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
+        qx, qy, qz = y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3
+        nums = (x1 * qx + y1 * qy + z1 * qz, -(x0 * qx + y0 * qy + z0 * qz),
+                x3 * px + y3 * py + z3 * pz, -(x2 * px + y2 * py + z2 * pz))
     else:
         mats = np.empty((*batch, dp1, dp1))
         mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
@@ -130,10 +153,10 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         weights = np.linalg.solve(mats, rhs_stack)[..., 0]
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
-    # d <= 2: inside iff every numerator has the strict sign of dets
-    positive = np.logical_and.reduce([num > 0.0 for num in nums])
-    negative = np.logical_and.reduce([num < 0.0 for num in nums])
-    inside = np.where(dets > 0.0, positive, negative) & ~degenerate
+    # d <= 3: inside iff every numerator has the strict sign of dets (a
+    # NaN numerator makes its set's least and greatest NaN: outside)
+    least, most = reduce(np.minimum, nums), reduce(np.maximum, nums)
+    inside = np.where(dets > 0.0, least > 0.0, most < 0.0) & ~degenerate
     return inside, degenerate
 
 
@@ -150,6 +173,13 @@ def _open_hull_mask(x, vertex_sets: np.ndarray
     return _hull_planes(np.moveaxis(vertex_sets, (-1, -2), (0, 1)).copy(), x)
 
 
+def _batch_sets(d: int) -> int:
+    """Vertex sets of dimension d per hull-test batch: as many as
+    ``HULL_CHUNK`` coordinate values hold, d (d+1) per set, and at least
+    one."""
+    return max(1, HULL_CHUNK // (d * (d + 1)))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo simplicial depth in R^d
 # ---------------------------------------------------------------------------
@@ -159,28 +189,32 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
     """Monte Carlo estimate of P(x in open hull of d+1 iid draws).
 
     ``sampler(rng, m)`` must return an (m, d) array; each call asks for
-    the d+1 points of each of at most ``HULL_CHUNK`` simplices.  The
-    estimate is independent of that batch size only when a call for m
-    points returns the next m points of one stream, so that the points do
-    not depend on how they are split into calls, as for
-    ``iid_block_sampler``.  A sampler that draws m of one variate and then
-    m of another within a call (m radii, then m angles) gives another
-    estimate, equally valid, for another batch size.  Returns the
-    estimate and its binomial standard error.
+    the d+1 points of each simplex of one batch, at most ``HULL_CHUNK``
+    coordinates in all (``_batch_sets``).  The estimate is independent of
+    that batch size only when a call for m points returns the next m
+    points of one stream, so that the points do not depend on how they
+    are split into calls, as for ``iid_block_sampler``.  A sampler that
+    draws m of one variate and then m of another within a call (m radii,
+    then m angles) gives another estimate, equally valid, for another
+    batch size.  Returns the estimate and its binomial standard error.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     x = np.asarray(x, dtype=float)
     d = x.size
     rng = _column_rng(seed, 0x51D)
+    per_batch = _batch_sets(d)
     hits = 0
     done = 0
     while done < draws:
-        m = min(HULL_CHUNK, draws - done)
+        m = min(per_batch, draws - done)
         pts = sampler(rng, m * (d + 1)).reshape(m, d + 1, d)
         inside, _ = _open_hull_mask(x, pts)
         hits += int(np.count_nonzero(inside))
         done += m
+        # freed before the next batch is drawn, which then takes the same
+        # memory instead of growing the heap past it
+        del pts, inside
     est = hits / draws
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / draws)
     return est, stderr
@@ -209,20 +243,21 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
     """Open-hull hit and degenerate counts over all (d+1)-subsets of rows,
     per block.
 
-    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  The
-    blocks are copied once into plane-major (d, n, B) order, in runs of
-    blocks when B alone exceeds ``HULL_CHUNK``.  Subsets are enumerated in
-    chunks, and one ``take`` gathers a chunk's vertex sets for a run of
-    blocks already in the kernel's plane layout, (d, d+1, subsets,
-    blocks), with each block's target a (d, 1, 1, blocks) plane.  A batch
-    holds at most ``HULL_CHUNK`` vertex sets (a single subset per batch
-    when B alone exceeds it).
+    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  A batch
+    holds at most ``HULL_CHUNK`` coordinate values, ``_batch_sets(d)``
+    vertex sets.  The blocks are copied once into plane-major (d, n, B)
+    order, in runs of blocks when B alone exceeds that (one subset per
+    batch).  Subsets are enumerated in chunks, and one ``take`` gathers a
+    chunk's vertex sets for a run of blocks already in the kernel's plane
+    layout, (d, d+1, subsets, blocks), with each block's target a
+    (d, 1, 1, blocks) plane.
     """
     n_blocks, n, d = blocks.shape
     counts = np.zeros(n_blocks, dtype=np.int64)
     degens = np.zeros(n_blocks, dtype=np.int64)
-    per_chunk = max(1, HULL_CHUNK // n_blocks)
-    block_step = max(1, HULL_CHUNK // per_chunk)
+    sets = _batch_sets(d)
+    per_chunk = max(1, sets // n_blocks)
+    block_step = max(1, sets // per_chunk)
     runs = [(slice(lo, lo + block_step),
              np.ascontiguousarray(blocks[lo:lo + block_step].transpose(2, 1, 0)),
              targets[lo:lo + block_step].T[:, None, None])
@@ -305,9 +340,10 @@ def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
     block = s.data[:, (k - 1) * d:k * d]
     target = a.values(k * d)[-d:]
     rng = _column_rng(seed, 0x5B5)
+    per_batch = _batch_sets(d)
     hits = 0
-    for lo in range(0, subsets, HULL_CHUNK):
-        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
+    for lo in range(0, subsets, per_batch):
+        picks = _random_subsets(rng, s.n, d + 1, min(per_batch, subsets - lo))
         inside, _ = _open_hull_mask(target, block[picks])
         hits += int(np.count_nonzero(inside))
     est = hits / subsets

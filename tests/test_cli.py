@@ -347,12 +347,13 @@ BOUNDS = ["bounds", "--model", "gaussian_unit", "--point", "inverse-k"]
     EMPIRICAL + ["--n", 3, "--K", 5, "--seeds", 2, "--seed", -1],
     SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--mc-draws", 0],
     SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--budget", 0],
+    SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--budget", 3],
     BOUNDS + ["--curve-max", 0],
     BOUNDS + ["--depths", "4,x"],
     BOUNDS + ["--depths", "0,4"],
     SIMPLICIAL + ["--seeds", 2, "--seed", 1, "--model", "rademacher"],
 ], ids=["seeds-0", "simplicial-seeds-0", "n-0", "K-0", "seed-negative",
-        "mc-draws-0", "budget-0", "curve-max-0", "depth-not-int", "depth-0",
+        "mc-draws-0", "budget-0", "budget-below-tests", "curve-max-0", "depth-not-int", "depth-0",
         "simplicial-atomic"])
 def test_bad_counts_and_seeds_are_config_errors(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "x"]) == 2

@@ -33,23 +33,30 @@ from depthlab.models import gaussian_law, stable_law, uniform_law
 
 # -- reference open-hull tests ----------------------------------------------------
 
-def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _det(rows):
+    """Determinant of a square matrix of Fractions, by cofactors along the
+    first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * c * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, c in enumerate(rows[0]))
+
+
+def _orient(*points):
+    """det[p_1 - p_0, ..., p_d - p_0] for d + 1 points of R^d."""
+    base = points[0]
+    return _det([[c - b for c, b in zip(p, base)] for p in points[1:]])
 
 
 def _exact_hull(x, verts):
-    """(inside, degenerate) for one vertex set, d <= 2, in rational
+    """(inside, degenerate) for one vertex set, any d, in rational
     arithmetic: the open-hull rule with the degeneracy test squared,
-    det^2 <= tol^2 * prod(|v_i|^2 + 1), so no root is taken."""
+    det^2 <= tol^2 * prod(|v_i|^2 + 1), so no root is taken.  Numerator
+    i is the orientation of the set with vertex i replaced by x."""
     x = [Fraction(float(c)) for c in x]
     v = [[Fraction(float(c)) for c in row] for row in verts]
-    if len(x) == 1:
-        det = v[1][0] - v[0][0]
-        nums = [v[1][0] - x[0], x[0] - v[0][0]]
-    else:
-        det = _orient(*v)
-        nums = [_orient(x, v[1], v[2]), _orient(v[0], x, v[2]),
-                _orient(v[0], v[1], x)]
+    det = _orient(*v)
+    nums = [_orient(*v[:i], x, *v[i + 1:]) for i in range(len(v))]
     bound = Fraction(_PIVOT_TOL) ** 2
     for row in v:
         bound *= sum(c * c for c in row) + 1
@@ -125,6 +132,31 @@ def test_hull_mask_exact_on_quarter_lattice(d, targets):
     assert 0 < inside.sum() and 0 < degenerate.sum()
 
 
+def test_hull_mask_exact_on_quarter_grid_tetrahedra():
+    # random tetrahedra of the lattice [0, 1]^3 in quarters, half of them
+    # reversed, against a lattice point, the midpoint of an edge, a point
+    # of a face and the centroid: every product is exact there, so each
+    # verdict is the rational one, and a target on an edge or a face is
+    # outside
+    rng = _column_rng(2033, 3)
+    verts = rng.integers(0, 5, (500, 4, 3)) / 4.0
+    verts[1::2] = verts[1::2, ::-1]
+    targets = {"lattice": rng.integers(0, 5, (500, 3)) / 4.0,
+               "edge": (verts[:, 0] + verts[:, 1]) / 2.0,
+               "face": (verts[:, 0] + verts[:, 1] + 2.0 * verts[:, 2]) / 4.0,
+               "centroid": verts.sum(axis=1) / 4.0}
+    masks = {}
+    for name, x in targets.items():
+        inside, degenerate = masks[name] = _open_hull_mask(x, verts)
+        expected = np.array([_exact_hull(xi, v) for xi, v in zip(x, verts)])
+        assert inside.tolist() == expected[:, 0].tolist()
+        assert degenerate.tolist() == expected[:, 1].tolist()
+    assert not masks["edge"][0].any() and not masks["face"][0].any()
+    inside, degenerate = masks["centroid"]
+    assert np.array_equal(inside, ~degenerate)
+    assert 0 < masks["lattice"][0].sum() and 0 < degenerate.sum()
+
+
 @pytest.mark.parametrize("law", ["uniform", "gaussian"])
 def test_sign_masks_match_barycentric_on_continuous_triangles(law):
     rng = _column_rng(2026, 0xB0)
@@ -156,7 +188,9 @@ def test_degenerate_masks_match_barycentric_on_quarter_grid():
 
 def _eager_hull_planes(v, x):
     """``_hull_planes`` with the product of column norms taken on every
-    set, before any cap: the rule the capped gate must reproduce."""
+    set, before any cap: the rule the capped gate must reproduce.  The
+    determinants and numerators follow the kernel's expansion for each
+    d, so that only the gate can differ."""
     d, dp1, *batch = v.shape
     hadamard = np.ones(batch)
     for vertex in v.swapaxes(0, 1):
@@ -172,6 +206,23 @@ def _eager_hull_planes(v, x):
         (ex0, ex1, ex2), (ey0, ey1, ey2) = v
         nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
                 ex0 * ey1 - ey0 * ex1)
+    elif d == 3:
+        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = v
+        ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+        bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+        cx, cy, cz = x3 - x0, y3 - y0, z3 - z0
+        dets = (ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz)
+                + az * (bx * cy - by * cx))
+        v -= x
+        (ex0, ex1, ex2, ex3), (ey0, ey1, ey2, ey3), (ez0, ez1, ez2, ez3) = v
+        px, py, pz = (ey0 * ez1 - ez0 * ey1, ez0 * ex1 - ex0 * ez1,
+                      ex0 * ey1 - ey0 * ex1)
+        qx, qy, qz = (ey2 * ez3 - ez2 * ey3, ez2 * ex3 - ex2 * ez3,
+                      ex2 * ey3 - ey2 * ex3)
+        nums = (ex1 * qx + ey1 * qy + ez1 * qz,
+                -(ex0 * qx + ey0 * qy + ez0 * qz),
+                ex3 * px + ey3 * py + ez3 * pz,
+                -(ex2 * px + ey2 * py + ez2 * pz))
     else:
         mats = np.empty((*batch, dp1, dp1))
         mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
@@ -266,8 +317,11 @@ def test_gate_matches_eager_product_with_a_huge_set(d, scale):
     # huge or overflows, so every set takes the exact rule
     verts = _column_rng(2031, d).random((300, d + 1, d))
     verts[150] *= scale
-    _, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
-    assert degenerate[150]
+    inside, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
+    assert not inside[150]
+    # the rule flags the set unless its determinant is NaN, as the triple
+    # product of this set at d = 3 and 1e200 is (inf - inf)
+    assert degenerate[150] == ((d, scale) != (3, 1e200))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -444,7 +498,7 @@ def test_block_counts_iid_across_blocks():
 
 def _oracle_counts(a, s, d, k_max, exact=True):
     """Per-block hit and degenerate counts, one subset at a time: rational
-    arithmetic for d <= 2 (unless ``exact`` is false), else the
+    arithmetic for d <= 3 (unless ``exact`` is false), else the
     barycentric solve."""
     counts, degens = [], []
     for k in range(1, k_max + 1):
@@ -454,7 +508,7 @@ def _oracle_counts(a, s, d, k_max, exact=True):
         hits = degenerate = 0
         for combo in itertools.combinations(range(s.n), d + 1):
             verts = block[list(combo)]
-            if exact and d <= 2:
+            if exact and d <= 3:
                 inside, degen = _exact_hull(target, verts)
             else:
                 inside, degen = (bool(m[0]) for m in
@@ -478,7 +532,7 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", ["d+1", 6, 9])
 def test_block_counts_match_subset_oracle(case, d, n):
     n = d + 1 if n == "d+1" else n
@@ -513,7 +567,7 @@ def test_degenerate_counts_match_barycentric(case):
 
 
 @pytest.mark.parametrize("d, n, k_max", [(1, 9, 7), (2, 9, 1), (2, 6, 4),
-                                         (3, 7, 2)])
+                                         (3, 7, 2), (4, 7, 2)])
 def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
     a = Point.inverse_k(0.5)
     cases = [(m, sample(m, n, k_max * d, seed=31 + d))
@@ -535,8 +589,9 @@ def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
 def test_block_counts_do_not_depend_on_batch_neighbours(monkeypatch, d):
     # the degeneracy cap is taken per batch; block 3 holds 1e200-scale
     # coordinates (d = 2: its first ones, so that every determinant stays
-    # finite), and it shares a batch with every block at HULL_CHUNK 8 and
-    # 2^14 but only with blocks 1-4 at 4: no block's counts may move
+    # finite), and it shares a batch with every block when HULL_CHUNK holds
+    # 8 or 2^14 vertex sets but only with blocks 1-4 when it holds 4: no
+    # block's counts may move
     n, k_max = 6, 8
     data = sample(uniform_model(0.0, 1.0), n, k_max * d, seed=73).data.copy()
     data[:, 2 * d] *= 1e200
@@ -545,8 +600,8 @@ def test_block_counts_do_not_depend_on_batch_neighbours(monkeypatch, d):
     counts, degens = _oracle_counts(a, s, d, k_max)
     assert degens[2] == n_subsets(n, d) and sum(degens) == degens[2]
     assert counts[2] == 0 and sum(counts) > 0
-    for chunk in (4, 8, 1 << 14):
-        monkeypatch.setattr(simplicial, "HULL_CHUNK", chunk)
+    for sets in (4, 8, 1 << 14):
+        monkeypatch.setattr(simplicial, "HULL_CHUNK", sets * d * (d + 1))
         with np.errstate(over="ignore"):
             rec = empirical_block_depth(a, s, d, k_max)
         assert (rec.block_counts, rec.degenerate_counts) == (counts, degens)
@@ -607,14 +662,32 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("draws", [2 * 10 ** 5, 4 * 10 ** 5])
-def test_simplicial_mc_working_set_is_bounded(draws):
-    # numpy's buffers are traced: a batch of HULL_CHUNK simplices, not
-    # the whole run, sets the peak
-    sampler = iid_block_sampler(uniform_law(0.0, 1.0), 3)
-    peak = _traced_peak(
-        lambda: simplicial_depth_mc([0.5] * 3, sampler, draws, seed=63))
-    assert peak < 16 * 2 ** 20
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplicial_mc_batches_read_one_stream(monkeypatch, d):
+    # two batches at the default bound against one simplex per batch: the
+    # sampler reads the next words of one stream either way
+    sampler = iid_block_sampler(uniform_law(0.0, 1.0), d)
+    draws = simplicial._batch_sets(d) + 5
+    default = simplicial_depth_mc([0.5] * d, sampler, draws, seed=64)
+    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
+    assert simplicial._batch_sets(d) == 1
+    assert simplicial_depth_mc([0.5] * d, sampler, draws, seed=64) == default
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplicial_mc_working_set_is_bounded(d):
+    # numpy's buffers are traced: one batch of HULL_CHUNK values (the
+    # sampler's words, their plane copy and the kernel's temporaries), not
+    # the run, sets the peak, so doubling the draws moves it by less than
+    # one batch's array
+    sampler = iid_block_sampler(uniform_law(0.0, 1.0), d)
+    simplicial_depth_mc([0.5] * d, sampler, 1000, seed=63)
+    peaks = [_traced_peak(lambda: simplicial_depth_mc([0.5] * d, sampler,
+                                                      draws, seed=63))
+             for draws in (2 * 10 ** 5, 4 * 10 ** 5)]
+    batch = 8 * simplicial.HULL_CHUNK
+    assert peaks[0] < 8 * batch  # 1.5 MiB
+    assert abs(peaks[1] - peaks[0]) < batch
 
 
 def test_block_counts_working_set_is_bounded():
