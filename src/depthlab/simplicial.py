@@ -28,22 +28,22 @@ once into plane-major (d, n, blocks) order, the (d+1)-subsets are
 enumerated once for all blocks, and one gather puts a chunk of subsets
 for a run of blocks straight into plane layout, each block's target
 broadcast against its own vertex sets, so every verdict is the one-subset
-verdict.  Every hull-test batch, gathered here or drawn by the Monte
-Carlo estimates, is bounded by the values it holds: at most
-``HULL_CHUNK`` = 24 576 coordinates (192 KiB of float64; 12 288 pairs,
-4 096 triangles or 2 048 tetrahedra), so the batch's arrays and the
-kernel's temporaries are small enough that the allocator serves batch
-after batch from the same pages instead of mapping new ones, and the
-working set is a few MiB at most whatever the subset budget or the
-number of draws.  The experiment keeps the (seeds, k_max) counts as its
-per-seed rows.
+verdict.  Every hull-test batch, and the subset enumeration feeding it,
+holds at most ``HULL_CHUNK`` = 2^14 vertex sets.  A batch of one subset
+across many blocks, and every lambda Monte Carlo batch, is also bounded
+by the values it holds: at most ``VALUE_CHUNK`` = 24 576 coordinates
+(192 KiB of float64; 4 096 triangles or 2 048 tetrahedra), so its fresh
+arrays are small enough that the allocator serves batch after batch
+from the same pages instead of mapping new ones.  Either way the working
+set is a few MiB at most whatever the subset budget or the number of
+draws.  The experiment keeps the (seeds, k_max) counts as its per-seed
+rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, combinations, islice
 from typing import Callable
 
@@ -56,7 +56,8 @@ from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_MC_DRAWS = 10 ** 5  # draws of the lambda(a) Monte Carlo
-HULL_CHUNK = 3 << 13    # coordinate values per hull-test batch
+HULL_CHUNK = 1 << 14    # vertex sets per hull-test batch
+VALUE_CHUNK = 3 << 13   # coordinate values per batch of fresh arrays
 _PIVOT_TOL = 1e-12
 
 
@@ -65,8 +66,10 @@ _PIVOT_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 def _degenerate(v: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """Mask of the sets with |det| <= 1e-12 * prod_i sqrt(|v_i|^2 + 1),
-    the product of their column norms, for planes ``v`` not yet translated.
+    """Mask of the sets without |det| > 1e-12 * prod_i sqrt(|v_i|^2 + 1),
+    the product of their column norms, for planes ``v`` not yet
+    translated: a NaN determinant, such as an overflowed inf - inf, is
+    degenerate too.
 
     With P the batch's largest |coordinate|, every set's product is at
     most (d P^2 + 1)^((d+1)/2); twice that, the cap, also bounds the
@@ -90,7 +93,7 @@ def _degenerate(v: np.ndarray, dets: np.ndarray) -> np.ndarray:
             hadamard *= np.sqrt(np.einsum("j...,j...->...", vertex, vertex)
                                 + 1.0)
         left_dets = np.abs(dets[degenerate])
-        degenerate[degenerate] = left_dets <= _PIVOT_TOL * hadamard
+        degenerate[degenerate] = ~(left_dets > _PIVOT_TOL * hadamard)
     return degenerate
 
 
@@ -119,9 +122,11 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         (x0, x1, x2), (y0, y1, y2) = v
         dets = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         degenerate = _degenerate(v, dets)
-        # translate in place: the planes x_i, y_i now hold v_i - x
+        # translate in place: v[j][i] becomes coordinate j of v_i - x
         v -= x
-        nums = (x1 * y2 - y1 * x2, x2 * y0 - y2 * x0, x0 * y1 - y0 * x1)
+        (ex0, ex1, ex2), (ey0, ey1, ey2) = v
+        nums = (ex1 * ey2 - ey1 * ex2, ex2 * ey0 - ey2 * ex0,
+                ex0 * ey1 - ey0 * ex1)
     elif d == 3:
         # det[v1 - v0, v2 - v0, v3 - v0], the triple product a . (b x c)
         (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = v
@@ -153,10 +158,10 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         weights = np.linalg.solve(mats, rhs_stack)[..., 0]
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
-    # d <= 3: inside iff every numerator has the strict sign of dets (a
-    # NaN numerator makes its set's least and greatest NaN: outside)
-    least, most = reduce(np.minimum, nums), reduce(np.maximum, nums)
-    inside = np.where(dets > 0.0, least > 0.0, most < 0.0) & ~degenerate
+    # d <= 3: inside iff every numerator has the strict sign of dets
+    positive = np.logical_and.reduce([num > 0.0 for num in nums])
+    negative = np.logical_and.reduce([num < 0.0 for num in nums])
+    inside = np.where(dets > 0.0, positive, negative) & ~degenerate
     return inside, degenerate
 
 
@@ -173,11 +178,10 @@ def _open_hull_mask(x, vertex_sets: np.ndarray
     return _hull_planes(np.moveaxis(vertex_sets, (-1, -2), (0, 1)).copy(), x)
 
 
-def _batch_sets(d: int) -> int:
-    """Vertex sets of dimension d per hull-test batch: as many as
-    ``HULL_CHUNK`` coordinate values hold, d (d+1) per set, and at least
-    one."""
-    return max(1, HULL_CHUNK // (d * (d + 1)))
+def _value_sets(d: int) -> int:
+    """Vertex sets of dimension d that ``VALUE_CHUNK`` coordinate values
+    hold, d (d+1) per set, and at least one."""
+    return max(1, VALUE_CHUNK // (d * (d + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +193,21 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
     """Monte Carlo estimate of P(x in open hull of d+1 iid draws).
 
     ``sampler(rng, m)`` must return an (m, d) array; each call asks for
-    the d+1 points of each simplex of one batch, at most ``HULL_CHUNK``
-    coordinates in all (``_batch_sets``).  The estimate is independent of
-    that batch size only when a call for m points returns the next m
-    points of one stream, so that the points do not depend on how they
-    are split into calls, as for ``iid_block_sampler``.  A sampler that
-    draws m of one variate and then m of another within a call (m radii,
-    then m angles) gives another estimate, equally valid, for another
-    batch size.  Returns the estimate and its binomial standard error.
+    the d+1 points of each of ``_value_sets(d)`` simplices.  The estimate
+    is independent of that batch size only when a call for m points
+    returns the next m points of one stream, so that the points do not
+    depend on how they are split into calls, as for ``iid_block_sampler``.
+    A sampler that draws m of one variate and then m of another within a
+    call (m radii, then m angles) gives another estimate, equally valid,
+    for another batch size.  Returns the estimate and its binomial
+    standard error.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     x = np.asarray(x, dtype=float)
     d = x.size
     rng = _column_rng(seed, 0x51D)
-    per_batch = _batch_sets(d)
+    per_batch = _value_sets(d)
     hits = 0
     done = 0
     while done < draws:
@@ -243,21 +247,25 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
     """Open-hull hit and degenerate counts over all (d+1)-subsets of rows,
     per block.
 
-    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  A batch
-    holds at most ``HULL_CHUNK`` coordinate values, ``_batch_sets(d)``
-    vertex sets.  The blocks are copied once into plane-major (d, n, B)
-    order, in runs of blocks when B alone exceeds that (one subset per
-    batch).  Subsets are enumerated in chunks, and one ``take`` gathers a
-    chunk's vertex sets for a run of blocks already in the kernel's plane
-    layout, (d, d+1, subsets, blocks), with each block's target a
-    (d, 1, 1, blocks) plane.
+    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  The
+    blocks are copied once into plane-major (d, n, B) order, in runs of
+    at most ``_value_sets(d)`` blocks.  Subsets are enumerated in chunks,
+    and one ``take`` gathers a chunk's vertex sets for a run of blocks
+    already in the kernel's plane layout, (d, d+1, subsets, blocks), with
+    each block's target a (d, 1, 1, blocks) plane.  A batch holds at most
+    ``HULL_CHUNK`` vertex sets (a single subset per batch when B alone
+    exceeds it).
     """
     n_blocks, n, d = blocks.shape
     counts = np.zeros(n_blocks, dtype=np.int64)
     degens = np.zeros(n_blocks, dtype=np.int64)
-    sets = _batch_sets(d)
-    per_chunk = max(1, sets // n_blocks)
-    block_step = max(1, sets // per_chunk)
+    per_chunk = max(1, HULL_CHUNK // n_blocks)
+    # runs of value-bounded length, so that the fresh per-call copies of
+    # many blocks (10 000 of n = 4) stay small enough for the allocator to
+    # reuse; with few blocks per_chunk, not the run, sets the batch, and
+    # value-bounded batches there would pay the kernel's fixed cost four
+    # times as often
+    block_step = max(1, min(_value_sets(d), HULL_CHUNK // per_chunk))
     runs = [(slice(lo, lo + block_step),
              np.ascontiguousarray(blocks[lo:lo + block_step].transpose(2, 1, 0)),
              targets[lo:lo + block_step].T[:, None, None])
@@ -340,10 +348,9 @@ def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
     block = s.data[:, (k - 1) * d:k * d]
     target = a.values(k * d)[-d:]
     rng = _column_rng(seed, 0x5B5)
-    per_batch = _batch_sets(d)
     hits = 0
-    for lo in range(0, subsets, per_batch):
-        picks = _random_subsets(rng, s.n, d + 1, min(per_batch, subsets - lo))
+    for lo in range(0, subsets, HULL_CHUNK):
+        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
         inside, _ = _open_hull_mask(target, block[picks])
         hits += int(np.count_nonzero(inside))
     est = hits / subsets

@@ -228,7 +228,7 @@ def _eager_hull_planes(v, x):
         mats[..., :d, :] = np.moveaxis(v, (0, 1), (-2, -1))
         mats[..., d, :] = 1.0
         dets = np.linalg.det(mats)
-        degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+        degenerate = ~(np.abs(dets) > _PIVOT_TOL * hadamard)
         mats[degenerate] = np.eye(dp1)
         rhs = np.ones(x.shape[2:] + (dp1,))
         rhs[..., :d] = np.moveaxis(x[:, 0], 0, -1)
@@ -236,7 +236,7 @@ def _eager_hull_planes(v, x):
         weights = np.linalg.solve(mats, rhs_stack)[..., 0]
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
-    degenerate = np.abs(dets) <= _PIVOT_TOL * hadamard
+    degenerate = ~(np.abs(dets) > _PIVOT_TOL * hadamard)
     positive = np.logical_and.reduce([num > 0.0 for num in nums])
     negative = np.logical_and.reduce([num < 0.0 for num in nums])
     inside = np.where(dets > 0.0, positive, negative) & ~degenerate
@@ -318,10 +318,20 @@ def test_gate_matches_eager_product_with_a_huge_set(d, scale):
     verts = _column_rng(2031, d).random((300, d + 1, d))
     verts[150] *= scale
     inside, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
-    assert not inside[150]
-    # the rule flags the set unless its determinant is NaN, as the triple
-    # product of this set at d = 3 and 1e200 is (inf - inf)
-    assert degenerate[150] == ((d, scale) != (3, 1e200))
+    assert degenerate[150] and not inside[150]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gate_flags_a_nan_determinant(d):
+    # two terms of the determinant overflow to inf and -inf, so it is
+    # computed as NaN: the set is degenerate, not merely outside
+    huge = {2: [[0, 0], [1, 1], [2, 1]],
+            3: [[0, 0, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1]]}[d]
+    verts = _column_rng(2034, d).random((300, d + 1, d))
+    verts[150] = np.array(huge) * 1e200
+    inside, degenerate = _assert_gate_matches(verts, np.full(d, 0.5))
+    assert degenerate[150] and not inside[150]
+    assert degenerate.sum() == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -589,9 +599,8 @@ def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
 def test_block_counts_do_not_depend_on_batch_neighbours(monkeypatch, d):
     # the degeneracy cap is taken per batch; block 3 holds 1e200-scale
     # coordinates (d = 2: its first ones, so that every determinant stays
-    # finite), and it shares a batch with every block when HULL_CHUNK holds
-    # 8 or 2^14 vertex sets but only with blocks 1-4 when it holds 4: no
-    # block's counts may move
+    # finite), and it shares a batch with every block at HULL_CHUNK 8 and
+    # 2^14 but only with blocks 1-4 at 4: no block's counts may move
     n, k_max = 6, 8
     data = sample(uniform_model(0.0, 1.0), n, k_max * d, seed=73).data.copy()
     data[:, 2 * d] *= 1e200
@@ -600,8 +609,8 @@ def test_block_counts_do_not_depend_on_batch_neighbours(monkeypatch, d):
     counts, degens = _oracle_counts(a, s, d, k_max)
     assert degens[2] == n_subsets(n, d) and sum(degens) == degens[2]
     assert counts[2] == 0 and sum(counts) > 0
-    for sets in (4, 8, 1 << 14):
-        monkeypatch.setattr(simplicial, "HULL_CHUNK", sets * d * (d + 1))
+    for chunk in (4, 8, 1 << 14):
+        monkeypatch.setattr(simplicial, "HULL_CHUNK", chunk)
         with np.errstate(over="ignore"):
             rec = empirical_block_depth(a, s, d, k_max)
         assert (rec.block_counts, rec.degenerate_counts) == (counts, degens)
@@ -615,12 +624,14 @@ LAWS = {"uniform": (uniform_law(0.0, 1.0), uniform_model(0.0, 1.0), 0.5),
 @pytest.mark.parametrize("law", list(LAWS))
 def test_simplicial_mc_independent_of_chunk_size(monkeypatch, law, d):
     # a call for m draws returns the next m of one stream (the stable law
-    # reads two words per draw), so the batch size moves no bit
+    # reads two words per draw), so the batch size moves no bit: two
+    # batches at the default bound against one simplex per batch
     marginal, _, x = LAWS[law]
     sampler = iid_block_sampler(marginal, d)
-    default = simplicial_depth_mc([x] * d, sampler, 1000, seed=61)
-    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
-    assert simplicial_depth_mc([x] * d, sampler, 1000, seed=61) == default
+    draws = simplicial._value_sets(d) + 5
+    default = simplicial_depth_mc([x] * d, sampler, draws, seed=61)
+    monkeypatch.setattr(simplicial, "VALUE_CHUNK", 3)
+    assert simplicial_depth_mc([x] * d, sampler, draws, seed=61) == default
     assert 0.0 < default[0] < 1.0
 
 
@@ -649,6 +660,7 @@ def test_block_experiment_independent_of_chunk_size(monkeypatch, law, d):
 
     default = run()
     monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
+    monkeypatch.setattr(simplicial, "VALUE_CHUNK", 3)
     assert _same_result(run(), default)  # lambda_hat and its stderr included
     assert 0.0 < default.lambda_hat < 1.0
 
@@ -663,20 +675,8 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_simplicial_mc_batches_read_one_stream(monkeypatch, d):
-    # two batches at the default bound against one simplex per batch: the
-    # sampler reads the next words of one stream either way
-    sampler = iid_block_sampler(uniform_law(0.0, 1.0), d)
-    draws = simplicial._batch_sets(d) + 5
-    default = simplicial_depth_mc([0.5] * d, sampler, draws, seed=64)
-    monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
-    assert simplicial._batch_sets(d) == 1
-    assert simplicial_depth_mc([0.5] * d, sampler, draws, seed=64) == default
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
 def test_simplicial_mc_working_set_is_bounded(d):
-    # numpy's buffers are traced: one batch of HULL_CHUNK values (the
+    # numpy's buffers are traced: one batch of VALUE_CHUNK values (the
     # sampler's words, their plane copy and the kernel's temporaries), not
     # the run, sets the peak, so doubling the draws moves it by less than
     # one batch's array
@@ -685,7 +685,7 @@ def test_simplicial_mc_working_set_is_bounded(d):
     peaks = [_traced_peak(lambda: simplicial_depth_mc([0.5] * d, sampler,
                                                       draws, seed=63))
              for draws in (2 * 10 ** 5, 4 * 10 ** 5)]
-    batch = 8 * simplicial.HULL_CHUNK
+    batch = 8 * simplicial.VALUE_CHUNK
     assert peaks[0] < 8 * batch  # 1.5 MiB
     assert abs(peaks[1] - peaks[0]) < batch
 
