@@ -24,9 +24,10 @@ The exact block counts of one sample (``empirical_block_depth``, the one
 exact entry point: block k's U-statistic ratio Z_{n,k}/N_{n,d} is
 ``block_counts[k - 1] / n_subsets``), or of every sample in a seed chunk
 of the experiment, go through one batched test: the blocks are copied
-once into plane-major (d, n, blocks) order, the (d+1)-subsets are
-enumerated once for all blocks, and one gather puts a chunk of subsets
-for a run of blocks straight into plane layout, each block's target
+once, from the sample or the drawn chunk, into plane-major (d, n, blocks)
+order, the (d+1)-subsets are enumerated once for all blocks, and one
+gather puts a chunk of subsets for a run of blocks into plane layout,
+each block's target (a broadcast view when all blocks share one)
 broadcast against its own vertex sets, so every verdict is the one-subset
 verdict.  Every hull-test batch, and the subset enumeration feeding it,
 holds at most ``HULL_CHUNK`` = 2^14 vertex sets.  A batch of one subset
@@ -159,8 +160,10 @@ def _hull_planes(v: np.ndarray, x: np.ndarray
         inside = np.all(weights > 0.0, axis=-1) & ~degenerate
         return inside, degenerate
     # d <= 3: inside iff every numerator has the strict sign of dets
-    positive = np.logical_and.reduce([num > 0.0 for num in nums])
-    negative = np.logical_and.reduce([num < 0.0 for num in nums])
+    positive, negative = nums[0] > 0.0, nums[0] < 0.0
+    for num in nums[1:]:
+        positive &= num > 0.0
+        negative &= num < 0.0
     inside = np.where(dets > 0.0, positive, negative) & ~degenerate
     return inside, degenerate
 
@@ -242,34 +245,34 @@ def n_subsets(n: int, d: int) -> int:
     return math.comb(n, d + 1)
 
 
-def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
+def _block_hull_counts(planes: np.ndarray, targets: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Open-hull hit and degenerate counts over all (d+1)-subsets of rows,
     per block.
 
-    ``blocks`` has shape (B, n, d) and ``targets`` shape (B, d).  The
-    blocks are copied once into plane-major (d, n, B) order, in runs of
-    at most ``_value_sets(d)`` blocks.  Subsets are enumerated in chunks,
-    and one ``take`` gathers a chunk's vertex sets for a run of blocks
-    already in the kernel's plane layout, (d, d+1, subsets, blocks), with
-    each block's target a (d, 1, 1, blocks) plane.  A batch holds at most
-    ``HULL_CHUNK`` vertex sets (a single subset per batch when B alone
-    exceeds it).
+    ``planes`` holds the blocks as coordinate planes, shape (d, n, B):
+    planes[j, r, b] is coordinate j of row r of block b, the one copy of
+    the sample or the drawn chunk, made by the caller.  ``targets`` has
+    shape (d, B); a broadcast view of one shared target will do.  Subsets
+    are enumerated in chunks, and one ``take`` gathers a chunk's vertex
+    sets for a run of blocks from ``planes[:, :, lo:hi]`` into one
+    buffer, in the kernel's plane layout (d, d+1, subsets, blocks), with
+    each block's target a (d, 1, 1, blocks) view.  When the run is all of
+    the blocks the gather reads the planes in place; a shorter run, whose
+    slice is not contiguous, is copied by numpy first.  A batch holds at
+    most ``HULL_CHUNK`` vertex sets (a single subset per batch when B
+    alone exceeds it).
     """
-    n_blocks, n, d = blocks.shape
+    d, n, n_blocks = planes.shape
     counts = np.zeros(n_blocks, dtype=np.int64)
     degens = np.zeros(n_blocks, dtype=np.int64)
     per_chunk = max(1, HULL_CHUNK // n_blocks)
-    # runs of value-bounded length, so that the fresh per-call copies of
+    # runs of value-bounded length, so that the kernel's temporaries for
     # many blocks (10 000 of n = 4) stay small enough for the allocator to
     # reuse; with few blocks per_chunk, not the run, sets the batch, and
     # value-bounded batches there would pay the kernel's fixed cost four
     # times as often
     block_step = max(1, min(_value_sets(d), HULL_CHUNK // per_chunk))
-    runs = [(slice(lo, lo + block_step),
-             np.ascontiguousarray(blocks[lo:lo + block_step].transpose(2, 1, 0)),
-             targets[lo:lo + block_step].T[:, None, None])
-            for lo in range(0, n_blocks, block_step)]
     # every batch is gathered into this one buffer: fresh memory per batch
     # would cost a page fault per 4 KiB once the allocator trims its heap
     buffer = np.empty(d * (d + 1) * per_chunk * min(block_step, n_blocks))
@@ -279,12 +282,14 @@ def _block_hull_counts(blocks: np.ndarray, targets: np.ndarray
                              dtype=np.intp).reshape(-1, d + 1).T
         if not combos.size:
             return counts, degens
-        for run, planes, aims in runs:
-            shape = (d, d + 1, combos.shape[1], planes.shape[2])
+        for lo in range(0, n_blocks, block_step):
+            hi = min(lo + block_step, n_blocks)
+            run = slice(lo, hi)
+            shape = (d, d + 1, combos.shape[1], hi - lo)
             v = buffer[:math.prod(shape)].reshape(shape)
             # every index is in range; "raise" would gather into a copy
-            np.take(planes, combos, axis=1, out=v, mode="wrap")
-            inside, degen = _hull_planes(v, aims)
+            np.take(planes[:, :, run], combos, axis=1, out=v, mode="wrap")
+            inside, degen = _hull_planes(v, targets[:, None, None, run])
             counts[run] += inside.sum(axis=0)
             degens[run] += degen.sum(axis=0)
 
@@ -328,9 +333,11 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                           budget: int = DEFAULT_BUDGET) -> SimplicialRecord:
     """min over blocks k <= k_max of the per-block U-statistic ratio."""
     total = _check_block_shape(s.n, s.K, d, k_max, budget)
-    blocks = s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(1, 0, 2)
-    targets = a.values(k_max * d).reshape(k_max, d)
-    counts, degens = _block_hull_counts(blocks, targets)
+    # planes[j, r, k - 1] = coordinate j of block k in row r, one copy
+    planes = np.ascontiguousarray(
+        s.data[:, :k_max * d].reshape(s.n, k_max, d).transpose(2, 0, 1))
+    targets = a.values(k_max * d).reshape(k_max, d).T
+    counts, degens = _block_hull_counts(planes, targets)
     depth = int(counts.min()) / total
     return SimplicialRecord(n=s.n, d=d, n_subsets=total,
                             block_counts=tuple(counts.tolist()),
@@ -435,11 +442,14 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     counts = np.empty((seeds, k_max), dtype=np.int64)
     degens = np.empty((seeds, k_max), dtype=np.int64)
     for lo, block in sample_chunks(model, n, width, seed_row):
-        # (width, S, n) -> one (n, d) block per (seed, k), seed-major
+        # (width, S, n) -> coordinate planes (d, n, S k_max), one copy:
+        # block (seed s, k) is column s k_max + k - 1, seed-major
         S = block.shape[1]
-        blocks = block.reshape(k_max, d, S, n).transpose(2, 0, 3, 1)
-        hit, degen = _block_hull_counts(blocks.reshape(S * k_max, n, d),
-                                        np.tile(target, (S * k_max, 1)))
+        planes = np.ascontiguousarray(
+            block.reshape(k_max, d, S, n).transpose(1, 3, 2, 0))
+        hit, degen = _block_hull_counts(
+            planes.reshape(d, n, S * k_max),
+            np.broadcast_to(target[:, None], (d, S * k_max)))
         counts[lo:lo + S] = hit.reshape(S, k_max)
         degens[lo:lo + S] = degen.reshape(S, k_max)
     least = counts.min(axis=1)

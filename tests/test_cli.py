@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -763,21 +764,81 @@ def test_numpy_columns_match_csv_writer(tmp_path):
                                   values.tolist()))
 
 
-def test_table_writer_holds_one_batch(tmp_path):
-    # the text of this 2**20-row table is about 17 MB; a writer that built
+@pytest.mark.parametrize("row_format", ["%d,%r", "%s,%s"],
+                         ids=["numbers", "text"])
+def test_table_writer_holds_one_batch(tmp_path, row_format):
+    # 2**17 rows, 128 batches, about 2 MB of text in either path (the
+    # numbers formatted with %, the same text joined); a writer that built
     # it whole before writing would peak above it, one batch is ~100 kB
-    ms = np.arange(1, (1 << 20) + 1)
+    ms = np.arange(1, (1 << 17) + 1)
     columns = (ms, ms * 0.5)
+    if row_format == "%s,%s":
+        # made before tracing starts: the strings are the table's, not
+        # the writer's
+        columns = tuple(np.array(list(map(repr, column.tolist())),
+                                 dtype=object) for column in columns)
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        write_table(path, ("m", "B_m"), "%d,%r", columns)
+        write_table(path, ("m", "B_m"), row_format, columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert size > 1 << 24
+    assert size > 1 << 20
     assert peak < size / 8
+
+
+def _text_column(rows, prefix, empty=0):
+    """An object column of distinct strs, every seventh one from row
+    ``empty`` on empty."""
+    column = np.array([f"{prefix}{i}" for i in range(rows)], dtype=object)
+    column[empty::7] = ""
+    return column
+
+
+@pytest.mark.parametrize("row_format, fields", [
+    ("x%s,%s;", lambda a, b: ["x" + a, b + ";"]),
+    ("%s,,y%s", lambda a, b: [a, "", "y" + b]),
+    ("%s%s", lambda a, b: [a + b]),
+], ids=["before-between-after", "empty-field", "no-literal"])
+def test_text_format_is_joined_with_its_literals(tmp_path, row_format,
+                                                 fields):
+    # an all-%s format is joined, its literal pieces around the fields,
+    # across batch boundaries
+    rows = 2 * TABLE_BATCH + 300
+    # never both empty: csv.writer quotes a row of one empty field
+    a, b = _text_column(rows, "a"), _text_column(rows, "-2.5e", empty=3)
+    path = tmp_path / "t.csv"
+    write_table(path, ("h1", "h2"), row_format, (a, b))
+    assert path.read_bytes() == csv_oracle(
+        ["h1", "h2"], [fields(u, v) for u, v in zip(a.tolist(), b.tolist())])
+
+
+@pytest.mark.parametrize("row_format, fields", [
+    ("%s,%r", lambda i, x: [i, x]),
+    ("%s,%s%%", lambda i, x: [i, f"{x!r}%"]),
+    ("%d,%s", lambda i, x: [i, x]),
+], ids=["repr", "percent-escape", "int"])
+def test_other_formats_take_the_percent_path(tmp_path, row_format, fields):
+    # ints and floats under %s: only % converts them, a join of non-str
+    # raises, so these bytes show that the format took the % path
+    rows = TABLE_BATCH + 300
+    ints = np.arange(-5, rows - 5)
+    floats = np.linspace(-1.0, 1.0, rows) ** 3
+    path = tmp_path / "t.csv"
+    write_table(path, ("i", "x"), row_format, (ints, floats))
+    assert path.read_bytes() == csv_oracle(
+        ["i", "x"], [fields(i, x) for i, x in zip(ints.tolist(),
+                                                  floats.tolist())])
+
+
+def test_format_not_matching_the_columns_raises(tmp_path):
+    # one %s short of the columns: not joined (which would drop a column)
+    # but formatted with %, which refuses it
+    column = _text_column(10, "a")
+    with pytest.raises(TypeError):
+        write_table(tmp_path / "t.csv", ("a", "b"), "%s", (column, column))
 
 
 def test_markov_curve_matches_csv_writer(tmp_path):
@@ -854,6 +915,27 @@ def test_simplicial_table_matches_csv_writer(tmp_path):
     assert len({row[2] for row in rows}) > 2
     assert ((out / "simplicial.csv").read_bytes()
             == csv_oracle(["seed", "k", "Z", "N", "ratio"], rows))
+
+
+def test_blocks_outputs_pinned(tmp_path):
+    # depth simplicial at the benchmark's blocks shape (uniform(0,1) at
+    # 0.5, n 4, d 2, kmax 200, 50 seeds): the bytes that the hull counts'
+    # plane layout and the text join of simplicial.csv must not move
+    model = tmp_path / "uniform01.json"
+    model.write_text(json.dumps({"family": "uniform", "lo": 0.0, "hi": 1.0}))
+    point = tmp_path / "median.json"
+    point.write_text(json.dumps({"coords": [0.5] * 400}))
+    out = tmp_path / "blocks"
+    assert run(["simplicial", "--model", model, "--point", point, "--n", 4,
+                "--d", 2, "--kmax", 200, "--seeds", 50, "--seed", 7,
+                "--out", out]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "simplicial.csv")} == {
+        "summary.json":
+            "fa367730195745e69417efd6efbc619b9fd92f2a0c117ea7de2eb89f1cad1ac2",
+        "simplicial.csv":
+            "3cc71113391489e675a6f638f93975cf657647c5725369b09fe02e4f0cb1c9ba",
+    }
 
 
 def test_plotdata_echoes_its_config(tmp_path):

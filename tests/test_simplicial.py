@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -190,7 +192,10 @@ def _eager_hull_planes(v, x):
     """``_hull_planes`` with the product of column norms taken on every
     set, before any cap: the rule the capped gate must reproduce.  The
     determinants and numerators follow the kernel's expansion for each
-    d, so that only the gate can differ."""
+    d, so that only the gate and the combining of the signs can differ:
+    here every numerator's sign is stacked and reduced with
+    ``logical_and.reduce``, the reference for the kernel's one-pass
+    ``&=``."""
     d, dp1, *batch = v.shape
     hadamard = np.ones(batch)
     for vertex in v.swapaxes(0, 1):
@@ -698,6 +703,20 @@ def test_block_counts_working_set_is_bounded():
     assert n_subsets(67, 2) * 200 <= simplicial.DEFAULT_BUDGET
     peak = _traced_peak(lambda: empirical_block_depth(a, s, 2, 200))
     assert peak < 16 * 2 ** 20
+
+
+def test_block_counts_pinned():
+    # 200 blocks of 30 rows at d = 2, the few-block batch shape (81
+    # subsets by 200 blocks a batch): the counts the plane layout must
+    # not move
+    s = sample(uniform_model(0.0, 1.0), 30, 400, seed=5)
+    rec = empirical_block_depth(Point.periodic([0.5, 0.5], repeats=200), s,
+                                2, 200)
+    digest = hashlib.sha256(json.dumps(
+        [rec.block_counts, rec.degenerate_counts]).encode()).hexdigest()
+    assert digest == (
+        "c0fe60c67b1338d5d8bb95cba95cef82e6655376c49465e4078d201e274010b4")
+    assert (min(rec.block_counts), max(rec.block_counts)) == (742, 1118)
 
 
 def test_block_depth_argument_errors():
