@@ -261,8 +261,9 @@ def _positive(name: str, value) -> float:
 
 
 def _out_dir(name: str, value) -> str:
-    """A path to a directory, or to make one at: checked before the run."""
-    if not isinstance(value, str):
+    """A path to a directory, or to make one at: checked before the run.
+    An empty path is an error: it would name the working directory."""
+    if not isinstance(value, str) or not value:
         raise InputError(f"{name} must be a path, got {value!r}")
     out = Path(value)
     for path in (out, *out.parents):
@@ -322,7 +323,9 @@ def resolve_config(args: argparse.Namespace, command: Command
     """The settings a run uses, checked and converted, and its echo: the
     config file overlaid by the flags, each setting as the run uses it and
     the echoed defaults added; other keys stay as given."""
-    echo = _json_object(args.config) if args.config else {}
+    if args.config == "":
+        raise InputError("config must be a path to a JSON file, got ''")
+    echo = _json_object(args.config) if args.config is not None else {}
     echo.update((key, value) for key, value in vars(args).items()
                 if key != "config" and value is not None)
     echo.pop("command")
@@ -633,31 +636,64 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _top_parser(metavar: str | None = None
+                ) -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    """The ``depth`` parser and its subparsers action, which holds no
+    subcommand yet."""
     parser = argparse.ArgumentParser(
         prog="depth",
         description="Half-space, simplicial and band depth laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for key in command.settings:
-            if key == "out":
-                p.add_argument("--config",
-                               help="JSON config; flags override it")
-            setting = SETTINGS[key]
-            if setting.flag is not None:
-                p.add_argument(setting.flag, dest=key, **setting.options)
+    return parser, parser.add_subparsers(dest="command", required=True,
+                                         metavar=metavar)
+
+
+def _add_command(sub: argparse._SubParsersAction, name: str) -> None:
+    """Add subcommand ``name`` and the flags of its settings to ``sub``."""
+    command = COMMANDS[name]
+    p = sub.add_parser(name, help=command.help)
+    for key in command.settings:
+        if key == "out":
+            p.add_argument("--config", help="JSON config; flags override it")
+        setting = SETTINGS[key]
+        if setting.flag is not None:
+            p.add_argument(setting.flag, dest=key, **setting.options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand and its flags."""
+    parser, sub = _top_parser()
+    for name in COMMANDS:
+        _add_command(sub, name)
     return parser
 
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not change it."""
+    """The full parser, built on its first use: parsing does not change
+    it.  ``main`` uses it when argv does not start with a subcommand."""
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser holding subcommand ``name`` only, cached per name: it
+    parses an argv that starts with ``name`` as the full parser does, with
+    the same help, usage and error text.  Its subparsers metavar lists
+    every subcommand, so that the top-level usage line, which argparse
+    prints with an unrecognized flag, is the full parser's.  (On the full
+    parser a metavar would change the invalid-choice and missing-command
+    messages, which name the action by it.)"""
+    parser, sub = _top_parser(metavar="{" + ",".join(COMMANDS) + "}")
+    _add_command(sub, name)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = (_command_parser(argv[0]) if argv and argv[0] in COMMANDS
+              else _parser())
+    args = parser.parse_args(argv)
     command = COMMANDS[args.command]
     try:
         cfg, echo = resolve_config(args, command)

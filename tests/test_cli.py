@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthlab import admissibility, analytic, bounds, empirical, simplicial
-from depthlab.cli import (TABLE_BATCH, load_point, main, model_from_document,
+from depthlab import admissibility, analytic, bounds, cli, empirical, simplicial
+from depthlab.cli import (COMMANDS, TABLE_BATCH, build_parser, load_point,
+                          main, model_from_document,
                           write_table)
 from depthlab.models import (
     STREAM_VERSION,
@@ -208,6 +211,27 @@ def test_out_that_is_not_a_path_is_config_error(tmp_path, capsys):
                                "out": 5}))
     assert run(["analytic", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: out must be")
+
+
+# the collapse shape, scaled down
+COLLAPSE = ["empirical", "--model", "gaussian_unit", "--point", "inverse-k",
+            "--n", 2, "--K", 20, "--seeds", 5, "--seed", 1]
+
+
+@pytest.mark.parametrize("args, setting", [
+    (["--out", ""], "out"),
+    (["--config", "cfg.json"], "out"),
+    (["--config", "", "--out", "run"], "config"),
+], ids=["out-flag", "out-in-config", "config-flag"])
+def test_empty_path_settings_are_config_errors(tmp_path, capsys, monkeypatch,
+                                               args, setting):
+    # an empty path would name the working directory, or no config at all
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+    assert run(COLLAPSE + args) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {setting} must be a path")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_bounds_pz_delta_is_capped_below_one(tmp_path):
@@ -976,3 +1000,76 @@ def test_bad_depth_list_is_config_error(tmp_path, capsys, depths):
     assert run(BOUNDS + ["--config", cfg, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("config error: depths")
     assert not (tmp_path / "x").exists()
+
+
+# ---------------------------------------------------------------------------
+# The parser: main builds only the subcommand it runs, with the full
+# parser's text
+# ---------------------------------------------------------------------------
+
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["frobnicate"],
+    *([name, "--help"] for name in COMMANDS),
+    *([name, "--bogus", "1"] for name in COMMANDS),
+    ["empirical", "--n", "x"],
+    ["admissible", "--assumptions", "X"],
+    ["simplicial", "--seed"],
+]
+
+
+def _exit(call, capsys) -> tuple:
+    """The exit code, stdout and stderr of ``call``, which argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit(lambda: build_parser().parse_args(argv), capsys)
+    assert _exit(lambda: main(argv), capsys) == expected
+
+
+@pytest.mark.parametrize("argv", [["empirical", "--help"], ["-h"],
+                                  ["bounds", "--bogus"]])
+def test_main_without_argv_parses_sys_argv(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["depth", *argv])
+    expected = _exit(lambda: build_parser().parse_args(), capsys)
+    assert _exit(main, capsys) == expected
+
+
+def test_main_without_argv_runs_sys_argv(tmp_path, monkeypatch):
+    argv = [str(a) for a in COLLAPSE]
+    monkeypatch.setattr(sys, "argv",
+                        ["depth", *argv, "--out", str(tmp_path / "a")])
+    assert main() == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    for name in ("summary.json", "empirical.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+def test_a_run_builds_only_its_subcommand_once(tmp_path, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
+    assert run(COLLAPSE + ["--out", tmp_path / "a"]) == 0
+    assert run(COLLAPSE + ["--out", tmp_path / "b"]) == 0
+    assert built == ["empirical"]
+
+
+def test_build_parser_holds_every_subcommand():
+    assert not inspect.signature(build_parser).parameters
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
