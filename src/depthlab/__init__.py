@@ -79,7 +79,6 @@ from .simplicial import (
     empirical_block_depth,
     block_depth_experiment,
     simplicial_depth_mc,
-    u_statistic_depth_mc,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import SeriesReport, _power_sum, point_sup, series_report
 from .errors import MomentUnavailableError
-from .models import Direction, Point, SequenceModel
+from .models import Direction, Point, SequenceModel, apply_direction
 
 # most nonzero coordinates of a point whose depth is bounded over all 2^m
 # sign patterns of its support
@@ -311,8 +311,7 @@ def exact_rademacher_probability(direction: Direction, a: Point) -> float:
     if s > 20:
         raise ValueError("enumeration limited to supports of size <= 20")
     coeffs = np.asarray(direction.coeffs)
-    target = sum(c * a.value_at(k)
-                 for k, c in zip(direction.support, direction.coeffs))
+    target = apply_direction(direction, a)
     h = s // 2
     left = _sign_patterns(h) @ coeffs[:h]
     right = np.sort(_sign_patterns(s - h) @ coeffs[h:])

@@ -260,6 +260,14 @@ def _positive(name: str, value) -> float:
     return number
 
 
+def _not_empty(name: str, value):
+    """``value``, unless it is the empty string: as a path it would name
+    the working directory.  A non-string is left to the loader."""
+    if value == "":
+        raise InputError(f"{name} must not be empty")
+    return value
+
+
 def _out_dir(name: str, value) -> str:
     """A path to a directory, or to make one at: checked before the run.
     An empty path is an error: it would name the working directory."""
@@ -276,9 +284,10 @@ def _out_dir(name: str, value) -> str:
 
 
 SETTINGS = {
-    "model": Setting("--model", help="model preset or JSON file"),
-    "point": Setting("--point", help="point preset, CSV or JSON file"),
-    "input": Setting("--input", required=True,
+    "model": Setting("--model", _not_empty, help="model preset or JSON file"),
+    "point": Setting("--point", _not_empty,
+                     help="point preset, CSV or JSON file"),
+    "input": Setting("--input", _not_empty, required=True,
                      help="summary.json to convert"),
     "out": Setting("--out", _out_dir, help="output directory"),
     # a master seed is one 64-bit Philox key word
@@ -667,13 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The full parser, built on its first use: parsing does not change
-    it.  ``main`` uses it when argv does not start with a subcommand."""
-    return build_parser()
-
-
 @lru_cache(maxsize=None)
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """A parser holding subcommand ``name`` only, cached per name: it
@@ -691,8 +693,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # argv that does not start with a subcommand ends in help or a usage
+    # error: only then is the full parser built
     parser = (_command_parser(argv[0]) if argv and argv[0] in COMMANDS
-              else _parser())
+              else build_parser())
     args = parser.parse_args(argv)
     command = COMMANDS[args.command]
     try:

@@ -46,14 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Callable
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError
 from .models import (LAMBDA_SEED, RECORD_SEEDS, CoordinateLaw, Point, Sample,
-                     SequenceModel, _column_rng, _derive_seed, _random_subsets,
-                     _sample_column, sample_chunks)
+                     SequenceModel, _column_rng, _derive_seed, _sample_column,
+                     sample_chunks)
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_MC_DRAWS = 10 ** 5  # draws of the lambda(a) Monte Carlo
@@ -191,18 +190,14 @@ def _value_sets(d: int) -> int:
 # Monte Carlo simplicial depth in R^d
 # ---------------------------------------------------------------------------
 
-def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndarray],
-                        draws: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P(x in open hull of d+1 iid draws).
+def simplicial_depth_mc(x, law: CoordinateLaw, draws: int, seed: int
+                        ) -> tuple[float, float]:
+    """Monte Carlo estimate of P(x in open hull of d+1 iid draws), every
+    coordinate of every vertex drawn from ``law``.
 
-    ``sampler(rng, m)`` must return an (m, d) array; each call asks for
-    the d+1 points of each of ``_value_sets(d)`` simplices.  The estimate
-    is independent of that batch size only when a call for m points
-    returns the next m points of one stream, so that the points do not
-    depend on how they are split into calls, as for ``iid_block_sampler``.
-    A sampler that draws m of one variate and then m of another within a
-    call (m radii, then m angles) gives another estimate, equally valid,
-    for another batch size.  Returns the estimate and its binomial
+    Each batch of ``_value_sets(d)`` simplices reads the next m (d+1) d
+    draws of one Philox stream, vertex by vertex, so the estimate does
+    not depend on the batch size.  Returns the estimate and its binomial
     standard error.
     """
     if draws < 1:
@@ -215,7 +210,7 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
     done = 0
     while done < draws:
         m = min(per_batch, draws - done)
-        pts = sampler(rng, m * (d + 1)).reshape(m, d + 1, d)
+        pts = _sample_column(law, m * (d + 1) * d, rng).reshape(m, d + 1, d)
         inside, _ = _open_hull_mask(x, pts)
         hits += int(np.count_nonzero(inside))
         done += m
@@ -225,16 +220,6 @@ def simplicial_depth_mc(x, sampler: Callable[[np.random.Generator, int], np.ndar
     est = hits / draws
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / draws)
     return est, stderr
-
-
-def iid_block_sampler(law: CoordinateLaw, d: int
-                      ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Sampler for blocks of d iid coordinates with the given marginal."""
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        return _sample_column(law, m * d, rng).reshape(m, d)
-
-    return sampler
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +330,6 @@ def empirical_block_depth(a: Point, s: Sample, d: int, k_max: int,
                             depth=depth)
 
 
-def u_statistic_depth_mc(a: Point, s: Sample, d: int, k: int, subsets: int,
-                         seed: int) -> tuple[float, float]:
-    """Subset-subsampled estimate of block k's Z_{n,k}/N_{n,d}, with its
-    standard error."""
-    if subsets < 1:
-        raise ValueError("subsets must be >= 1")
-    _check_block_shape(s.n, s.K, d, k, budget=math.inf)
-    block = s.data[:, (k - 1) * d:k * d]
-    target = a.values(k * d)[-d:]
-    rng = _column_rng(seed, 0x5B5)
-    hits = 0
-    for lo in range(0, subsets, HULL_CHUNK):
-        picks = _random_subsets(rng, s.n, d + 1, min(HULL_CHUNK, subsets - lo))
-        inside, _ = _open_hull_mask(target, block[picks])
-        hits += int(np.count_nonzero(inside))
-    est = hits / subsets
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / subsets)
-    return est, stderr
-
-
 # ---------------------------------------------------------------------------
 # The consistency-failure experiment
 # ---------------------------------------------------------------------------
@@ -436,8 +401,7 @@ def block_depth_experiment(model: SequenceModel, a: Point, n: int, d: int,
     total = _check_block_shape(n, width, d, k_max, budget)
     target = periodic_block_target(a, d, k_max)
     lam, lam_se = simplicial_depth_mc(
-        target, iid_block_sampler(law, d), mc_draws,
-        seed=_derive_seed(master_seed, LAMBDA_SEED))
+        target, law, mc_draws, seed=_derive_seed(master_seed, LAMBDA_SEED))
     seed_row = _derive_seed(master_seed, RECORD_SEEDS, seeds)
     counts = np.empty((seeds, k_max), dtype=np.int64)
     degens = np.empty((seeds, k_max), dtype=np.int64)

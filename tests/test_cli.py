@@ -234,6 +234,23 @@ def test_empty_path_settings_are_config_errors(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("args, setting", [
+    (["analytic", "--model", "", "--point", "zero"], "model"),
+    (["analytic", "--config", "cfg.json", "--model", "gaussian_unit"],
+     "point"),
+    (["plotdata", "--input", ""], "input"),
+], ids=["model-flag", "point-in-config", "input-flag"])
+def test_empty_spec_settings_are_config_errors(tmp_path, capsys, monkeypatch,
+                                               args, setting):
+    # Path('') is the working directory: the message names the setting
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"point": ""}))
+    assert run(args + ["--out", "run"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {setting} must not be empty\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_bounds_pz_delta_is_capped_below_one(tmp_path):
     # the series 1e-34 gives 1 - sqrt(series) = 1.0 in floating point; the
     # cap keeps delta in (0, 1), as at a zero series
@@ -1061,7 +1078,6 @@ def test_a_run_builds_only_its_subcommand_once(tmp_path, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    cli._parser.cache_clear()
     cli._command_parser.cache_clear()
     assert run(COLLAPSE + ["--out", tmp_path / "a"]) == 0
     assert run(COLLAPSE + ["--out", tmp_path / "b"]) == 0

@@ -20,16 +20,15 @@ from depthlab import (
     stable_model,
     sample,
     simplicial_depth_mc,
-    u_statistic_depth_mc,
     rademacher_model,
     uniform_model,
     zero_depth_experiment,
 )
 from depthlab import models, simplicial
 from depthlab.errors import BudgetExceededError
-from depthlab.models import RECORD_SEEDS, _column_rng, _derive_seed
-from depthlab.simplicial import (_PIVOT_TOL, _open_hull_mask,
-                                 iid_block_sampler, n_subsets)
+from depthlab.models import (RECORD_SEEDS, _column_rng, _derive_seed,
+                             _sample_column)
+from depthlab.simplicial import _PIVOT_TOL, _open_hull_mask, n_subsets
 from depthlab.models import gaussian_law, stable_law, uniform_law
 
 
@@ -347,20 +346,19 @@ def test_gate_matches_eager_product_on_nonfinite_sets(d, bad):
     _assert_gate_matches(verts, np.full(d, 0.5))
 
 
-def test_block_sampler_draws_scaled_unit_draws():
+def test_sample_column_draws_scaled_unit_draws():
     # the scale multiply: scale 2 gives exactly twice the unit-scale draws
     # from the same generator state
-    unit = iid_block_sampler(uniform_law(0.0, 1.0), 2)
-    doubled = iid_block_sampler(uniform_law(0.0, 1.0, 2.0), 2)
-    a = unit(np.random.default_rng(12), 50)
-    b = doubled(np.random.default_rng(12), 50)
-    assert a.shape == b.shape == (50, 2)
+    a = _sample_column(uniform_law(0.0, 1.0), 100, np.random.default_rng(12))
+    b = _sample_column(uniform_law(0.0, 1.0, 2.0), 100,
+                       np.random.default_rng(12))
+    assert a.shape == b.shape == (100,)
     assert np.array_equal(b, 2.0 * a)
 
 
 def test_simplicial_depth_mc_median():
-    est, se = simplicial_depth_mc(
-        [0.5], iid_block_sampler(uniform_law(0.0, 1.0), 1), 100_000, seed=1)
+    est, se = simplicial_depth_mc([0.5], uniform_law(0.0, 1.0), 100_000,
+                                  seed=1)
     assert est == pytest.approx(0.5, abs=3.0 * se)
 
 
@@ -369,24 +367,34 @@ def test_simplicial_depth_mc_uniform_pinned():
     # the blocks workload's law and target: the draws skip the uniform
     # transform's factor 1 and +0, and the hull batches take the capped
     # degeneracy gate, without moving a hit
-    est = simplicial_depth_mc(
-        [0.5, 0.5], iid_block_sampler(uniform_law(0.0, 1.0), 2), 100_000,
-        seed=1)
+    est = simplicial_depth_mc([0.5, 0.5], uniform_law(0.0, 1.0), 100_000,
+                              seed=1)
     assert est == (0.24965, 0.0013686667874249013)
 
 def test_simplicial_depth_mc_disc_center():
+    # the open-hull kernel on uniform points of the unit disc, whose
+    # centre has depth 1/4: triangles drawn from the lambda estimator's
+    # stream in its batches, m radii and then m angles per batch
     def disc(rng, m):
         r = np.sqrt(rng.random(m))
         th = rng.uniform(0.0, 2.0 * math.pi, m)
         return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
-    est, se = simplicial_depth_mc([0.0, 0.0], disc, 10 ** 6, seed=2)
+    rng, draws = _column_rng(2, 0x51D), 10 ** 6
+    hits = 0
+    for lo in range(0, draws, simplicial._value_sets(2)):
+        m = min(simplicial._value_sets(2), draws - lo)
+        inside, _ = _open_hull_mask([0.0, 0.0],
+                                    disc(rng, 3 * m).reshape(m, 3, 2))
+        hits += int(np.count_nonzero(inside))
+    est = hits / draws
+    se = math.sqrt(est * (1.0 - est) / draws)
     assert est == pytest.approx(0.25, abs=3.0 * se)
 
 
 def test_simplicial_depth_mc_far_point():
-    est, _ = simplicial_depth_mc(
-        [10.0], iid_block_sampler(uniform_law(0.0, 1.0), 1), 20_000, seed=3)
+    est, _ = simplicial_depth_mc([10.0], uniform_law(0.0, 1.0), 20_000,
+                                 seed=3)
     assert est == 0.0
 
 
@@ -435,9 +443,8 @@ def test_u_statistic_affine_invariance():
 def test_u_statistic_lln_against_lambda_hat():
     m = uniform_model(0.0, 1.0)
     a = Point((0.5, 0.5))
-    lam, lam_se = simplicial_depth_mc(
-        [0.5, 0.5], iid_block_sampler(uniform_law(0.0, 1.0), 2),
-        10 ** 5, seed=9)
+    lam, lam_se = simplicial_depth_mc([0.5, 0.5], uniform_law(0.0, 1.0),
+                                      10 ** 5, seed=9)
     ratios = []
     for i in range(30):
         s = sample(m, 20, 2, seed=9000 + i)
@@ -447,29 +454,22 @@ def test_u_statistic_lln_against_lambda_hat():
     assert mean_ratio == pytest.approx(lam, abs=3.0 * se)
 
 
-def test_budget_guard_and_subset_mc():
+def test_budget_guard():
     s = sample(uniform_model(0.0, 1.0), 120, 2, seed=10)
     with pytest.raises(BudgetExceededError):
         empirical_block_depth(Point((0.5, 0.5)), s, d=2, k_max=1, budget=1000)
     exact = empirical_block_depth(Point((0.5, 0.5)), s, d=2, k_max=1)
-    est, se = u_statistic_depth_mc(Point((0.5, 0.5)), s, d=2, k=1,
-                                   subsets=4000, seed=11)
-    assert est == pytest.approx(exact.depth, abs=3.0 * se)
+    assert exact.n_subsets == math.comb(120, 3)
 
 
-@pytest.mark.parametrize("count", [
-    lambda a, s, d, k: empirical_block_depth(a, s, d=d, k_max=k),
-    lambda a, s, d, k: u_statistic_depth_mc(a, s, d=d, k=k, subsets=10,
-                                            seed=2),
-], ids=["exact", "mc"])
 @pytest.mark.parametrize("n, d, k", [(6, 2, 2),   # block 2 needs 4 columns
                                      (2, 2, 1),   # n < d+1
                                      (6, 0, 1), (6, 2, 0)],
                          ids=["width", "rows", "d-0", "k-0"])
-def test_u_statistic_width_errors(count, n, d, k):
+def test_u_statistic_width_errors(n, d, k):
     s = sample(uniform_model(0.0, 1.0), n, 2, seed=12 if n == 6 else 13)
     with pytest.raises(ValueError):
-        count(Point((0.5, 0.5)), s, d, k)
+        empirical_block_depth(Point((0.5, 0.5)), s, d=d, k_max=k)
 
 
 # -- block-projection depth ---------------------------------------------------
@@ -488,10 +488,6 @@ def test_block_depth_periodic_blocks():
     s = sample(uniform_model(0.0, 1.0), 6, 6, seed=15)
     rec = empirical_block_depth(a, s, d=2, k_max=3)
     assert rec.depth == min(rec.block_counts) / rec.n_subsets
-    # the subsampled estimate reads block 3, columns 5-6, at (0.4, 0.7)
-    est, se = u_statistic_depth_mc(a, s, d=2, k=3, subsets=4000, seed=16)
-    assert est == pytest.approx(rec.block_counts[2] / rec.n_subsets,
-                                abs=3.0 * se)
     with pytest.raises(ValueError):
         empirical_block_depth(a, s, d=2, k_max=4)
 
@@ -588,15 +584,12 @@ def test_block_counts_independent_of_chunk_size(monkeypatch, d, n, k_max):
     cases = [(m, sample(m, n, k_max * d, seed=31 + d))
              for m in (gaussian_model(), rademacher_model())]
     default = [empirical_block_depth(a, s, d, k_max) for _, s in cases]
-    mc = u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10, seed=5)
     monkeypatch.setattr(simplicial, "HULL_CHUNK", 3)
     for (_, s), rec in zip(cases, default):
         small = empirical_block_depth(a, s, d, k_max)
         assert small.block_counts == rec.block_counts
         assert small.degenerate_counts == rec.degenerate_counts
     assert sum(sum(rec.degenerate_counts) for rec in default) > 0
-    assert u_statistic_depth_mc(a, cases[0][1], d, k=1, subsets=10,
-                                seed=5) == mc
 
 
 
@@ -628,15 +621,16 @@ LAWS = {"uniform": (uniform_law(0.0, 1.0), uniform_model(0.0, 1.0), 0.5),
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("law", list(LAWS))
 def test_simplicial_mc_independent_of_chunk_size(monkeypatch, law, d):
-    # a call for m draws returns the next m of one stream (the stable law
-    # reads two words per draw), so the batch size moves no bit: two
-    # batches at the default bound against one simplex per batch
+    # each batch reads the next draws of one stream (the stable law reads
+    # two words per draw), so the batch size moves no bit: two batches at
+    # the default bound against twelve or thirteen whose boundaries fall
+    # inside the default batches (1 031, 343 and 171 simplices at d = 1,
+    # 2 and 3)
     marginal, _, x = LAWS[law]
-    sampler = iid_block_sampler(marginal, d)
     draws = simplicial._value_sets(d) + 5
-    default = simplicial_depth_mc([x] * d, sampler, draws, seed=61)
-    monkeypatch.setattr(simplicial, "VALUE_CHUNK", 3)
-    assert simplicial_depth_mc([x] * d, sampler, draws, seed=61) == default
+    default = simplicial_depth_mc([x] * d, marginal, draws, seed=61)
+    monkeypatch.setattr(simplicial, "VALUE_CHUNK", 2062)
+    assert simplicial_depth_mc([x] * d, marginal, draws, seed=61) == default
     assert 0.0 < default[0] < 1.0
 
 
@@ -682,12 +676,12 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_simplicial_mc_working_set_is_bounded(d):
     # numpy's buffers are traced: one batch of VALUE_CHUNK values (the
-    # sampler's words, their plane copy and the kernel's temporaries), not
+    # batch's words, their plane copy and the kernel's temporaries), not
     # the run, sets the peak, so doubling the draws moves it by less than
     # one batch's array
-    sampler = iid_block_sampler(uniform_law(0.0, 1.0), d)
-    simplicial_depth_mc([0.5] * d, sampler, 1000, seed=63)
-    peaks = [_traced_peak(lambda: simplicial_depth_mc([0.5] * d, sampler,
+    law = uniform_law(0.0, 1.0)
+    simplicial_depth_mc([0.5] * d, law, 1000, seed=63)
+    peaks = [_traced_peak(lambda: simplicial_depth_mc([0.5] * d, law,
                                                       draws, seed=63))
              for draws in (2 * 10 ** 5, 4 * 10 ** 5)]
     batch = 8 * simplicial.VALUE_CHUNK
@@ -804,13 +798,8 @@ def test_block_experiment_requires_continuous_iid():
     lambda: block_depth_experiment(uniform_model(0.0, 1.0),
                                    Point.periodic([0.5, 0.5], repeats=2),
                                    n=4, d=2, k_max=2, seeds=0),
-    lambda: u_statistic_depth_mc(Point((0.5, 0.5)),
-                                 sample(uniform_model(0.0, 1.0), 4, 2, seed=1),
-                                 d=2, k=1, subsets=0, seed=2),
-    lambda: u_statistic_depth_mc(Point((0.5, 0.5)),
-                                 sample(uniform_model(0.0, 1.0), 4, 2, seed=1),
-                                 d=2, k=1, subsets=-3, seed=2),
-], ids=["zero_depth_seeds", "block_seeds", "ustat_subsets", "ustat_negative"])
+    lambda: simplicial_depth_mc([0.5], uniform_law(0.0, 1.0), 0, seed=1),
+], ids=["zero_depth_seeds", "block_seeds", "mc_draws"])
 def test_counts_below_one_are_rejected(run):
     with pytest.raises(ValueError, match="must be >= 1"):
         run()

@@ -78,3 +78,32 @@ def test_streams_are_keyed_in_models_only():
                                 getattr(node.func, "id", None)) == "Philox"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _annotations(tree):
+    """Every annotation in a module: of arguments, of returns and of
+    annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        if annotation is not None:
+            yield annotation
+
+
+def test_generators_stay_in_models():
+    # a numpy Generator crosses no module boundary outside ``models``: no
+    # signature elsewhere takes or returns one, so no sampler callback
+    # comes back
+    root = Path(depthlab.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "models.py":
+            continue
+        for annotation in _annotations(ast.parse(path.read_text(), str(path))):
+            if "Generator" in ast.unparse(annotation):
+                found.append(f"{path.name}:{annotation.lineno}")
+    assert found == []
