@@ -492,6 +492,20 @@ def test_block_depth_periodic_blocks():
         empirical_block_depth(a, s, d=2, k_max=4)
 
 
+def test_block_count_reads_its_own_columns():
+    # block 3 of a periodic point counts columns 5-6 at (0.4, 0.7): the
+    # same count as block 1 of the sample cut down to those columns (the
+    # three blocks' counts differ at this seed, 0, 8 and 6)
+    a = Point.periodic([0.4, 0.7], repeats=3)
+    s = sample(uniform_model(0.0, 1.0), 6, 6, seed=17)
+    rec = empirical_block_depth(a, s, d=2, k_max=3)
+    cut = empirical_block_depth(Point((0.4, 0.7)),
+                                Sample(s.data[:, 4:6], seed=17), d=2, k_max=1)
+    assert len(set(rec.block_counts)) == 3
+    assert cut.n_subsets == rec.n_subsets
+    assert cut.block_counts == (rec.block_counts[2],)
+
+
 def test_block_counts_iid_across_blocks():
     # for a periodic point the per-block counts are iid over k: compare
     # two blocks' empirical distributions across seeds
@@ -799,7 +813,8 @@ def test_block_experiment_requires_continuous_iid():
                                    Point.periodic([0.5, 0.5], repeats=2),
                                    n=4, d=2, k_max=2, seeds=0),
     lambda: simplicial_depth_mc([0.5], uniform_law(0.0, 1.0), 0, seed=1),
-], ids=["zero_depth_seeds", "block_seeds", "mc_draws"])
+    lambda: simplicial_depth_mc([0.5], uniform_law(0.0, 1.0), -3, seed=1),
+], ids=["zero_depth_seeds", "block_seeds", "mc_draws", "mc_negative"])
 def test_counts_below_one_are_rejected(run):
     with pytest.raises(ValueError, match="must be >= 1"):
         run()
